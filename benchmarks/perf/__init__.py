@@ -1,6 +1,6 @@
 """Performance microbenchmark suite for the simulation core.
 
-Four layers, each isolating one slice of the stack:
+Three layers, each isolating one slice of the stack:
 
 * :mod:`benchmarks.perf.bench_engine` — the bare event loop
   (events/second, no network machinery at all),
@@ -8,13 +8,11 @@ Four layers, each isolating one slice of the stack:
   (arbitrations/second on one link arbitrator at 10²–10⁴ flows, plus a
   control-plane-heavy full-stack point),
 * :mod:`benchmarks.perf.bench_switch` — the fabric datapath
-  (packets/second through a loaded switch, no transports),
-* :mod:`benchmarks.perf.bench_sweep` — a canonical ``left-right`` PASE
-  sweep through :mod:`repro.runner` (wall-clock, full stack, with the
-  runner's JSONL ledger).
+  (packets/second through a loaded switch, no transports).
 
-``python -m benchmarks.perf`` runs all four and writes ``BENCH_sim.json``
-at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v2).
+``python -m benchmarks.perf`` runs all three and writes ``BENCH_sim.json``
+at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v3).
+The end-to-end figure sweep is timed by ``sweepbench/``.
 """
 
 from __future__ import annotations

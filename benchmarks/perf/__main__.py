@@ -8,9 +8,10 @@ Usage::
 
 The report embeds the pre-optimization baseline so every BENCH_sim.json
 carries its own point of comparison (see EXPERIMENTS.md for the schema).
-Exit status is non-zero when engine throughput fails the checked-in floor
+Exit status is non-zero when a measured rate fails the checked-in floor
 (``benchmarks/perf/floor.json``) by more than the allowed regression — CI
-uses this as its pass/fail signal.
+uses this as its pass/fail signal.  End-to-end figure-sweep timing lives
+in ``sweepbench/``, not here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from benchmarks.perf import (BASELINE_ARBITRATIONS_PER_SEC,
                              BASELINE_EVENTS_PER_SEC, bench_arbitration,
-                             bench_engine, bench_sweep, bench_switch)
+                             bench_engine, bench_switch)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FLOOR_PATH = Path(__file__).resolve().parent / "floor.json"
@@ -35,7 +36,6 @@ def build_report(scale: str) -> dict:
     engine = bench_engine.run(scale=scale)
     arbitration = bench_arbitration.run(scale=scale)
     switch = bench_switch.run(scale=scale)
-    sweep = bench_sweep.run(scale=scale)
     speedup = {
         "spin": engine["spin_post_events_per_sec"]
                 / BASELINE_EVENTS_PER_SEC["spin"],
@@ -49,7 +49,7 @@ def build_report(scale: str) -> dict:
         for key, base in BASELINE_ARBITRATIONS_PER_SEC.items()
     }
     return {
-        "schema": "bench_sim/v2",
+        "schema": "bench_sim/v3",
         "suite": "benchmarks/perf",
         "scale": scale,
         "python": platform.python_version(),
@@ -65,7 +65,6 @@ def build_report(scale: str) -> dict:
             "engine": engine,
             "arbitration": arbitration,
             "switch": switch,
-            "sweep": sweep,
         },
         "speedup_vs_baseline": speedup,
         "arbitration_speedup_vs_baseline": arb_speedup,
@@ -124,9 +123,6 @@ def main(argv=None) -> int:
           f"{arb['epoch_1000_decisions_per_sec']:>12,.0f} decisions/sec")
     switch = report["results"]["switch"]
     print(f"switch  incast:          {switch['incast_packets_per_sec']:>12,.0f} packets/sec")
-    sweep = report["results"]["sweep"]
-    print(f"sweep   left-right pase: {sweep['wallclock_sec']:>12.2f} s wall "
-          f"({sweep['sim_events_per_sec']:,.0f} sim events/sec)")
     print(f"report: {args.output}")
 
     if args.no_floor_check:

@@ -260,6 +260,9 @@ def _execute(spec: ExperimentSpec) -> ExperimentResult:
             injector, flows,
             control_plane=cp if isinstance(cp, PaseControlPlane) else None)
 
+    # Callbacks still queued past the horizon (background flows, timers)
+    # would keep this run's packets and agents alive until a later GC pass.
+    sim.discard_pending()
     return ExperimentResult(
         protocol=protocol,
         scenario=scenario.name,

@@ -21,6 +21,14 @@ perturbs tie-break order):
   per packet dominates the event loop's cost.  Entries that handed out an
   Event handle are never pooled — a stale ``cancel()`` after the event
   fired must stay a no-op, not kill an unrelated recycled event.
+
+A component that may or may not need a callback at a known future time
+can claim its tie-break slot now and decide later:
+:meth:`Simulator.reserve_seq` takes the next sequence number without
+scheduling anything, and :meth:`Simulator.post_at_reserved` pushes a
+callback in that slot.  The callback then fires exactly where it would
+have fired had it been posted at reservation time.  Links use this to
+skip serialization wake-ups that would find their queue empty.
 """
 
 from __future__ import annotations
@@ -90,6 +98,12 @@ class Simulator:
         self._heap: List[list] = []
         self._free: List[list] = []
         self._seq: int = 0
+        #: Sequence number of the callback firing now (or fired last).
+        #: Together with :attr:`now` it is the loop's position: a slot from
+        #: :meth:`reserve_seq` at time ``now`` has been passed once this
+        #: exceeds it.  Set past every claimed number when the loop runs
+        #: out of events or reaches its horizon.
+        self.fired_seq: int = 0
         self._events_processed: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -171,6 +185,55 @@ class Simulator:
         _heappush(self._heap, entry)
 
     # ------------------------------------------------------------------
+    # Reserved slots (decide now, post later)
+    # ------------------------------------------------------------------
+    def reserve_seq(self) -> int:
+        """Claim the next tie-break sequence number without scheduling
+        anything.  Pass it to :meth:`post_at_reserved` later, or drop it:
+        an unused number leaves a harmless gap in the sequence."""
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def post_at_reserved(self, seq: int, time: float,
+                         fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`post_at` in a slot claimed earlier by :meth:`reserve_seq`.
+
+        Among callbacks at ``time`` it fires after those posted before the
+        reservation and before those posted after it.  The push goes
+        through the public :meth:`post_at`, so anything wrapping the
+        scheduling methods sees it like any other post."""
+        saved = self._seq
+        self._seq = seq - 1
+        try:
+            self.post_at(time, fn, *args)
+        finally:
+            self._seq = saved
+
+    def cancel_posted(self, *args: Any) -> bool:
+        """Cancel the pending callback whose arguments are exactly ``args``
+        (compared by identity).  Returns whether one was found.
+
+        Posted callbacks have no handle, so this scans the whole heap: a
+        cold-path tool (a link going down mid-frame), never a hot one."""
+        n = len(args)
+        for entry in self._heap:
+            pending = entry[3]
+            if (entry[2] is not None and len(pending) == n
+                    and all(a is b for a, b in zip(pending, args))):
+                entry[2] = None
+                entry[3] = ()
+                return True
+        return False
+
+    def discard_pending(self) -> None:
+        """Drop every pending callback and the pooled entries.  Call it when
+        a run is over: callbacks still queued past the horizon (background
+        flows, timers) otherwise keep their packets and agents alive for as
+        long as the simulator is referenced."""
+        self._heap.clear()
+        self._free.clear()
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -196,12 +259,14 @@ class Simulator:
                     # Advance the clock to the horizon so repeated run() calls
                     # observe monotonic time.
                     self.now = until
+                    self.fired_seq = self._seq
                     break
                 heappop(heap)
                 fn = entry[2]
                 if fn is None:
                     continue
                 self.now = entry[0]
+                self.fired_seq = entry[1]
                 fn(*entry[3])
                 if entry[4]:
                     entry[2] = None
@@ -210,6 +275,8 @@ class Simulator:
                 processed += 1
                 if processed == budget:
                     break
+            else:
+                self.fired_seq = self._seq
         finally:
             self._running = False
             self._events_processed += processed

@@ -58,7 +58,12 @@ class Switch(Node):
     (flow-hashed among equal-cost links under ECMP)."""
 
     def receive(self, pkt: Packet, from_link: "Link") -> None:
-        self.egress_for(pkt.dst, pkt.flow_id).send(pkt)
+        # Single-path tables hit the dict directly; ECMP and a missing
+        # route go through egress_for.
+        link = None if self.multipath_routes else self.routes.get(pkt.dst)
+        if link is None:
+            link = self.egress_for(pkt.dst, pkt.flow_id)
+        link.send(pkt)
 
 
 class Host(Node):

@@ -288,3 +288,96 @@ def test_max_events_counts_fired_not_cancelled():
     assert processed == 2
     assert fired == [1, 3]
     assert keep1.time == 0.1
+
+
+# ---------------------------------------------------------------------------
+# Reserved slots: reserve_seq() now, post_at_reserved() later
+# ---------------------------------------------------------------------------
+
+def test_reserved_slot_fires_in_reservation_order():
+    """A callback pushed late into a reserved slot fires after same-time
+    callbacks posted before the reservation and before those posted after
+    it, as if it had been posted when the slot was claimed."""
+    sim = Simulator()
+    fired = []
+    sim.post_at(1.0, fired.append, "before")
+    slot = sim.reserve_seq()
+    sim.post_at(1.0, fired.append, "after")
+    sim.post_at(0.5, sim.post_at_reserved, slot, 1.0, fired.append,
+                "reserved")
+    sim.run()
+    assert fired == ["before", "reserved", "after"]
+
+
+def test_reserved_push_goes_through_post_at():
+    """The deferred push is an ordinary post_at call (so wrappers of the
+    scheduling methods see it), and it leaves the sequence counter where
+    it was: later posts still order after earlier ones."""
+    calls = []
+
+    class Recording(Simulator):
+        def post_at(self, time, fn, *args):
+            calls.append((time, fn, args))
+            return super().post_at(time, fn, *args)
+
+    sim = Recording()
+    fired = []
+    slot = sim.reserve_seq()
+    sim.post_at(1.0, fired.append, "posted")
+    assert sim.post_at_reserved(slot, 1.0, fired.append, "reserved") is None
+    sim.post_at(1.0, fired.append, "later")
+    assert calls[1] == (1.0, fired.append, ("reserved",))
+    sim.run()
+    assert fired == ["reserved", "posted", "later"]
+
+
+def test_reserved_push_rejects_past_times_and_restores_counter():
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    sim.run()
+    slot = sim.reserve_seq()
+    with pytest.raises(ValueError):
+        sim.post_at_reserved(slot, 0.5, lambda: None)
+    assert sim.reserve_seq() == slot + 1
+
+
+def test_fired_seq_tracks_loop_position():
+    sim = Simulator()
+    seen = []
+    sim.post(0.1, lambda: seen.append(sim.fired_seq))
+    slot = sim.reserve_seq()
+    sim.post(0.1, lambda: (seen.append(sim.fired_seq), sim.stop()))
+    sim.post(0.1, lambda: None)
+    sim.run()
+    # Stopped between the slot and the last callback: the slot is passed,
+    # the pending callback is not.
+    assert seen[0] < slot < seen[1] == sim.fired_seq
+    sim.run()
+    # Drained: every claimed number counts as passed.
+    assert sim.fired_seq >= sim.reserve_seq() - 1
+
+
+def test_cancel_posted_matches_arguments_by_identity():
+    sim = Simulator()
+    fired = []
+    a, b = object(), object()
+    sim.post(0.1, fired.append, a)
+    sim.post(0.2, fired.append, b)
+    assert sim.cancel_posted(a)
+    assert not sim.cancel_posted(a)
+    assert not sim.cancel_posted(object())
+    sim.run()
+    assert fired == [b]
+    assert sim.events_processed == 1
+
+
+def test_discard_pending_drops_every_callback():
+    sim = Simulator()
+    fired = []
+    sim.post(0.1, fired.append, 1)
+    sim.schedule(0.2, fired.append, 2)
+    sim.run(until=0.05)
+    sim.discard_pending()
+    assert sim.pending_events == 0
+    sim.run()
+    assert fired == []

@@ -111,19 +111,23 @@ class TestByteIdenticalGoldens:
     serialization).  These prove the optimizations are *byte-identical*:
     same seeds → same event count → same per-flow FCTs, to the last bit.
     An intentional semantic change to the simulator must re-pin these.
+
+    The event counts were re-pinned (fingerprints untouched) when links
+    stopped waking up after frames nobody queues behind: the same packets
+    now take fewer engine events.
     """
 
     def test_pase_intra_rack_golden(self):
         r = run_experiment(ExperimentSpec(
             "pase", intra_rack(num_hosts=8), 0.5, num_flows=40, seed=42))
-        assert r.events == 80663
+        assert r.events == 68833
         assert _fingerprint(r) == ("f78233a1e5f7e1f8297349a24ff0077d"
                                    "3cf92c4a1d45cd3295161e0fa36e4dca")
 
     def test_dctcp_intra_rack_golden(self):
         r = run_experiment(ExperimentSpec(
             "dctcp", intra_rack(num_hosts=8), 0.6, num_flows=40, seed=7))
-        assert r.events == 91645
+        assert r.events == 78310
         assert _fingerprint(r) == ("2ac54cbb0aa53700e9dfefb00356ee15"
                                    "394c00d7382bd3aef8544622a66db7d0")
 
@@ -131,7 +135,7 @@ class TestByteIdenticalGoldens:
         r = run_experiment(ExperimentSpec(
             "pfabric", left_right(hosts_per_rack=4), 0.7,
             num_flows=60, seed=3))
-        assert r.events == 168191
+        assert r.events == 124536
         assert _fingerprint(r) == ("d9d1441d4de48168288cbd7f07a9e9c5"
                                    "52e30902aa24ccca497d75682fb1d8d1")
 
@@ -145,7 +149,7 @@ class TestByteIdenticalGoldens:
         r = run_experiment(ExperimentSpec(
             "pase", left_right(hosts_per_rack=4), 0.7,
             num_flows=80, seed=11))
-        assert r.events == 185199
+        assert r.events == 136562
         assert r.stats.completion_fraction == 1.0
         assert _fingerprint(r) == ("d87f7b897b4bc74b6dc0855be8fa5e60"
                                    "db195269f045cf8d4d825375a1065341")
