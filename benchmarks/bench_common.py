@@ -9,25 +9,28 @@ breaks a result fails the benchmark run.
 Scale: ``PASE_BENCH_SCALE`` (default 1.0) multiplies per-point flow counts;
 set it to 3-5 for tighter confidence at the cost of wall-clock time.
 
-Parallelism: ``PASE_BENCH_JOBS`` (default 1) fans each figure's
-(protocol x load) grid out over ``repro.runner`` worker processes;
-``PASE_BENCH_TIMEOUT``/``PASE_BENCH_RETRIES`` bound sick points.  The
-default of 1 keeps the legacy serial path, byte-identical to before.
+Parallelism: every figure's (protocol x load) grid runs through
+``repro.runner.run_sweep``.  ``PASE_BENCH_JOBS`` (default 1, in-process)
+fans it out over worker processes, with identical results;
+``PASE_BENCH_TIMEOUT``/``PASE_BENCH_RETRIES`` bound sick points.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.core import PaseConfig
 from repro.harness import (
     ExperimentResult,
-    ExperimentSpec,
+    Scenario,
+    ScenarioSpec,
     format_series_table,
-    run_experiment,
     series_from_results,
 )
+from repro.runner import (RunnerConfig, SweepSpec, results_by_protocol_load,
+                          run_sweep)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,38 +51,17 @@ def flows(n: int) -> int:
 
 def sweep(
     protocols: Sequence[str],
-    scenario_factory: Callable,
+    scenario: Union[Scenario, ScenarioSpec],
     loads: Iterable[float] = PAPER_LOADS,
     num_flows: int = 200,
     seed: int = 42,
-    **kwargs,
+    pase_config: Optional[PaseConfig] = None,
 ) -> Dict[str, Dict[float, ExperimentResult]]:
-    """Run each protocol across the load sweep (fresh scenario per run).
-
-    With ``PASE_BENCH_JOBS > 1`` the whole grid goes through the
-    ``repro.runner`` process pool; a failed point still fails the figure
-    (``on_error='raise'``), matching the serial path's behavior."""
-    loads = tuple(loads)
-    if JOBS == 1:
-        results: Dict[str, Dict[float, ExperimentResult]] = {}
-        for protocol in protocols:
-            results[protocol] = {}
-            for load in loads:
-                results[protocol][load] = run_experiment(ExperimentSpec.build(
-                    protocol, scenario_factory(), load,
-                    num_flows=flows(num_flows), seed=seed, **kwargs,
-                ))
-        return results
-
-    from repro.runner import (RunnerConfig, SweepSpec, results_by_protocol_load,
-                              run_sweep)
-
+    """Run each protocol across the load sweep; a failed point fails the
+    figure (``on_error='raise'``)."""
     spec = SweepSpec(
-        protocols=tuple(protocols), scenario=scenario_factory, loads=loads,
-        seeds=(seed,), num_flows=flows(num_flows),
-        pase_config=kwargs.pop("pase_config", None),
-        horizon=kwargs.pop("horizon", None),
-        overrides=dict(kwargs),
+        protocols=tuple(protocols), scenario=scenario, loads=tuple(loads),
+        seeds=(seed,), num_flows=flows(num_flows), pase_config=pase_config,
     )
     outcome = run_sweep(spec.expand(), RunnerConfig(
         jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,

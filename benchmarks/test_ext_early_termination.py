@@ -7,23 +7,22 @@ flows provably cannot make their deadlines, and every packet they send
 steals capacity from flows that still can.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table, intra_rack, run_experiment
+from repro.harness import format_series_table, intra_rack
 
 LOADS = (0.5, 0.7, 0.9)
 
 
 def run_figure():
-    results = {}
-    for label, et in (("pase", False), ("pase+ET", True)):
-        cfg = PaseConfig(criterion="deadline", early_termination=et)
-        results[label] = {
-            load: run_experiment(ExperimentSpec(
-                "pase", intra_rack(num_hosts=20, with_deadlines=True), load,
-                num_flows=flows(200), seed=42, pase_config=cfg))
-            for load in LOADS
-        }
+    results = {
+        label: sweep(
+            ("pase",), intra_rack(num_hosts=20, with_deadlines=True),
+            loads=LOADS, num_flows=200,
+            pase_config=PaseConfig(criterion="deadline",
+                                   early_termination=et))["pase"]
+        for label, et in (("pase", False), ("pase+ET", True))
+    }
     series = {name: {l: r.application_throughput for l, r in by_load.items()}
               for name, by_load in results.items()}
     text = format_series_table(

@@ -7,8 +7,8 @@ EX3300, where intermediate-queue flows lose their self-adjusting signal
 and fall back to loss-based control.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
-from repro.harness import ExperimentSpec, format_series_table, intra_rack, run_experiment
+from benchmarks.bench_common import emit, run_once, sweep
+from repro.harness import format_series_table, intra_rack
 from repro.sim.switch_models import TABLE2, pase_config_for
 
 LOADS = (0.5, 0.8)
@@ -17,14 +17,10 @@ LOADS = (0.5, 0.8)
 def run_figure():
     results = {}
     for name, model in sorted(TABLE2.items()):
-        cfg = pase_config_for(model)
         label = f"{name}({model.num_queues}q{'' if model.ecn else ',noECN'})"
-        results[label] = {
-            load: run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=20), load,
-                                 num_flows=flows(200), seed=42,
-                                 pase_config=cfg))
-            for load in LOADS
-        }
+        results[label] = sweep(
+            ("pase",), intra_rack(num_hosts=20), loads=LOADS, num_flows=200,
+            pase_config=pase_config_for(model))["pase"]
     series = {label: {l: r.afct * 1e3 for l, r in by_load.items()}
               for label, by_load in results.items()}
     emit("ext_table2_switches", format_series_table(

@@ -18,7 +18,7 @@ PROTOCOLS = ("pfabric", "d2tcp", "dctcp")
 def run_figure():
     results = sweep(
         PROTOCOLS,
-        lambda: intra_rack(num_hosts=20, with_deadlines=True),
+        intra_rack(num_hosts=20, with_deadlines=True),
         loads=PAPER_LOADS,
         num_flows=200,
     )

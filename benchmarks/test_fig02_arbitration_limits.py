@@ -19,7 +19,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 def run_figure():
     results = sweep(
         ("pdq", "dctcp"),
-        lambda: intra_rack(num_hosts=20),
+        intra_rack(num_hosts=20),
         loads=LOADS,
         num_flows=450,
     )

@@ -16,7 +16,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
 def run_figure():
     results = sweep(
         ("pfabric", "pase"),
-        lambda: all_to_all_intra_rack(num_hosts=20, fanin=4),
+        all_to_all_intra_rack(num_hosts=20, fanin=4),
         loads=LOADS,
         num_flows=300,
     )

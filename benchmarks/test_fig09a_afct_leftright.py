@@ -12,7 +12,7 @@ from repro.harness import left_right
 def run_figure():
     results = sweep(
         ("pase", "l2dct", "dctcp"),
-        lambda: left_right(),
+        left_right(),
         loads=PAPER_LOADS,
         num_flows=250,
     )

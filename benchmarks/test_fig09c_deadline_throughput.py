@@ -13,7 +13,7 @@ from repro.harness import format_series_table, intra_rack, series_from_results
 def run_figure():
     results = sweep(
         ("pase", "d2tcp", "dctcp"),
-        lambda: intra_rack(num_hosts=20, with_deadlines=True),
+        intra_rack(num_hosts=20, with_deadlines=True),
         loads=PAPER_LOADS,
         num_flows=200,
     )

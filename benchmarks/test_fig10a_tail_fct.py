@@ -12,7 +12,7 @@ from repro.harness import format_series_table, left_right, series_from_results
 def run_figure():
     results = sweep(
         ("pase", "pfabric"),
-        lambda: left_right(),
+        left_right(),
         loads=PAPER_LOADS,
         num_flows=250,
     )

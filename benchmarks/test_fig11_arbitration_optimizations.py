@@ -17,7 +17,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 def run_figure():
     results = sweep(
         ("pase", "pase-noopt"),
-        lambda: left_right(),
+        left_right(),
         loads=LOADS,
         num_flows=250,
     )

@@ -17,24 +17,17 @@ Our reproduction separates two regimes (see EXPERIMENTS.md):
   the two modes tie on AFCT with end-to-end ahead only marginally.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table, left_right, run_experiment
+from repro.harness import format_series_table, left_right
 
 LOADS = (0.3, 0.5, 0.7, 0.9)
 
 
 def _sweep(shared: bool):
-    base = PaseConfig(shared_queue_capacity=shared)
-    out = {}
-    for protocol in ("pase", "pase-local"):
-        out[protocol] = {
-            load: run_experiment(ExperimentSpec(protocol, left_right(), load,
-                                 num_flows=flows(250), seed=42,
-                                 pase_config=base))
-            for load in LOADS
-        }
-    return out
+    return sweep(("pase", "pase-local"), left_right(), loads=LOADS,
+                 num_flows=250,
+                 pase_config=PaseConfig(shared_queue_capacity=shared))
 
 
 def run_figure():

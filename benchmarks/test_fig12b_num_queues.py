@@ -5,24 +5,21 @@ marginal AFCT improvement — the evidence that PASE works on commodity
 switches (Table 2: 3-10 queues per port).
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table, left_right, run_experiment
+from repro.harness import format_series_table, left_right
 
 LOADS = (0.5, 0.7, 0.9)
 QUEUE_COUNTS = (3, 4, 6, 8)
 
 
 def run_figure():
-    results = {}
-    for num_queues in QUEUE_COUNTS:
-        cfg = PaseConfig(num_queues=num_queues)
-        results[f"{num_queues}q"] = {
-            load: run_experiment(ExperimentSpec("pase", left_right(), load,
-                                 num_flows=flows(250), seed=42,
-                                 pase_config=cfg))
-            for load in LOADS
-        }
+    results = {
+        f"{num_queues}q": sweep(
+            ("pase",), left_right(), loads=LOADS, num_flows=250,
+            pase_config=PaseConfig(num_queues=num_queues))["pase"]
+        for num_queues in QUEUE_COUNTS
+    }
     series = {name: {load: r.afct * 1e3 for load, r in by_load.items()}
               for name, by_load in results.items()}
     emit("fig12b_num_queues", format_series_table(

@@ -21,7 +21,7 @@ def scenario():
 
 
 def run_figure():
-    results = sweep(("pase", "pase-dctcp"), scenario, loads=LOADS,
+    results = sweep(("pase", "pase-dctcp"), scenario(), loads=LOADS,
                     num_flows=250)
     series = series_from_results(results, "afct", scale=1e3)
     emit("fig13a_reference_rate", format_series_table(

@@ -20,9 +20,9 @@ stall dominates every other effect and both variants measure identically.
 
 from dataclasses import replace
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, all_to_all_intra_rack, format_series_table, run_experiment
+from repro.harness import all_to_all_intra_rack, format_series_table
 from repro.utils.units import MSEC
 
 LOADS = (0.5, 0.8, 0.9)
@@ -31,15 +31,13 @@ BASE = PaseConfig(shared_queue_capacity=True, queue_capacity_pkts=150,
 
 
 def run_figure():
-    results = {}
-    for label, probing in (("pase", True), ("pase-noprobe", False)):
-        cfg = replace(BASE, probing_enabled=probing)
-        results[label] = {
-            load: run_experiment(ExperimentSpec(
-                "pase", all_to_all_intra_rack(num_hosts=20, fanin=16), load,
-                num_flows=flows(250), seed=42, pase_config=cfg))
-            for load in LOADS
-        }
+    results = {
+        label: sweep(
+            ("pase",), all_to_all_intra_rack(num_hosts=20, fanin=16),
+            loads=LOADS, num_flows=250,
+            pase_config=replace(BASE, probing_enabled=probing))["pase"]
+        for label, probing in (("pase", True), ("pase-noprobe", False))
+    }
     series = {name: {l: r.afct * 1e3 for l, r in by_load.items()}
               for name, by_load in results.items()}
     text = format_series_table(

@@ -3,7 +3,7 @@
 A :class:`FaultSchedule` is plain data — a seed plus a tuple of fault
 events — so it can ride inside a :class:`~repro.harness.scenarios.Scenario`,
 cross process boundaries, serialize into the runner's JSONL ledger, and be
-rebuilt from JSON for cache-stable sweep descriptors.  The
+rebuilt from JSON for cache-stable sweep points.  The
 :class:`~repro.faults.injector.FaultInjector` is the executable half: it
 walks the schedule and arms the corresponding simulator events.
 

@@ -11,6 +11,7 @@ from repro.harness.report import (
 )
 from repro.harness.scenarios import (
     Scenario,
+    ScenarioSpec,
     all_to_all_intra_rack,
     intra_rack,
     left_right,
@@ -30,6 +31,7 @@ __all__ = [
     "improvement_row",
     "series_from_results",
     "Scenario",
+    "ScenarioSpec",
     "all_to_all_intra_rack",
     "intra_rack",
     "left_right",

@@ -7,23 +7,23 @@ safety horizon passes).  It returns an :class:`ExperimentResult` bundling
 flow records, FCT statistics, loss accounting, and — for PASE —
 control-plane overhead counters.
 
-:class:`ExperimentSpec` is the one canonical description of a run; every
-entry point (``sweep_loads``, ``repro.runner`` descriptors, the CLIs, the
-benchmark suite) constructs a spec.  The historical keyword signature
-``run_experiment(protocol, scenario, load, ...)`` still works through a
-deprecation shim but new code should build specs.
+:class:`ExperimentSpec` is the one description of a run; every entry point
+(``sweep_loads``, ``replicate``, ``repro.runner``, the CLI, the benchmark
+suite) builds specs, and every grid of them runs through
+:func:`repro.runner.run_sweep`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.core import PaseConfig
 from repro.core.control_plane import PaseControlPlane
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector
 from repro.metrics.faults import FaultCounters
 from repro.metrics.overhead import ControlPlaneCounters, NetworkCounters
 from repro.metrics.stats import FlowStats
@@ -32,62 +32,81 @@ from repro.transports.flow import Flow
 from repro.workloads.generator import WorkloadConfig, generate_workload
 
 from repro.harness.protocols import ProtocolBinding, make_binding
-from repro.harness.scenarios import Scenario
+from repro.harness.scenarios import Scenario, ScenarioSpec
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything that determines one run, as immutable plain data.
 
-    Field names deliberately mirror the historical ``run_experiment``
-    keywords, so legacy call sites convert mechanically::
-
-        run_experiment("pase", scn, 0.5, num_flows=40, seed=7)
-        # becomes
-        run_experiment(ExperimentSpec("pase", scn, 0.5, num_flows=40, seed=7))
+    ``scenario`` is either a built :class:`Scenario` or a
+    :class:`ScenarioSpec`, which is built when the run starts.  A built
+    scenario can be shared by any number of specs: each run builds its own
+    topology and traffic from it.  Only a ``ScenarioSpec`` run has a
+    :meth:`content_hash`, so only those are served from the result cache.
 
     ``binding_overrides`` carries extra keyword arguments for
     :func:`~repro.harness.protocols.make_binding` (ignored when an explicit
-    ``binding`` is supplied, exactly as before).
+    ``binding`` is supplied).
     """
 
     protocol: str
-    scenario: Scenario
+    scenario: Union[Scenario, ScenarioSpec]
     load: float
     num_flows: int = 300
     seed: int = 1
     pase_config: Optional[PaseConfig] = None
     horizon: Optional[float] = None
-    fault_schedule: Optional[FaultSchedule] = None
     binding: Optional[ProtocolBinding] = None
     binding_overrides: Mapping[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, protocol: str, scenario: Scenario, load: float,
-              num_flows: int = 300, seed: int = 1,
-              pase_config: Optional[PaseConfig] = None,
-              horizon: Optional[float] = None,
-              binding: Optional["ProtocolBinding"] = None,
-              fault_schedule: Optional[FaultSchedule] = None,
-              **binding_overrides: Any) -> "ExperimentSpec":
-        """Construct a spec from loose keywords — the parameter order is the
-        historical ``run_experiment`` signature, and unrecognised keywords
-        land in ``binding_overrides``.  This is the bridge for the
-        deprecation shim and for sweep plumbing that forwards ``**kwargs``
-        untyped."""
-        return cls(protocol, scenario, load, num_flows=num_flows, seed=seed,
-                   pase_config=pase_config, horizon=horizon,
-                   fault_schedule=fault_schedule, binding=binding,
-                   binding_overrides=binding_overrides)
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy with the given fields changed (spec fields only)."""
         return replace(self, **changes)
 
     @property
+    def scenario_label(self) -> str:
+        if isinstance(self.scenario, ScenarioSpec):
+            return self.scenario.label()
+        return self.scenario.name
+
+    @property
     def label(self) -> str:
-        return (f"{self.protocol}/{self.scenario.name}"
+        return (f"{self.protocol}/{self.scenario_label}"
                 f"/load={self.load:g}/seed={self.seed}")
+
+    def key_dict(self) -> Optional[Dict[str, Any]]:
+        """The canonical content of this run, or None when a component (a
+        built scenario, an explicit binding, a non-JSON override) has no
+        stable content identity."""
+        if (not isinstance(self.scenario, ScenarioSpec)
+                or self.binding is not None):
+            return None
+        key = {
+            "protocol": self.protocol,
+            "scenario": self.scenario.name,
+            "scenario_kwargs": dict(self.scenario.kwargs),
+            "load": self.load,
+            "seed": self.seed,
+            "num_flows": self.num_flows,
+            "pase_config": (None if self.pase_config is None
+                            else asdict(self.pase_config)),
+            "horizon": self.horizon,
+            "overrides": dict(self.binding_overrides),
+        }
+        try:
+            json.dumps(key, sort_keys=True)
+        except TypeError:
+            return None
+        return key
+
+    def content_hash(self) -> Optional[str]:
+        """sha256 over the canonical key, or None when uncacheable."""
+        key = self.key_dict()
+        if key is None:
+            return None
+        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -136,48 +155,27 @@ class ExperimentResult:
         return replace(self, flows=[replace(f) for f in self.flows])
 
 
-def run_experiment(spec, *legacy_args, **legacy_kwargs) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment and collect its metrics.
-
-    The canonical call is ``run_experiment(spec)`` with an
-    :class:`ExperimentSpec`.  The historical keyword form
-    ``run_experiment(protocol, scenario, load, ...)`` still works but emits
-    a :class:`DeprecationWarning`; it will be removed once external callers
-    have migrated.
-    """
-    if isinstance(spec, ExperimentSpec):
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "run_experiment(spec) takes no additional arguments; "
-                "put them on the ExperimentSpec instead")
-        return _execute(spec)
-    warnings.warn(
-        "run_experiment(protocol, scenario, load, ...) is deprecated; "
-        "pass an ExperimentSpec: run_experiment(ExperimentSpec(...))",
-        DeprecationWarning, stacklevel=2)
-    return _execute(ExperimentSpec.build(spec, *legacy_args, **legacy_kwargs))
-
-
-def _execute(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute one :class:`ExperimentSpec`.
 
     ``spec.horizon`` caps simulated time past the last arrival (default 2 s)
     so a protocol that strands flows still terminates; stranded flows show
     up in ``stats.completion_fraction`` and count as missed deadlines.
 
-    ``spec.fault_schedule`` (or the scenario's own ``fault_schedule``) arms
-    a :class:`~repro.faults.FaultInjector` against the run; the result then
+    The scenario's ``fault_schedule`` arms a
+    :class:`~repro.faults.FaultInjector` against the run; the result then
     carries a :class:`~repro.metrics.faults.FaultCounters`.  Without one,
     nothing fault-related executes and results are byte-identical to a
     fault-free build.
     """
     protocol = spec.protocol
     scenario = spec.scenario
+    if isinstance(scenario, ScenarioSpec):
+        scenario = scenario.build()
     load = spec.load
     num_flows = spec.num_flows
     seed = spec.seed
     horizon = spec.horizon
-    fault_schedule = spec.fault_schedule
 
     sim = Simulator()
     binding = spec.binding
@@ -187,12 +185,10 @@ def _execute(spec: ExperimentSpec) -> ExperimentResult:
     topology = scenario.build_topology(sim, binding.queue_factory())
     binding.setup_network(sim, topology)
 
-    if fault_schedule is None:
-        fault_schedule = scenario.fault_schedule
     injector: Optional[FaultInjector] = None
-    if fault_schedule:
+    if scenario.fault_schedule:
         injector = FaultInjector(
-            sim, topology.network, fault_schedule,
+            sim, topology.network, scenario.fault_schedule,
             control_plane=getattr(binding, "control_plane", None))
 
     pattern = scenario.build_pattern(topology)
@@ -280,7 +276,7 @@ def _execute(spec: ExperimentSpec) -> ExperimentResult:
 
 def sweep_loads(
     protocol: str,
-    scenario_factory,
+    scenario: Union[Scenario, ScenarioSpec],
     loads,
     num_flows: int = 300,
     seed: int = 1,
@@ -289,40 +285,26 @@ def sweep_loads(
     timeout: Optional[float] = None,
     retries: int = 0,
     cache_dir=None,
-    **kwargs,
+    horizon: Optional[float] = None,
+    **binding_overrides,
 ) -> Dict[float, ExperimentResult]:
-    """Run ``protocol`` across ``loads``; a fresh scenario per point keeps
-    runs independent.  ``scenario_factory`` is a zero-argument callable
-    (or a :class:`repro.runner.ScenarioSpec` to make the points cacheable).
+    """Run ``protocol`` on ``scenario`` at each of ``loads``.
 
-    ``jobs=1`` (the default) executes serially in-process, exactly as it
-    always has; ``jobs > 1`` fans the points out over ``repro.runner``
-    worker processes.  ``cache_dir`` opts into the on-disk result cache
-    (only effective for ScenarioSpec-described scenarios).
+    The points go through :func:`repro.runner.run_sweep`: ``jobs=1`` runs
+    them in order in this process, ``jobs > 1`` on worker processes, with
+    identical results.  ``cache_dir`` opts into the on-disk result cache,
+    which serves only points whose scenario is a :class:`ScenarioSpec`.
+    A failed point raises :class:`repro.runner.SweepFailure`.
     """
-    if jobs == 1 and cache_dir is None:
-        results: Dict[float, ExperimentResult] = {}
-        for load in loads:
-            spec = ExperimentSpec.build(
-                protocol, scenario_factory(), load,
-                num_flows=num_flows, seed=seed, pase_config=pase_config,
-                **kwargs,
-            )
-            results[load] = run_experiment(spec)
-        return results
+    from repro.runner import RunnerConfig, results_by_load, run_sweep
 
-    from repro.runner import (RunDescriptor, RunnerConfig, results_by_load,
-                              run_sweep)
-
-    horizon = kwargs.pop("horizon", None)
-    descriptors = [
-        RunDescriptor(protocol=protocol, scenario=scenario_factory,
-                      load=load, seed=seed, num_flows=num_flows,
-                      pase_config=pase_config, horizon=horizon,
-                      overrides=dict(kwargs))
+    specs = [
+        ExperimentSpec(protocol, scenario, load, num_flows=num_flows,
+                       seed=seed, pase_config=pase_config, horizon=horizon,
+                       binding_overrides=binding_overrides)
         for load in loads
     ]
-    outcome = run_sweep(descriptors, RunnerConfig(
+    outcome = run_sweep(specs, RunnerConfig(
         jobs=jobs, timeout=timeout, retries=retries,
         use_cache=cache_dir is not None, cache_dir=cache_dir,
         on_error="raise",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core import PaseConfig
-from repro.harness.experiment import (ExperimentResult, ExperimentSpec,
-                                      run_experiment)
-from repro.harness.scenarios import Scenario
+from repro.harness.experiment import ExperimentResult, ExperimentSpec
+from repro.harness.scenarios import Scenario, ScenarioSpec
 
 #: Extracts a scalar from a result, e.g. ``lambda r: r.afct``.
 Metric = Callable[[ExperimentResult], float]
@@ -78,7 +77,7 @@ class Replication:
 
 def replicate(
     protocol: str,
-    scenario_factory: Callable[[], Scenario],
+    scenario: Union[Scenario, ScenarioSpec],
     load: float,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     metric: Metric = lambda r: r.afct,
@@ -89,34 +88,24 @@ def replicate(
     timeout: Optional[float] = None,
     retries: int = 0,
     cache_dir=None,
-    **kwargs,
+    horizon: Optional[float] = None,
+    **binding_overrides,
 ) -> Replication:
     """Run one experiment once per seed and aggregate ``metric``.
 
-    ``jobs > 1`` fans the seed replicas out over ``repro.runner`` worker
-    processes (seed order is preserved in the aggregate either way);
-    ``jobs=1`` without a cache keeps the legacy serial path."""
-    if jobs == 1 and cache_dir is None:
-        values = []
-        for seed in seeds:
-            spec = ExperimentSpec.build(protocol, scenario_factory(), load,
-                                        num_flows=num_flows, seed=seed,
-                                        pase_config=pase_config, **kwargs)
-            values.append(metric(run_experiment(spec)))
-        return Replication(values, confidence=confidence)
+    The replicas go through :func:`repro.runner.run_sweep` (``jobs > 1``
+    fans them out over worker processes; seed order is preserved in the
+    aggregate either way).  A failed replica raises
+    :class:`repro.runner.SweepFailure`."""
+    from repro.runner import RunnerConfig, metric_values_by_seed, run_sweep
 
-    from repro.runner import (RunDescriptor, RunnerConfig,
-                              metric_values_by_seed, run_sweep)
-
-    horizon = kwargs.pop("horizon", None)
-    descriptors = [
-        RunDescriptor(protocol=protocol, scenario=scenario_factory,
-                      load=load, seed=seed, num_flows=num_flows,
-                      pase_config=pase_config, horizon=horizon,
-                      overrides=dict(kwargs))
+    specs = [
+        ExperimentSpec(protocol, scenario, load, num_flows=num_flows,
+                       seed=seed, pase_config=pase_config, horizon=horizon,
+                       binding_overrides=binding_overrides)
         for seed in seeds
     ]
-    outcome = run_sweep(descriptors, RunnerConfig(
+    outcome = run_sweep(specs, RunnerConfig(
         jobs=jobs, timeout=timeout, retries=retries,
         use_cache=cache_dir is not None, cache_dir=cache_dir,
         on_error="raise",
@@ -127,7 +116,7 @@ def replicate(
 
 def compare_protocols(
     protocols: Sequence[str],
-    scenario_factory: Callable[[], Scenario],
+    scenario: Union[Scenario, ScenarioSpec],
     load: float,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     metric: Metric = lambda r: r.afct,
@@ -135,7 +124,7 @@ def compare_protocols(
 ) -> Dict[str, Replication]:
     """Replicate each protocol on identical workloads (same seed set)."""
     return {
-        protocol: replicate(protocol, scenario_factory, load, seeds=seeds,
+        protocol: replicate(protocol, scenario, load, seeds=seeds,
                             metric=metric, **kwargs)
         for protocol in protocols
     }

@@ -14,8 +14,8 @@ size parameters explicitly so full-scale runs remain one call away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.faults.schedule import (
     ArbitratorCrash,
@@ -221,7 +221,8 @@ def testbed(
 
 # ----------------------------------------------------------------------
 # Fault scenarios (PR 2): clean scenarios plus a declarative FaultSchedule.
-# All knobs are JSON primitives so runner descriptors stay cache-stable.
+# All knobs are JSON primitives, so a ScenarioSpec naming one stays
+# cache-stable.
 # ----------------------------------------------------------------------
 
 def intra_rack_arb_crash(
@@ -317,9 +318,9 @@ def intra_rack_data_loss(
 
 
 #: Registry of named scenario constructors.  These names are the stable,
-#: declarative identities used by :mod:`repro.runner` descriptors (and both
-#: CLIs) — a parallel worker rebuilds the scenario from ``(name, kwargs)``
-#: instead of shipping closures across process boundaries.
+#: declarative identities a :class:`ScenarioSpec` (and the CLI) refers to:
+#: a run rebuilds the scenario from ``(name, kwargs)``, which is what lets
+#: the result cache address it by content.
 SCENARIO_BUILDERS: Dict[str, Callable[..., Scenario]] = {
     "intra-rack": intra_rack,
     "intra-rack-deadlines": intra_rack_deadlines,
@@ -344,12 +345,28 @@ def build_scenario(name: str, **kwargs) -> Scenario:
     return builder(**kwargs)
 
 
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """A registered scenario addressed by ``(name, kwargs)``: plain data,
+    so a run described with one can be hashed for the result cache."""
+
+    name: str
+    kwargs: Dict[str, Any] = field(default_factory=dict)
+
+    def build(self) -> Scenario:
+        return build_scenario(self.name, **self.kwargs)
+
+    def label(self) -> str:
+        if not self.kwargs:
+            return self.name
+        inner = ",".join(f"{k}={v}" for k, v in sorted(self.kwargs.items()))
+        return f"{self.name}[{inner}]"
+
+
 def scenario_cli_kwargs(name: str, hosts: Optional[int] = None,
                         fanin: int = 8) -> dict:
     """Map the generic ``--hosts``/``--fanin`` CLI flags onto a registered
-    scenario's actual constructor parameters.  Lives beside the registry so
-    both CLIs (``repro.harness.cli`` and ``repro.runner``) share one
-    mapping."""
+    scenario's actual constructor parameters."""
     if name in ("intra-rack", "intra-rack-deadlines",
                 "intra-rack-arb-crash", "intra-rack-link-flap",
                 "intra-rack-data-loss"):

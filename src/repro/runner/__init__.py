@@ -1,13 +1,16 @@
 """repro.runner — parallel sweep execution with caching and crash isolation.
 
 Every figure reproduction is an embarrassingly-parallel grid of
-(protocol, scenario, load, seed) points.  This subsystem turns such grids
-into :class:`RunDescriptor` lists (:mod:`repro.runner.spec`), fans them out
-over per-run worker processes with timeouts, bounded retries, and crash
-isolation (:mod:`repro.runner.executor`), serves repeat points from a
+(protocol, scenario, load, seed) points, each one an
+:class:`~repro.harness.experiment.ExperimentSpec`.  :func:`run_sweep` is
+the one way to run such a grid: it serves repeat points from a
 content-addressed on-disk cache salted by code version
-(:mod:`repro.runner.cache`), and streams a JSONL ledger with wall-clock,
-peak-RSS, and cache counters (:mod:`repro.runner.sink`).
+(:mod:`repro.runner.cache`), runs the rest in order in-process
+(``jobs=1``) or over per-run worker processes with timeouts, bounded
+retries, and crash isolation (:mod:`repro.runner.executor`), and streams a
+JSONL ledger with wall-clock, peak-RSS, and cache counters
+(:mod:`repro.runner.sink`).  :class:`SweepSpec` (:mod:`repro.runner.spec`)
+expands a declarative grid into specs.
 
 Typical library use::
 
@@ -29,7 +32,8 @@ from repro.runner.api import (
     run_sweep,
 )
 from repro.runner.cache import ResultCache, code_version_salt, default_cache_dir
-from repro.runner.executor import ProcessPoolRunner, execute_descriptor
+from repro.harness.scenarios import ScenarioSpec
+from repro.runner.executor import ProcessPoolRunner, execute_spec
 from repro.runner.records import (
     STATUS_CRASHED,
     STATUS_FAILED,
@@ -44,12 +48,7 @@ from repro.runner.sink import (
     results_by_load,
     results_by_protocol_load,
 )
-from repro.runner.spec import (
-    RunDescriptor,
-    ScenarioSpec,
-    SweepSpec,
-    descriptors_from_grid,
-)
+from repro.runner.spec import SweepSpec
 
 __all__ = [
     "RunnerConfig",
@@ -60,7 +59,7 @@ __all__ = [
     "code_version_salt",
     "default_cache_dir",
     "ProcessPoolRunner",
-    "execute_descriptor",
+    "execute_spec",
     "STATUS_CRASHED",
     "STATUS_FAILED",
     "STATUS_OK",
@@ -71,8 +70,6 @@ __all__ = [
     "metric_values_by_seed",
     "results_by_load",
     "results_by_protocol_load",
-    "RunDescriptor",
     "ScenarioSpec",
     "SweepSpec",
-    "descriptors_from_grid",
 ]

@@ -1,7 +1,7 @@
 """The runner's front door: cache-aware sweep execution.
 
 :func:`run_sweep` is the one call every client (``sweep_loads``, the
-replication helpers, ``bench_common``, both CLIs) goes through.  It
+replication helpers, ``bench_common``, the CLI) goes through.  It
 consults the result cache, executes only the missing points through the
 :class:`ProcessPoolRunner`, stores fresh results back, streams records to
 an optional JSONL sink, and returns the full ledger plus counters.
@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.harness.experiment import ExperimentSpec
 from repro.runner.cache import ResultCache
-from repro.runner.executor import ProcessPoolRunner, WorkFn, execute_descriptor
+from repro.runner.executor import ProcessPoolRunner, WorkFn, execute_spec
 from repro.runner.records import STATUS_OK, RunRecord, SweepStats
 from repro.runner.sink import JsonlSink
-from repro.runner.spec import RunDescriptor
 
 
 @dataclass
@@ -38,8 +38,8 @@ class RunnerConfig:
     cache_salt: Optional[str] = None
     jsonl_path: Optional[os.PathLike] = None
     #: "record": failures become failed records (sweep completes).
-    #: "raise": re-raise the first failure after the sweep settles — the
-    #: legacy library semantic for ``sweep_loads``/``replicate``.
+    #: "raise": raise :class:`SweepFailure` after the sweep settles — what
+    #: ``sweep_loads``/``replicate`` use.
     on_error: str = "record"
 
     def __post_init__(self) -> None:
@@ -52,7 +52,7 @@ class SweepFailure(RuntimeError):
     """Raised under ``on_error='raise'``; carries the failing records."""
 
     def __init__(self, failed: List[RunRecord]) -> None:
-        lines = [f"{r.descriptor.label}: {r.status}" for r in failed]
+        lines = [f"{r.spec.label}: {r.status}" for r in failed]
         super().__init__(
             f"{len(failed)} sweep point(s) failed:\n  " + "\n  ".join(lines)
             + (f"\nfirst error:\n{failed[0].error}" if failed[0].error else ""))
@@ -75,20 +75,20 @@ class SweepOutcome:
 
 
 def run_sweep(
-    descriptors: Sequence[RunDescriptor],
+    specs: Sequence[ExperimentSpec],
     config: Optional[RunnerConfig] = None,
-    work_fn: WorkFn = execute_descriptor,
+    work_fn: WorkFn = execute_spec,
     on_record: Optional[Callable[[RunRecord], None]] = None,
 ) -> SweepOutcome:
     """Execute a sweep grid with caching and crash isolation.
 
-    Records come back in descriptor order regardless of completion order.
+    Records come back in spec order regardless of completion order.
     Cache hits never touch the executor; fresh ok results are stored back
-    (only for cacheable descriptors — closure-based scenarios execute fine
-    but have no stable identity to cache under).
+    (only for cacheable specs — a built scenario executes fine but has no
+    stable identity to cache under).
     """
     config = config or RunnerConfig()
-    descriptors = list(descriptors)
+    specs = list(specs)
     started = time.perf_counter()
 
     cache = (ResultCache(config.cache_dir, salt=config.cache_salt)
@@ -102,12 +102,12 @@ def run_sweep(
             on_record(record)
 
     try:
-        records: List[Optional[RunRecord]] = [None] * len(descriptors)
+        records: List[Optional[RunRecord]] = [None] * len(specs)
         to_run: List[int] = []
-        for i, descriptor in enumerate(descriptors):
-            cached = cache.get(descriptor.content_hash()) if cache else None
+        for i, spec in enumerate(specs):
+            cached = cache.get(spec.content_hash()) if cache else None
             if cached is not None:
-                record = RunRecord(descriptor=descriptor, status=STATUS_OK,
+                record = RunRecord(spec=spec, status=STATUS_OK,
                                    result=cached, cached=True)
                 records[i] = record
                 emit(record)
@@ -123,10 +123,10 @@ def run_sweep(
 
             def settle(record: RunRecord) -> None:
                 if cache is not None and record.ok and record.result is not None:
-                    cache.put(record.descriptor.content_hash(), record.result)
+                    cache.put(record.spec.content_hash(), record.result)
                 emit(record)
 
-            fresh = runner.run([descriptors[i] for i in to_run],
+            fresh = runner.run([specs[i] for i in to_run],
                                on_record=settle)
             for i, record in zip(to_run, fresh):
                 records[i] = record

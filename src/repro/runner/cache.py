@@ -1,7 +1,7 @@
 """Content-addressed on-disk result cache.
 
-Results are keyed by ``descriptor content hash`` (every input that
-determines the outcome — see :meth:`RunDescriptor.key_dict`) under a
+Results are keyed by a spec's content hash (every input that determines
+the outcome — see :meth:`ExperimentSpec.key_dict`) under a
 *code-version salt* directory: a digest of every ``repro`` source file.
 Touch any simulator/transport/harness source and the salt changes, so a
 re-run recomputes instead of serving results produced by different code.

@@ -4,13 +4,14 @@ Each grid point runs in its *own* worker process (points cost seconds to
 minutes, so spawn overhead is noise).  That buys the strongest isolation
 available: a per-run timeout is a ``terminate()`` of exactly one process,
 and a segfault/OOM-kill takes down one point, never the pool.  Workers are
-forked (where available) so legacy closure-based scenario factories ride
-along by memory inheritance instead of pickling; only the *result* crosses
-the pipe, via :meth:`ExperimentResult.detach`.
+forked (where available) so a spec holding a built scenario (whose
+builders are closures) rides along by memory inheritance instead of
+pickling; only the *result* crosses the pipe, via
+:meth:`ExperimentResult.detach`.
 
-``jobs=1`` bypasses subprocesses entirely and executes in-process, in
-descriptor order — the deterministic legacy path (no timeout enforcement,
-since there is no second process to do the killing).
+``jobs=1`` bypasses subprocesses entirely and executes in-process, in spec
+order (no timeout enforcement, since there is no second process to do the
+killing).
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from repro.runner.records import (
     STATUS_TIMEOUT,
     RunRecord,
 )
-from repro.runner.spec import RunDescriptor
+from repro.harness.experiment import ExperimentSpec, run_experiment
 
-#: A work function maps a descriptor to a picklable result.
-WorkFn = Callable[[RunDescriptor], object]
+#: A work function maps a spec to a picklable result.
+WorkFn = Callable[[ExperimentSpec], object]
 
 
-def execute_descriptor(descriptor: RunDescriptor):
+def execute_spec(spec: ExperimentSpec):
     """Default work function: run the experiment, return a detached result."""
-    return descriptor.run().detach()
+    return run_experiment(spec).detach()
 
 
 def _peak_rss_kb() -> int:
@@ -45,10 +46,10 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _worker_main(conn, work_fn: WorkFn, descriptor: RunDescriptor) -> None:
+def _worker_main(conn, work_fn: WorkFn, spec: ExperimentSpec) -> None:
     """Worker entry: run one point, report exactly one message, exit."""
     try:
-        result = work_fn(descriptor)
+        result = work_fn(spec)
         payload = ("ok", result, _peak_rss_kb())
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         tail = traceback.format_exc(limit=20)
@@ -67,7 +68,7 @@ class _Slot:
     """One live worker and the bookkeeping to judge it."""
 
     index: int
-    descriptor: RunDescriptor
+    spec: ExperimentSpec
     attempt: int
     process: mp.process.BaseProcess
     conn: object
@@ -78,13 +79,13 @@ class _Slot:
 @dataclass
 class _PendingRetry:
     index: int
-    descriptor: RunDescriptor
+    spec: ExperimentSpec
     attempt: int
     not_before: float
 
 
 class ProcessPoolRunner:
-    """Fan descriptors out over worker processes.
+    """Fan specs out over worker processes.
 
     Parameters
     ----------
@@ -98,7 +99,7 @@ class ProcessPoolRunner:
     backoff:
         Base delay before attempt *n*'s relaunch (``backoff * n`` seconds).
     work_fn:
-        Override the per-descriptor work (tests inject sleepers/crashers).
+        Override the per-spec work (tests inject sleepers/crashers).
     """
 
     def __init__(
@@ -107,7 +108,7 @@ class ProcessPoolRunner:
         timeout: Optional[float] = None,
         retries: int = 0,
         backoff: float = 0.25,
-        work_fn: WorkFn = execute_descriptor,
+        work_fn: WorkFn = execute_spec,
         poll_interval: float = 0.02,
     ) -> None:
         if jobs < 1:
@@ -126,23 +127,23 @@ class ProcessPoolRunner:
             self._ctx = mp.get_context()
 
     # -- serial path ------------------------------------------------------
-    def _run_serial(self, descriptors: Sequence[RunDescriptor],
+    def _run_serial(self, specs: Sequence[ExperimentSpec],
                     on_record) -> List[RunRecord]:
         records: List[RunRecord] = []
-        for descriptor in descriptors:
+        for spec in specs:
             started = time.perf_counter()
             errors: List[str] = []
             record = None
             for attempt in range(1, self.retries + 2):
                 try:
-                    result = self.work_fn(descriptor)
+                    result = self.work_fn(spec)
                 except Exception:  # noqa: BLE001
                     errors.append(traceback.format_exc(limit=20))
                     if attempt <= self.retries:
                         time.sleep(self.backoff * attempt)
                     continue
                 record = RunRecord(
-                    descriptor=descriptor, status=STATUS_OK, result=result,
+                    spec=spec, status=STATUS_OK, result=result,
                     attempts=attempt,
                     wallclock=time.perf_counter() - started,
                     peak_rss_kb=_peak_rss_kb(),
@@ -150,7 +151,7 @@ class ProcessPoolRunner:
                 break
             if record is None:
                 record = RunRecord(
-                    descriptor=descriptor, status=STATUS_FAILED,
+                    spec=spec, status=STATUS_FAILED,
                     attempts=self.retries + 1,
                     wallclock=time.perf_counter() - started,
                     peak_rss_kb=_peak_rss_kb(),
@@ -162,19 +163,19 @@ class ProcessPoolRunner:
         return records
 
     # -- parallel path ----------------------------------------------------
-    def _launch(self, index: int, descriptor: RunDescriptor,
+    def _launch(self, index: int, spec: ExperimentSpec,
                 attempt: int) -> _Slot:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.work_fn, descriptor),
+            args=(child_conn, self.work_fn, spec),
             daemon=True,
         )
         process.start()
         child_conn.close()
         now = time.perf_counter()
         deadline = None if self.timeout is None else now + self.timeout
-        return _Slot(index=index, descriptor=descriptor, attempt=attempt,
+        return _Slot(index=index, spec=spec, attempt=attempt,
                      process=process, conn=parent_conn, started=now,
                      deadline=deadline)
 
@@ -199,19 +200,19 @@ class ProcessPoolRunner:
                 errors_so_far: List[str], started_first: float,
                 rss: Optional[int]) -> RunRecord:
         return RunRecord(
-            descriptor=slot.descriptor, status=status, result=result,
+            spec=slot.spec, status=status, result=result,
             attempts=slot.attempt,
             wallclock=time.perf_counter() - started_first,
             peak_rss_kb=rss,
             error="\n---\n".join(errors_so_far + [error]) if error else None,
         )
 
-    def _run_parallel(self, descriptors: Sequence[RunDescriptor],
+    def _run_parallel(self, specs: Sequence[ExperimentSpec],
                       on_record) -> List[RunRecord]:
-        records: List[Optional[RunRecord]] = [None] * len(descriptors)
-        first_start = [0.0] * len(descriptors)
-        attempt_errors: List[List[str]] = [[] for _ in descriptors]
-        queue = list(enumerate(descriptors))
+        records: List[Optional[RunRecord]] = [None] * len(specs)
+        first_start = [0.0] * len(specs)
+        attempt_errors: List[List[str]] = [[] for _ in specs]
+        queue = list(enumerate(specs))
         queue.reverse()  # pop() from the front of the original order
         retries: List[_PendingRetry] = []
         active: List[_Slot] = []
@@ -225,7 +226,7 @@ class ProcessPoolRunner:
                     attempt_errors[idx].append(f"[attempt {slot.attempt}: "
                                                f"{status}] {error}")
                 retries.append(_PendingRetry(
-                    index=idx, descriptor=slot.descriptor,
+                    index=idx, spec=slot.spec,
                     attempt=slot.attempt + 1,
                     not_before=time.perf_counter() + self.backoff * slot.attempt,
                 ))
@@ -244,12 +245,12 @@ class ProcessPoolRunner:
                 if due:
                     nxt = min(due, key=lambda r: r.not_before)
                     retries.remove(nxt)
-                    slot = self._launch(nxt.index, nxt.descriptor, nxt.attempt)
+                    slot = self._launch(nxt.index, nxt.spec, nxt.attempt)
                     active.append(slot)
                 elif queue:
-                    index, descriptor = queue.pop()
+                    index, spec = queue.pop()
                     first_start[index] = time.perf_counter()
-                    slot = self._launch(index, descriptor, attempt=1)
+                    slot = self._launch(index, spec, attempt=1)
                     active.append(slot)
                 else:
                     break  # only not-yet-due retries remain
@@ -298,14 +299,14 @@ class ProcessPoolRunner:
 
         return [r for r in records if r is not None]
 
-    def run(self, descriptors: Sequence[RunDescriptor],
+    def run(self, specs: Sequence[ExperimentSpec],
             on_record: Optional[Callable[[RunRecord], None]] = None,
             ) -> List[RunRecord]:
-        """Execute every descriptor; returns records in input order.  The
+        """Execute every spec; returns records in input order.  The
         optional ``on_record`` callback fires as each point settles."""
-        descriptors = list(descriptors)
-        if not descriptors:
+        specs = list(specs)
+        if not specs:
             return []
         if self.jobs == 1:
-            return self._run_serial(descriptors, on_record)
-        return self._run_parallel(descriptors, on_record)
+            return self._run_serial(specs, on_record)
+        return self._run_parallel(specs, on_record)

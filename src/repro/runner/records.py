@@ -1,6 +1,6 @@
 """Run records: the runner's unit of accounting.
 
-Every descriptor the runner touches produces exactly one :class:`RunRecord`
+Every spec the runner touches produces exactly one :class:`RunRecord`
 — whether the run computed, came from cache, timed out, crashed, or
 exhausted its retries — so a sweep always completes with a full ledger
 instead of aborting on the first sick point.
@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.harness.experiment import ExperimentResult
-from repro.runner.spec import RunDescriptor
+from repro.harness.experiment import ExperimentResult, ExperimentSpec
 
 #: Terminal statuses a record can carry.
 STATUS_OK = "ok"
@@ -28,9 +27,9 @@ def _finite(value: float) -> Optional[float]:
 
 @dataclass
 class RunRecord:
-    """Outcome of one descriptor: result or structured failure."""
+    """Outcome of one spec: result or structured failure."""
 
-    descriptor: RunDescriptor
+    spec: ExperimentSpec
     status: str
     result: Optional[ExperimentResult] = None
     #: True when the result was served from the on-disk cache.
@@ -52,14 +51,14 @@ class RunRecord:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Flatten to the JSONL schema (no flow list — summaries only)."""
-        d = self.descriptor
+        spec = self.spec
         row: Dict[str, Any] = {
-            "hash": d.content_hash(),
-            "protocol": d.protocol,
-            "scenario": d.scenario_label,
-            "load": d.load,
-            "seed": d.seed,
-            "num_flows": d.num_flows,
+            "hash": spec.content_hash(),
+            "protocol": spec.protocol,
+            "scenario": spec.scenario_label,
+            "load": spec.load,
+            "seed": spec.seed,
+            "num_flows": spec.num_flows,
             "status": self.status,
             "cached": self.cached,
             "attempts": self.attempts,
@@ -111,7 +110,7 @@ class SweepStats:
                     stats.computed += 1
             if not rec.ok:
                 stats.failed += 1
-                stats.failures.append(f"{rec.descriptor.label}: {rec.status}")
+                stats.failures.append(f"{rec.spec.label}: {rec.status}")
         return stats
 
     def summary_line(self) -> str:

@@ -74,28 +74,24 @@ def results_by_protocol_load(
     records: List[RunRecord],
 ) -> Dict[str, Dict[float, ExperimentResult]]:
     """Fold ok records into the report-layer shape.  Multi-seed sweeps keep
-    the first seed per (protocol, load) — use :func:`replications_from_records`
-    when you want the spread."""
+    the first seed per (protocol, load) — use
+    :func:`~repro.harness.replication.replicate` (or
+    :func:`metric_values_by_seed`) when you want the spread."""
     out: Dict[str, Dict[float, ExperimentResult]] = {}
     for rec in records:
         if not rec.ok or rec.result is None:
             continue
-        by_load = out.setdefault(rec.descriptor.protocol, {})
-        by_load.setdefault(rec.descriptor.load, rec.result)
+        by_load = out.setdefault(rec.spec.protocol, {})
+        by_load.setdefault(rec.spec.load, rec.result)
     return out
 
 
-def results_by_load(records: List[RunRecord],
-                    protocol: Optional[str] = None,
-                    ) -> Dict[float, ExperimentResult]:
+def results_by_load(records: List[RunRecord]) -> Dict[float, ExperimentResult]:
     """Single-protocol view (the ``sweep_loads`` return shape)."""
     out: Dict[float, ExperimentResult] = {}
     for rec in records:
-        if not rec.ok or rec.result is None:
-            continue
-        if protocol is not None and rec.descriptor.protocol != protocol:
-            continue
-        out.setdefault(rec.descriptor.load, rec.result)
+        if rec.ok and rec.result is not None:
+            out.setdefault(rec.spec.load, rec.result)
     return out
 
 
@@ -104,5 +100,5 @@ def metric_values_by_seed(records: List[RunRecord],
     """Extract a scalar metric from ok records, ordered by seed — the
     input :class:`~repro.harness.replication.Replication` wants."""
     ordered = sorted((r for r in records if r.ok and r.result is not None),
-                     key=lambda r: r.descriptor.seed)
+                     key=lambda r: r.spec.seed)
     return [metric(r.result) for r in ordered]

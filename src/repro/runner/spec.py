@@ -1,190 +1,47 @@
-"""Declarative sweep specifications and run descriptors.
+"""Declarative sweep grids.
 
-A :class:`RunDescriptor` is one grid point of a figure sweep — the full
-recipe for a single :func:`~repro.harness.experiment.run_experiment` call,
-expressed as plain data so it can cross process boundaries and be hashed
-for the result cache.  A :class:`SweepSpec` is the declarative grid
-(protocols × loads × seeds × config) that expands into descriptors.
-
-Scenario identity comes in two flavors:
-
-* :class:`ScenarioSpec` — a registry name plus constructor kwargs
-  (``SCENARIO_BUILDERS`` in :mod:`repro.harness.scenarios`).  Fully
-  declarative, so descriptors built from it are *cacheable*: their content
-  hash covers every input that determines the result.
-* an arbitrary zero-argument factory (the legacy ``sweep_loads`` calling
-  convention, usually a lambda).  These still parallelize — the fork start
-  method ships the closure by inheritance — but are *not* cacheable, since
-  a closure has no stable content identity.
+A :class:`SweepSpec` is a figure's (protocols × loads × seeds) grid over
+one scenario; ``expand()`` turns it into the
+:class:`~repro.harness.experiment.ExperimentSpec` list that
+:func:`~repro.runner.api.run_sweep` executes.  Describe the scenario with a
+:class:`~repro.harness.scenarios.ScenarioSpec` to make the points
+cacheable; a built :class:`~repro.harness.scenarios.Scenario` runs the
+same but is always recomputed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core import PaseConfig
-from repro.harness.scenarios import Scenario, build_scenario
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A registered scenario addressed by ``(name, kwargs)``."""
-
-    name: str
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Scenario:
-        return build_scenario(self.name, **self.kwargs)
-
-    def label(self) -> str:
-        if not self.kwargs:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.kwargs.items()))
-        return f"{self.name}[{inner}]"
-
-
-ScenarioLike = Union[ScenarioSpec, Callable[[], Scenario]]
-
-
-def _canonical(value: Any) -> Any:
-    """Reduce a descriptor field to a JSON-stable form, or raise TypeError
-    when the value has no stable content identity (then the descriptor is
-    simply uncacheable)."""
-    json.dumps(value, sort_keys=True)
-    return value
-
-
-@dataclass
-class RunDescriptor:
-    """One (protocol, scenario, load, seed) grid point, as plain data."""
-
-    protocol: str
-    scenario: ScenarioLike
-    load: float
-    seed: int = 1
-    num_flows: int = 200
-    pase_config: Optional[PaseConfig] = None
-    horizon: Optional[float] = None
-    #: Extra keyword arguments forwarded to ``make_binding``.
-    overrides: Dict[str, Any] = field(default_factory=dict)
-
-    # -- identity ---------------------------------------------------------
-    @property
-    def scenario_label(self) -> str:
-        if isinstance(self.scenario, ScenarioSpec):
-            return self.scenario.label()
-        return getattr(self.scenario, "__name__", "factory")
-
-    @property
-    def label(self) -> str:
-        return (f"{self.protocol}/{self.scenario_label}"
-                f"/load={self.load:g}/seed={self.seed}")
-
-    def key_dict(self) -> Optional[Dict[str, Any]]:
-        """The canonical content of this run, or None when any component
-        (a factory scenario, a non-JSON override) defeats stable hashing."""
-        if not isinstance(self.scenario, ScenarioSpec):
-            return None
-        try:
-            return {
-                "protocol": self.protocol,
-                "scenario": self.scenario.name,
-                "scenario_kwargs": _canonical(dict(self.scenario.kwargs)),
-                "load": self.load,
-                "seed": self.seed,
-                "num_flows": self.num_flows,
-                "pase_config": (None if self.pase_config is None
-                                else asdict(self.pase_config)),
-                "horizon": self.horizon,
-                "overrides": _canonical(dict(self.overrides)),
-            }
-        except TypeError:
-            return None
-
-    def content_hash(self) -> Optional[str]:
-        """sha256 over the canonical key, or None when uncacheable."""
-        key = self.key_dict()
-        if key is None:
-            return None
-        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    @property
-    def cacheable(self) -> bool:
-        return self.key_dict() is not None
-
-    # -- execution --------------------------------------------------------
-    def build_scenario(self) -> Scenario:
-        if isinstance(self.scenario, ScenarioSpec):
-            return self.scenario.build()
-        return self.scenario()
-
-    def to_experiment_spec(self):
-        """Materialize this grid point as an
-        :class:`~repro.harness.experiment.ExperimentSpec` (builds the
-        scenario, so call once per execution)."""
-        from repro.harness.experiment import ExperimentSpec
-
-        return ExperimentSpec.build(
-            self.protocol,
-            self.build_scenario(),
-            self.load,
-            num_flows=self.num_flows,
-            seed=self.seed,
-            pase_config=self.pase_config,
-            horizon=self.horizon,
-            **self.overrides,
-        )
-
-    def run(self):
-        """Execute this point in the current process (the worker entry)."""
-        from repro.harness.experiment import run_experiment
-
-        return run_experiment(self.to_experiment_spec())
+from repro.harness.experiment import ExperimentSpec
+from repro.harness.scenarios import Scenario, ScenarioSpec
 
 
 @dataclass
 class SweepSpec:
-    """A declarative sweep grid; ``expand()`` yields the descriptors in
-    protocol-major, then load, then seed order (the legacy serial order)."""
+    """A declarative sweep grid; ``expand()`` yields the specs in
+    protocol-major, then load, then seed order."""
 
     protocols: Sequence[str]
-    scenario: ScenarioLike
+    scenario: Union[Scenario, ScenarioSpec]
     loads: Sequence[float]
     seeds: Sequence[int] = (1,)
     num_flows: int = 200
     pase_config: Optional[PaseConfig] = None
     horizon: Optional[float] = None
-    overrides: Dict[str, Any] = field(default_factory=dict)
+    binding_overrides: Dict[str, Any] = field(default_factory=dict)
 
-    def expand(self) -> List[RunDescriptor]:
+    def expand(self) -> List[ExperimentSpec]:
         return [
-            RunDescriptor(
-                protocol=protocol,
-                scenario=self.scenario,
-                load=load,
-                seed=seed,
-                num_flows=self.num_flows,
-                pase_config=self.pase_config,
+            ExperimentSpec(
+                protocol, self.scenario, load, num_flows=self.num_flows,
+                seed=seed, pase_config=self.pase_config,
                 horizon=self.horizon,
-                overrides=dict(self.overrides),
+                binding_overrides=dict(self.binding_overrides),
             )
             for protocol, load, seed in itertools.product(
                 self.protocols, self.loads, self.seeds)
         ]
-
-
-def descriptors_from_grid(
-    protocols: Iterable[str],
-    scenario: ScenarioLike,
-    loads: Iterable[float],
-    seeds: Iterable[int] = (1,),
-    **kwargs,
-) -> List[RunDescriptor]:
-    """Convenience wrapper over :class:`SweepSpec` for one-off grids."""
-    return SweepSpec(tuple(protocols), scenario, tuple(loads),
-                     tuple(seeds), **kwargs).expand()

@@ -1,14 +1,22 @@
-"""Tests for the command-line runner."""
+"""Tests for the command-line runner (``python -m repro.runner``)."""
+
+import json
 
 import pytest
 
-from repro.harness.cli import (build_parser, build_pase_config, main,
-                               scenario_kwargs)
-from repro.harness.scenarios import build_scenario
+from repro.harness.scenarios import ScenarioSpec, scenario_cli_kwargs
+from repro.runner.cli import build_parser, build_pase_config, main
 
 
 def _scenario(args):
-    return build_scenario(args.scenario, **scenario_kwargs(args))
+    return ScenarioSpec(args.scenario, scenario_cli_kwargs(
+        args.scenario, args.hosts, args.fanin)).build()
+
+
+@pytest.fixture(autouse=True)
+def _private_cache(tmp_path, monkeypatch):
+    """Keep the CLI's default result cache out of the user's home."""
+    monkeypatch.setenv("PASE_CACHE_DIR", str(tmp_path / "cache"))
 
 
 class TestParser:
@@ -19,29 +27,30 @@ class TestParser:
 
     def test_minimal_invocation(self):
         args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack", "--load", "0.5"])
-        assert args.protocol == "pase"
-        assert args.load == [0.5]
-        assert args.jobs == 1
-        assert args.flows == 200
+            ["--protocols", "pase", "--scenario", "intra-rack",
+             "--loads", "0.5"])
+        assert args.protocols == ["pase"]
+        assert args.loads == [0.5]
+        assert (args.jobs, args.flows) == (1, 200)  # serial, 200 flows
 
     def test_load_accepts_comma_separated_sweep(self):
         args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack",
-             "--load", "0.1,0.5,0.9", "--jobs", "2"])
-        assert args.load == [0.1, 0.5, 0.9]
+            ["--protocols", "pase", "--scenario", "intra-rack",
+             "--loads", "0.1,0.5,0.9", "--jobs", "2"])
+        assert args.loads == [0.1, 0.5, 0.9]
         assert args.jobs == 2
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["--protocol", "quic", "--scenario", "intra-rack",
-                 "--load", "0.5"])
+                ["--protocols", "quic", "--scenario", "intra-rack",
+                 "--loads", "0.5"])
 
 
 class TestScenarioBuilding:
-    def _args(self, scenario, hosts=None, fanin=8):
-        argv = ["--protocol", "pase", "--scenario", scenario, "--load", "0.5"]
+    def _args(self, scenario, hosts=None):
+        argv = ["--protocols", "pase", "--scenario", scenario,
+                "--loads", "0.5"]
         if hosts:
             argv += ["--hosts", str(hosts)]
         return build_parser().parse_args(argv)
@@ -59,88 +68,96 @@ class TestScenarioBuilding:
 
 
 class TestPaseOverrides:
+    def _args(self, scenario, *extra):
+        return build_parser().parse_args(
+            ["--protocols", "pase", "--scenario", scenario,
+             "--loads", "0.5", *extra])
+
     def test_no_overrides_returns_none(self):
-        args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack", "--load", "0.5"])
-        scenario = _scenario(args)
-        assert build_pase_config(args, scenario) is None
+        args = self._args("intra-rack")
+        assert build_pase_config(args, _scenario(args)) is None
 
     def test_criterion_override(self):
-        args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack",
-             "--load", "0.5", "--criterion", "las"])
+        args = self._args("intra-rack", "--criterion", "las")
         cfg = build_pase_config(args, _scenario(args))
         assert cfg.criterion == "las"
 
     def test_early_termination_flag(self):
-        args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack-deadlines",
-             "--load", "0.5", "--early-termination"])
+        args = self._args("intra-rack-deadlines", "--early-termination")
         cfg = build_pase_config(args, _scenario(args))
         assert cfg.early_termination
         assert cfg.criterion == "deadline"  # inherited from the scenario
 
     def test_num_queues_override(self):
-        args = build_parser().parse_args(
-            ["--protocol", "pase", "--scenario", "intra-rack",
-             "--load", "0.5", "--num-queues", "4"])
+        args = self._args("intra-rack", "--num-queues", "4")
         cfg = build_pase_config(args, _scenario(args))
         assert cfg.num_queues == 4
 
 
+def _ledger(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestEndToEnd:
     def test_main_runs_and_prints(self, capsys):
-        rc = main(["--protocol", "dctcp", "--scenario", "intra-rack",
-                   "--load", "0.4", "--flows", "20", "--hosts", "5",
-                   "--seed", "3"])
+        rc = main(["--protocols", "dctcp", "--scenario", "intra-rack",
+                   "--loads", "0.4", "--flows", "20", "--hosts", "5",
+                   "--seeds", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "AFCT" in out
         assert "completed 100.0%" in out
 
     def test_main_with_buckets_and_pase(self, capsys):
-        rc = main(["--protocol", "pase", "--scenario", "all-to-all",
-                   "--load", "0.4", "--flows", "20", "--hosts", "5",
+        rc = main(["--protocols", "pase", "--scenario", "all-to-all",
+                   "--loads", "0.4", "--flows", "20", "--hosts", "5",
                    "--fanin", "3", "--buckets"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "control:" in out
         assert "size bucket" in out
 
-    def test_profile_dumps_stats_and_ledger_names_it(self, tmp_path, capsys):
-        import json
+    def test_multi_load_sweep_prints_each_summary(self, capsys):
+        rc = main(["--protocols", "dctcp", "--scenario", "intra-rack",
+                   "--loads", "0.2,0.4", "--flows", "12", "--hosts", "5",
+                   "--jobs", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("AFCT") == 2
+        assert "2 runs" in out
 
+    def test_profile_dumps_stats_and_ledger_names_it(self, tmp_path, capsys):
         profile = tmp_path / "run.prof.txt"
         ledger = tmp_path / "run.jsonl"
-        rc = main(["--protocol", "pase", "--scenario", "intra-rack",
-                   "--load", "0.4", "--flows", "10", "--hosts", "4",
-                   "--seed", "2", "--profile", str(profile),
-                   "--output", str(ledger)])
+        argv = ["--protocols", "pase", "--scenario", "intra-rack",
+                "--loads", "0.4", "--flows", "10", "--hosts", "4",
+                "--seeds", "2"]
+        assert main(argv) == 0  # warm the cache: --profile must bypass it
+        rc = main(argv + ["--profile", str(profile), "--output", str(ledger)])
         assert rc == 0
         text = profile.read_text()
         assert "cumulative" in text       # sorted by cumulative time
         assert "run_experiment" in text   # the wrapped call shows up
-        rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+        rows = _ledger(ledger)
         run_rows = [r for r in rows if r["type"] == "run"]
         prof_rows = [r for r in rows if r["type"] == "profile"]
         assert len(run_rows) == 1 and run_rows[0]["status"] == "ok"
+        assert not run_rows[0]["cached"]
         assert len(prof_rows) == 1
         assert prof_rows[0]["path"] == str(profile)
         assert prof_rows[0]["run"] == run_rows[0]["hash"]
 
     def test_profile_sweep_forces_serial(self, tmp_path, capsys):
-        import json
-
         profile = tmp_path / "sweep.prof.txt"
         ledger = tmp_path / "sweep.jsonl"
-        rc = main(["--protocol", "dctcp", "--scenario", "intra-rack",
-                   "--load", "0.3,0.5", "--flows", "10", "--hosts", "4",
+        rc = main(["--protocols", "dctcp", "--scenario", "intra-rack",
+                   "--loads", "0.3,0.5", "--flows", "10", "--hosts", "4",
                    "--jobs", "4", "--profile", str(profile),
                    "--output", str(ledger)])
         assert rc == 0
         assert "forces --jobs 1" in capsys.readouterr().err
         assert "run_experiment" in profile.read_text()
-        rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+        rows = _ledger(ledger)
         types = [r["type"] for r in rows]
         assert types.count("run") == 2
-        assert "profile" in types
+        assert [r["run"] for r in rows if r["type"] == "profile"] == [None]

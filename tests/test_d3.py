@@ -131,7 +131,7 @@ class TestD3EndToEnd:
         assert r.application_throughput > 0.7
 
     def test_d3_beats_dctcp_on_deadlines(self):
-        scn = lambda: intra_rack(num_hosts=10, with_deadlines=True)
-        d3 = run_experiment(ExperimentSpec("d3", scn(), 0.7, num_flows=80, seed=4))
-        dctcp = run_experiment(ExperimentSpec("dctcp", scn(), 0.7, num_flows=80, seed=4))
+        scn = intra_rack(num_hosts=10, with_deadlines=True)
+        d3 = run_experiment(ExperimentSpec("d3", scn, 0.7, num_flows=80, seed=4))
+        dctcp = run_experiment(ExperimentSpec("dctcp", scn, 0.7, num_flows=80, seed=4))
         assert d3.application_throughput >= dctcp.application_throughput

@@ -1,5 +1,4 @@
-"""Tests for the consolidated :class:`ExperimentSpec` API and the
-legacy-signature deprecation shim."""
+"""Tests for :class:`ExperimentSpec`, the one description of a run."""
 
 import dataclasses
 
@@ -7,114 +6,86 @@ import pytest
 
 from repro.core import PaseConfig
 from repro.harness import ExperimentSpec, intra_rack, run_experiment
-from repro.runner import RunDescriptor, ScenarioSpec
+from repro.harness.scenarios import (SCENARIO_BUILDERS, build_scenario,
+                                     scenario_cli_kwargs)
+from repro.runner import ScenarioSpec
+from tests.test_regression_golden import _fingerprint
 
-SCN = lambda: intra_rack(num_hosts=5)
+SCN = intra_rack(num_hosts=5)
 
 
 class TestSpecConstruction:
     def test_defaults_mirror_legacy_signature(self):
-        spec = ExperimentSpec("dctcp", SCN(), 0.4)
+        spec = ExperimentSpec("dctcp", SCN, 0.4)
         assert spec.num_flows == 300
         assert spec.seed == 1
         assert spec.pase_config is None
         assert spec.horizon is None
-        assert spec.fault_schedule is None
         assert spec.binding is None
         assert spec.binding_overrides == {}
 
     def test_spec_is_frozen(self):
-        spec = ExperimentSpec("dctcp", SCN(), 0.4)
+        spec = ExperimentSpec("dctcp", SCN, 0.4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.load = 0.9
 
     def test_replace_returns_modified_copy(self):
-        spec = ExperimentSpec("dctcp", SCN(), 0.4, seed=3)
+        spec = ExperimentSpec("dctcp", SCN, 0.4, seed=3)
         hot = spec.replace(load=0.9)
         assert hot.load == 0.9
         assert hot.seed == 3
         assert spec.load == 0.4  # original untouched
 
-    def test_build_routes_unknown_kwargs_to_overrides(self):
-        spec = ExperimentSpec.build("pase", SCN(), 0.4, seed=9,
-                                    arbitration_interval=1e-3)
-        assert spec.seed == 9
-        assert spec.binding_overrides == {"arbitration_interval": 1e-3}
-
     def test_label(self):
-        spec = ExperimentSpec("pase", SCN(), 0.5, seed=7)
-        assert spec.label == f"pase/{SCN().name}/load=0.5/seed=7"
+        spec = ExperimentSpec("pase", SCN, 0.5, seed=7)
+        assert spec.label == f"pase/{SCN.name}/load=0.5/seed=7"
 
 
 class TestRunExperimentSpec:
     def test_spec_call_runs(self):
         result = run_experiment(ExperimentSpec(
-            "dctcp", SCN(), 0.4, num_flows=15, seed=2))
+            "dctcp", SCN, 0.4, num_flows=15, seed=2))
         assert result.stats.completion_fraction == 1.0
         assert result.protocol == "dctcp"
 
     def test_spec_call_rejects_extra_arguments(self):
-        spec = ExperimentSpec("dctcp", SCN(), 0.4, num_flows=15)
+        spec = ExperimentSpec("dctcp", SCN, 0.4, num_flows=15)
         with pytest.raises(TypeError):
             run_experiment(spec, 0.5)
         with pytest.raises(TypeError):
             run_experiment(spec, seed=3)
 
-    def test_spec_and_legacy_forms_agree_exactly(self):
-        spec = ExperimentSpec("dctcp", SCN(), 0.4, num_flows=15, seed=2)
-        via_spec = run_experiment(spec)
-        with pytest.warns(DeprecationWarning):
-            via_legacy = run_experiment("dctcp", SCN(), 0.4,
-                                        num_flows=15, seed=2)
-        assert via_spec.events == via_legacy.events
-        assert via_spec.afct == via_legacy.afct
-
     def test_pase_config_flows_through(self):
         result = run_experiment(ExperimentSpec(
-            "pase", SCN(), 0.4, num_flows=15, seed=2,
+            "pase", SCN, 0.4, num_flows=15, seed=2,
             pase_config=PaseConfig(num_queues=4)))
         assert result.control_plane is not None
 
 
-class TestDeprecationShim:
-    def test_legacy_signature_warns(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            run_experiment("dctcp", SCN(), 0.4, num_flows=10, seed=1)
-
-    def test_legacy_positional_tail_still_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            result = run_experiment("dctcp", SCN(), 0.4, 10, 2)
-        assert result.stats.num_flows == 10
-
-    def test_legacy_binding_overrides_forwarded(self):
-        # An unknown transport override must raise inside make_binding —
-        # proving the shim forwards loose kwargs as binding overrides
-        # rather than silently dropping them.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                run_experiment("dctcp", SCN(), 0.4, num_flows=10,
-                               definitely_not_a_real_override=1)
-
-
 class TestRunnerIntegration:
-    def test_descriptor_to_experiment_spec(self):
-        desc = RunDescriptor(
-            protocol="dctcp",
-            scenario=ScenarioSpec("intra-rack", {"num_hosts": 5}),
-            load=0.4, seed=2, num_flows=15)
-        spec = desc.to_experiment_spec()
-        assert isinstance(spec, ExperimentSpec)
-        assert spec.protocol == "dctcp"
-        assert spec.load == 0.4
-        assert spec.num_flows == 15
-        assert spec.scenario.name  # scenario was materialized
+    def test_scenario_spec_run_equals_built_scenario_run(self):
+        spec = ExperimentSpec(
+            "dctcp", ScenarioSpec("intra-rack", {"num_hosts": 5}), 0.4,
+            num_flows=15, seed=2)
+        via_spec = run_experiment(spec)
+        via_built = run_experiment(spec.replace(scenario=spec.scenario.build()))
+        assert via_spec.scenario == via_built.scenario
+        assert via_spec.events == via_built.events
+        assert [f.fct for f in via_spec.flows] == [f.fct for f in via_built.flows]
 
-    def test_descriptor_run_equals_direct_spec_run(self):
-        desc = RunDescriptor(
-            protocol="dctcp",
-            scenario=ScenarioSpec("intra-rack", {"num_hosts": 5}),
-            load=0.4, seed=2, num_flows=15)
-        via_desc = desc.run()
-        via_spec = run_experiment(desc.to_experiment_spec())
-        assert via_desc.events == via_spec.events
-        assert via_desc.afct == via_spec.afct
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_shared_scenario_runs_like_fresh_builds(name):
+    """Specs may share one built Scenario: running it repeatedly must give
+    the same events and per-flow timings as a fresh build per run."""
+    kwargs = scenario_cli_kwargs(name, hosts=4, fanin=3)
+    shared = build_scenario(name, **kwargs)
+
+    def fingerprints(scenario_for_run):
+        runs = [run_experiment(ExperimentSpec(
+            "pase", scenario_for_run(), load, num_flows=12, seed=5))
+            for load in (0.3, 0.6, 0.3)]
+        return [(r.events, _fingerprint(r)) for r in runs]
+
+    assert (fingerprints(lambda: shared) ==
+            fingerprints(lambda: build_scenario(name, **kwargs)))

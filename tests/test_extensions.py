@@ -167,12 +167,12 @@ class TestEarlyTermination:
     def test_termination_frees_capacity_for_feasible_flows(self):
         """With ET on, hopeless flows stop competing; the survivors' met
         fraction cannot be lower than without it."""
-        scn = lambda: intra_rack(num_hosts=10, with_deadlines=True)
+        scn = intra_rack(num_hosts=10, with_deadlines=True)
         base = PaseConfig(criterion="deadline")
-        on = run_experiment(ExperimentSpec("pase", scn(), 0.9, num_flows=80, seed=2,
+        on = run_experiment(ExperimentSpec("pase", scn, 0.9, num_flows=80, seed=2,
                             pase_config=PaseConfig(criterion="deadline",
                                                    early_termination=True)))
-        off = run_experiment(ExperimentSpec("pase", scn(), 0.9, num_flows=80, seed=2,
+        off = run_experiment(ExperimentSpec("pase", scn, 0.9, num_flows=80, seed=2,
                              pase_config=base))
         assert on.application_throughput >= off.application_throughput - 0.05
         assert any(f.terminated for f in on.flows)

@@ -8,6 +8,8 @@ the endpoints stay self-adjusting (DCTCP fallback), with everything
 deterministic under a fixed seed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -359,9 +361,9 @@ class TestDeterminism:
     def test_empty_schedule_is_a_no_op(self):
         scenario = build_scenario("intra-rack", num_hosts=8)
         clean = run_experiment(ExperimentSpec("pase", scenario, 0.5, num_flows=25, seed=4))
-        empty = run_experiment(ExperimentSpec("pase", build_scenario("intra-rack", num_hosts=8),
-                               0.5, num_flows=25, seed=4,
-                               fault_schedule=FaultSchedule()))
+        empty = run_experiment(ExperimentSpec(
+            "pase", dataclasses.replace(scenario, fault_schedule=FaultSchedule()),
+            0.5, num_flows=25, seed=4))
         assert empty.faults is None
         assert clean.events == empty.events
         assert [f.fct for f in clean.flows] == [f.fct for f in empty.flows]

@@ -101,7 +101,7 @@ class TestRunExperiment:
 
 class TestSweep:
     def test_sweep_returns_per_load(self):
-        results = sweep_loads("dctcp", lambda: intra_rack(num_hosts=6),
+        results = sweep_loads("dctcp", intra_rack(num_hosts=6),
                               loads=[0.2, 0.5], num_flows=20, seed=2)
         assert set(results) == {0.2, 0.5}
         assert all(isinstance(r, ExperimentResult) for r in results.values())

@@ -47,18 +47,18 @@ class TestPaperClaims:
     def test_pase_beats_dctcp_and_l2dct_left_right(self):
         """Fig. 9a: PASE improves AFCT substantially over deployment-friendly
         protocols in the inter-rack scenario."""
-        scn = lambda: left_right(hosts_per_rack=3)
-        pase = run_experiment(ExperimentSpec("pase", scn(), load=0.6, **MEDIUM))
-        dctcp = run_experiment(ExperimentSpec("dctcp", scn(), load=0.6, **MEDIUM))
-        l2dct = run_experiment(ExperimentSpec("l2dct", scn(), load=0.6, **MEDIUM))
+        scn = left_right(hosts_per_rack=3)
+        pase = run_experiment(ExperimentSpec("pase", scn, load=0.6, **MEDIUM))
+        dctcp = run_experiment(ExperimentSpec("dctcp", scn, load=0.6, **MEDIUM))
+        l2dct = run_experiment(ExperimentSpec("l2dct", scn, load=0.6, **MEDIUM))
         assert pase.afct < 0.6 * dctcp.afct   # >= 40% better
         assert pase.afct < 0.8 * l2dct.afct   # clearly better
 
     def test_pase_beats_pfabric_tail_at_high_load(self):
         """Fig. 10a: at high load PASE's 99th percentile beats pFabric's."""
-        scn = lambda: left_right(hosts_per_rack=3)
-        pase = run_experiment(ExperimentSpec("pase", scn(), load=0.9, num_flows=150, seed=11))
-        pfab = run_experiment(ExperimentSpec("pfabric", scn(), load=0.9, num_flows=150, seed=11))
+        scn = left_right(hosts_per_rack=3)
+        pase = run_experiment(ExperimentSpec("pase", scn, load=0.9, num_flows=150, seed=11))
+        pfab = run_experiment(ExperimentSpec("pfabric", scn, load=0.9, num_flows=150, seed=11))
         assert pase.p99_fct < pfab.p99_fct
 
     def test_pfabric_loss_grows_with_load(self):
@@ -79,19 +79,19 @@ class TestPaperClaims:
 
     def test_pdq_advantage_shrinks_with_load(self):
         """Fig. 2: PDQ's AFCT advantage over DCTCP erodes as load grows."""
-        scn = lambda: intra_rack(num_hosts=8)
+        scn = intra_rack(num_hosts=8)
         ratios = {}
         for load in (0.2, 0.9):
-            pdq = run_experiment(ExperimentSpec("pdq", scn(), load=load, **MEDIUM))
-            dctcp = run_experiment(ExperimentSpec("dctcp", scn(), load=load, **MEDIUM))
+            pdq = run_experiment(ExperimentSpec("pdq", scn, load=load, **MEDIUM))
+            dctcp = run_experiment(ExperimentSpec("dctcp", scn, load=load, **MEDIUM))
             ratios[load] = pdq.afct / dctcp.afct
         assert ratios[0.9] > ratios[0.2]
 
     def test_reference_rate_helps(self):
         """Fig. 13a: PASE beats PASE-DCTCP (no Rref seeding)."""
-        scn = lambda: intra_rack(num_hosts=8)
-        pase = run_experiment(ExperimentSpec("pase", scn(), load=0.7, **MEDIUM))
-        nodref = run_experiment(ExperimentSpec("pase-dctcp", scn(), load=0.7, **MEDIUM))
+        scn = intra_rack(num_hosts=8)
+        pase = run_experiment(ExperimentSpec("pase", scn, load=0.7, **MEDIUM))
+        nodref = run_experiment(ExperimentSpec("pase-dctcp", scn, load=0.7, **MEDIUM))
         assert pase.afct < nodref.afct
 
     def test_end_to_end_arbitration_helps_inter_rack(self):
@@ -101,27 +101,27 @@ class TestPaperClaims:
         fig12a benchmark for the per-class-buffer regime."""
         from repro.core import PaseConfig
         cfg = PaseConfig(shared_queue_capacity=True)
-        scn = lambda: left_right(hosts_per_rack=40)
-        e2e = run_experiment(ExperimentSpec("pase", scn(), load=0.9, num_flows=250, seed=11,
+        scn = left_right(hosts_per_rack=40)
+        e2e = run_experiment(ExperimentSpec("pase", scn, load=0.9, num_flows=250, seed=11,
                              pase_config=cfg))
-        local = run_experiment(ExperimentSpec("pase-local", scn(), load=0.9, num_flows=250,
+        local = run_experiment(ExperimentSpec("pase-local", scn, load=0.9, num_flows=250,
                                seed=11, pase_config=cfg))
         assert e2e.p99_fct < local.p99_fct
         assert e2e.network.data_pkts_dropped <= local.network.data_pkts_dropped
 
     def test_optimizations_cut_control_messages(self):
         """Fig. 11b: pruning + delegation reduce arbitration overhead."""
-        scn = lambda: left_right(hosts_per_rack=3)
-        opt = run_experiment(ExperimentSpec("pase", scn(), load=0.7, **MEDIUM))
-        noopt = run_experiment(ExperimentSpec("pase-noopt", scn(), load=0.7, **MEDIUM))
+        scn = left_right(hosts_per_rack=3)
+        opt = run_experiment(ExperimentSpec("pase", scn, load=0.7, **MEDIUM))
+        noopt = run_experiment(ExperimentSpec("pase-noopt", scn, load=0.7, **MEDIUM))
         assert opt.control_plane.messages < noopt.control_plane.messages
 
     def test_deadline_scenario_pase_leads(self):
         """Fig. 9c: PASE meets at least as many deadlines as D2TCP/DCTCP."""
-        scn = lambda: intra_rack(num_hosts=10, with_deadlines=True)
-        pase = run_experiment(ExperimentSpec("pase", scn(), load=0.8, **MEDIUM))
-        d2tcp = run_experiment(ExperimentSpec("d2tcp", scn(), load=0.8, **MEDIUM))
-        dctcp = run_experiment(ExperimentSpec("dctcp", scn(), load=0.8, **MEDIUM))
+        scn = intra_rack(num_hosts=10, with_deadlines=True)
+        pase = run_experiment(ExperimentSpec("pase", scn, load=0.8, **MEDIUM))
+        d2tcp = run_experiment(ExperimentSpec("d2tcp", scn, load=0.8, **MEDIUM))
+        dctcp = run_experiment(ExperimentSpec("dctcp", scn, load=0.8, **MEDIUM))
         assert pase.application_throughput >= d2tcp.application_throughput
         assert pase.application_throughput >= dctcp.application_throughput
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.harness import ExperimentSpec, intra_rack, run_experiment, sweep_loads
 from repro.harness.experiment import ExperimentResult
+from repro.harness.protocols import make_binding
 from repro.harness.replication import replicate
 from repro.runner import (
     STATUS_CRASHED,
@@ -24,7 +25,6 @@ from repro.runner import (
     STATUS_TIMEOUT,
     ProcessPoolRunner,
     ResultCache,
-    RunDescriptor,
     RunnerConfig,
     ScenarioSpec,
     SweepFailure,
@@ -32,37 +32,38 @@ from repro.runner import (
     results_by_load,
     run_sweep,
 )
+from tests.test_regression_golden import _fingerprint
 
 TINY = ScenarioSpec("intra-rack", {"num_hosts": 5})
 
 
-def tiny_descriptor(load=0.3, seed=1, num_flows=12, **kwargs):
-    return RunDescriptor(protocol="dctcp", scenario=TINY, load=load,
-                         seed=seed, num_flows=num_flows, **kwargs)
+def tiny_spec(load=0.3, seed=1, num_flows=12, **kwargs):
+    return ExperimentSpec("dctcp", TINY, load, seed=seed,
+                          num_flows=num_flows, **kwargs)
 
 
 # -- injected work functions (module-level so fork children see them) ------
 
-def _echo_work(descriptor):
-    return ("ran", descriptor.load, descriptor.seed)
+def _echo_work(spec):
+    return ("ran", spec.load, spec.seed)
 
 
-def _slow_work(descriptor):
+def _slow_work(spec):
     time.sleep(30.0)
     return "never"
 
 
-def _always_raises(descriptor):
-    raise ValueError(f"boom at load {descriptor.load}")
+def _always_raises(spec):
+    raise ValueError(f"boom at load {spec.load}")
 
 
-def _raise_on_half(descriptor):
-    if descriptor.load == 0.5:
+def _raise_on_half(spec):
+    if spec.load == 0.5:
         raise ValueError("boom at 0.5")
-    return descriptor.load
+    return spec.load
 
 
-def _hard_crash(descriptor):
+def _hard_crash(spec):
     os._exit(17)  # simulates a segfault: no exception, no report
 
 
@@ -76,18 +77,26 @@ class TestSpec:
                           ("b", 0.9, 1), ("b", 0.9, 2)]
 
     def test_content_hash_stable_and_sensitive(self):
-        d = tiny_descriptor()
-        assert d.content_hash() == tiny_descriptor().content_hash()
-        assert d.content_hash() != tiny_descriptor(load=0.4).content_hash()
-        assert d.content_hash() != tiny_descriptor(seed=2).content_hash()
+        d = tiny_spec()
+        assert d.content_hash() == tiny_spec().content_hash()
+        assert d.content_hash() != tiny_spec(load=0.4).content_hash()
+        assert d.content_hash() != tiny_spec(seed=2).content_hash()
         assert (d.content_hash() !=
-                tiny_descriptor(num_flows=13).content_hash())
+                tiny_spec(num_flows=13).content_hash())
 
-    def test_factory_scenarios_are_uncacheable(self):
-        d = RunDescriptor(protocol="dctcp",
-                          scenario=lambda: intra_rack(num_hosts=5), load=0.3)
-        assert not d.cacheable
-        assert d.content_hash() is None
+    def test_content_hash_is_pinned(self):
+        # Ledger rows and cache entries are addressed by this hash; a
+        # refactor of the spec must not move it.
+        assert tiny_spec().content_hash() == (
+            "b6d9fe367b3112b259563dc9d01c69372d1dd86f91aea9506b8f7120af8751ac")
+
+    def test_built_scenarios_are_uncacheable(self):
+        built = tiny_spec().replace(scenario=intra_rack(num_hosts=5))
+        bound = tiny_spec(binding=make_binding("dctcp", TINY.build()))
+        opaque = tiny_spec(binding_overrides={"queue": object()})
+        for spec in (built, bound, opaque):
+            assert spec.key_dict() is None
+            assert spec.content_hash() is None
 
     def test_spec_scenario_builds(self):
         scenario = TINY.build()
@@ -101,24 +110,23 @@ class TestSpec:
 class TestExecutorIsolation:
     def test_parallel_echo_preserves_order(self):
         runner = ProcessPoolRunner(jobs=2, work_fn=_echo_work)
-        descriptors = [tiny_descriptor(load=l) for l in (0.1, 0.3, 0.5, 0.7)]
-        records = runner.run(descriptors)
+        records = runner.run([tiny_spec(load=l) for l in (0.1, 0.3, 0.5, 0.7)])
         assert [r.status for r in records] == [STATUS_OK] * 4
         assert [r.result[1] for r in records] == [0.1, 0.3, 0.5, 0.7]
         assert all(r.peak_rss_kb and r.peak_rss_kb > 0 for r in records)
 
     def test_timeout_fires_and_sweep_completes(self):
         runner = ProcessPoolRunner(jobs=2, timeout=0.5, work_fn=_slow_work)
-        records = runner.run([tiny_descriptor(load=0.1)])
+        records = runner.run([tiny_spec(load=0.1)])
         assert records[0].status == STATUS_TIMEOUT
         assert "budget" in records[0].error
 
     def test_raising_worker_is_retried_then_failed_without_aborting(self):
         runner = ProcessPoolRunner(jobs=2, retries=1, backoff=0.01,
                                    work_fn=_raise_on_half)
-        records = runner.run([tiny_descriptor(load=l)
+        records = runner.run([tiny_spec(load=l)
                               for l in (0.1, 0.5, 0.9)])
-        by_load = {r.descriptor.load: r for r in records}
+        by_load = {r.spec.load: r for r in records}
         assert by_load[0.5].status == STATUS_FAILED
         assert by_load[0.5].attempts == 2  # original + one retry
         assert "boom at 0.5" in by_load[0.5].error
@@ -128,15 +136,15 @@ class TestExecutorIsolation:
 
     def test_hard_crash_is_isolated(self):
         runner = ProcessPoolRunner(jobs=2, work_fn=_hard_crash)
-        records = runner.run([tiny_descriptor(load=0.1),
-                              tiny_descriptor(load=0.3)])
+        records = runner.run([tiny_spec(load=0.1),
+                              tiny_spec(load=0.3)])
         assert all(r.status == STATUS_CRASHED for r in records)
         assert "exit code 17" in records[0].error
 
     def test_serial_mode_retries_and_records(self):
         runner = ProcessPoolRunner(jobs=1, retries=2, backoff=0.0,
                                    work_fn=_always_raises)
-        records = runner.run([tiny_descriptor()])
+        records = runner.run([tiny_spec()])
         assert records[0].status == STATUS_FAILED
         assert records[0].attempts == 3
 
@@ -144,7 +152,7 @@ class TestExecutorIsolation:
 class TestCache:
     def test_hit_after_store_and_invalidation_on_config_change(self, tmp_path):
         config = RunnerConfig(jobs=1, cache_dir=tmp_path)
-        d = [tiny_descriptor(load=0.3)]
+        d = [tiny_spec(load=0.3)]
         first = run_sweep(d, config)
         assert first.stats.cache_misses == 1 and first.stats.cached == 0
         again = run_sweep(d, config)
@@ -152,11 +160,11 @@ class TestCache:
         assert (pickle.dumps(again.records[0].result.stats) ==
                 pickle.dumps(first.records[0].result.stats))
         # Any config change (here: flow count) must miss.
-        changed = run_sweep([tiny_descriptor(load=0.3, num_flows=13)], config)
+        changed = run_sweep([tiny_spec(load=0.3, num_flows=13)], config)
         assert changed.stats.cached == 0
 
     def test_code_version_salt_invalidates(self, tmp_path):
-        d = [tiny_descriptor(load=0.3)]
+        d = [tiny_spec(load=0.3)]
         run_sweep(d, RunnerConfig(cache_dir=tmp_path, cache_salt="v1"))
         stale = run_sweep(d, RunnerConfig(cache_dir=tmp_path, cache_salt="v2"))
         assert stale.stats.cached == 0
@@ -165,7 +173,7 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s")
-        h = tiny_descriptor().content_hash()
+        h = tiny_spec().content_hash()
         path = cache.path_for(h)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a pickle")
@@ -175,16 +183,17 @@ class TestCache:
 
     def test_no_cache_mode_always_computes(self, tmp_path):
         config = RunnerConfig(use_cache=False, cache_dir=tmp_path)
-        run_sweep([tiny_descriptor()], config)
-        out = run_sweep([tiny_descriptor()], config)
+        run_sweep([tiny_spec()], config)
+        out = run_sweep([tiny_spec()], config)
         assert out.stats.cached == 0
 
 
 class TestParity:
-    """--jobs 1 through the runner must equal the legacy serial path."""
+    """A run is bit-identical whether it executes directly, in-process
+    (``jobs=1``), on a worker (``jobs=2``) or comes from the cache."""
 
     def test_serial_runner_matches_direct_run(self):
-        outcome = run_sweep([tiny_descriptor(load=0.4)],
+        outcome = run_sweep([tiny_spec(load=0.4)],
                             RunnerConfig(jobs=1, use_cache=False))
         direct = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=5), 0.4,
                                 num_flows=12, seed=1))
@@ -194,27 +203,34 @@ class TestParity:
         assert (pickle.dumps(replace(got, wallclock=0.0)) ==
                 pickle.dumps(replace(direct.detach(), wallclock=0.0)))
 
-    def test_parallel_results_equal_serial(self):
-        loads = (0.2, 0.4)
-        serial = sweep_loads("dctcp", lambda: intra_rack(num_hosts=5),
-                             loads, num_flows=12, seed=3)
-        parallel = sweep_loads("dctcp", lambda: intra_rack(num_hosts=5),
-                               loads, num_flows=12, seed=3, jobs=2)
-        for load in loads:
-            assert (pickle.dumps(serial[load].stats) ==
-                    pickle.dumps(parallel[load].stats))
-            assert serial[load].events == parallel[load].events
+    def test_parallel_results_equal_serial(self, tmp_path):
+        specs = SweepSpec(protocols=("dctcp",), scenario=TINY,
+                          loads=(0.2, 0.4), seeds=(3,),
+                          num_flows=12).expand()
+
+        def sweep(config):
+            outcome = run_sweep(specs, config)
+            return ([r.cached for r in outcome.records],
+                    [(r.result.events, _fingerprint(r.result))
+                     for r in outcome.records])
+
+        serial = sweep(RunnerConfig(jobs=1, cache_dir=tmp_path))
+        parallel = sweep(RunnerConfig(jobs=2, use_cache=False))
+        cached = sweep(RunnerConfig(jobs=1, cache_dir=tmp_path))
+        assert serial[0] == parallel[0] == [False, False]
+        assert cached[0] == [True, True]
+        assert serial[1] == parallel[1] == cached[1]
 
     def test_sweep_loads_raises_on_worker_failure(self):
-        with pytest.raises(SweepFailure):
-            sweep_loads("no-such-protocol", lambda: intra_rack(num_hosts=5),
-                        (0.3,), num_flows=12, jobs=2)
+        for jobs in (1, 2):
+            with pytest.raises(SweepFailure):
+                sweep_loads("no-such-protocol", TINY, (0.3,), num_flows=12,
+                            jobs=jobs)
 
     def test_replicate_parallel_matches_serial(self):
-        serial = replicate("dctcp", lambda: intra_rack(num_hosts=5), 0.4,
-                           seeds=(1, 2), num_flows=12)
-        parallel = replicate("dctcp", lambda: intra_rack(num_hosts=5), 0.4,
-                             seeds=(1, 2), num_flows=12, jobs=2)
+        serial = replicate("dctcp", TINY, 0.4, seeds=(1, 2), num_flows=12)
+        parallel = replicate("dctcp", TINY, 0.4, seeds=(1, 2), num_flows=12,
+                             jobs=2)
         assert serial.values == parallel.values
 
 
@@ -242,7 +258,7 @@ class TestJsonlOutput:
     def test_records_and_summary_lines(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
         config = RunnerConfig(jobs=1, use_cache=False, jsonl_path=out)
-        run_sweep([tiny_descriptor(load=0.3)], config)
+        run_sweep([tiny_spec(load=0.3)], config)
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [l["type"] for l in lines] == ["run", "sweep_summary"]
         run_line, summary = lines
@@ -257,7 +273,7 @@ class TestJsonlOutput:
     def test_failed_point_lands_in_ledger_not_exception(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
         outcome = run_sweep(
-            [tiny_descriptor(load=0.1), tiny_descriptor(load=0.5)],
+            [tiny_spec(load=0.1), tiny_spec(load=0.5)],
             RunnerConfig(jobs=2, use_cache=False, jsonl_path=out),
             work_fn=_raise_on_half,
         )
@@ -296,19 +312,7 @@ class TestRunnerCli:
     def test_unknown_protocol_is_an_error(self, capsys):
         from repro.runner.cli import main
 
-        rc = main(["--protocols", "quic", "--scenario", "intra-rack",
-                   "--loads", "0.3"])
-        assert rc == 2
-
-
-class TestHarnessCliJobs:
-    def test_multi_load_sweep_prints_each_summary(self, capsys):
-        from repro.harness.cli import main
-
-        rc = main(["--protocol", "dctcp", "--scenario", "intra-rack",
-                   "--load", "0.2,0.4", "--flows", "12", "--hosts", "5",
-                   "--jobs", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("AFCT") == 2
-        assert "2 runs" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["--protocols", "quic", "--scenario", "intra-rack",
+                  "--loads", "0.3"])
+        assert exc.value.code == 2
