@@ -11,12 +11,14 @@ them; order-of-magnitude regressions do.
 import pytest
 
 from repro.harness import (
+    PROTOCOL_NAMES,
     ExperimentSpec,
     all_to_all_intra_rack,
     intra_rack,
     left_right,
     run_experiment,
 )
+from repro.harness.scenarios import intra_rack_deadlines
 
 SEED = 42
 
@@ -153,3 +155,83 @@ class TestByteIdenticalGoldens:
         assert r.stats.completion_fraction == 1.0
         assert _fingerprint(r) == ("d87f7b897b4bc74b6dc0855be8fa5e60"
                                    "db195269f045cf8d4d825375a1065341")
+
+
+#: (protocol, point, events, fingerprint) for every registered protocol,
+#: captured before the protocol bindings were consolidated into one
+#: registry.  Where a variant's difference never engages on a point (no
+#: loss for ``pase-noprobe``, no fabric links on a star for ``pase-local``
+#: and ``pase-noopt``, no deadlines for ``d2tcp`` on left-right) its digest
+#: equals its parent protocol's, which pins that too.
+PROTOCOL_PINS = [
+    ("tcp", "intra", 72091,
+     "691469d9badffe3f7dc5b8270727f445ee66496591acce8bf73c44258a0ada10"),
+    ("dctcp", "intra", 53101,
+     "ccbfaa83d7b461093faf6cf9fb3334af51996fb68734190c8cac75d5feda69ac"),
+    ("d2tcp", "intra", 51694,
+     "79fd459e32f48e7ee9398cb7f876853d5aee2789b9976fb9d4362fc68ffcedcb"),
+    ("l2dct", "intra", 50090,
+     "80ec24b830412e0e71fe3bc78b072d4701956b49e3711fe9611cc3ef5c2ac591"),
+    ("pdq", "intra", 37489,
+     "0dd21fddbed8481e78e424195eec98b29ebf65d2bb2a16c4a0431a012e93c050"),
+    ("d3", "intra", 33983,
+     "48f2be8ab2c42804e578baca694997ac846bcb91ed3f162722324e7be1cd8e97"),
+    ("pfabric", "intra", 30149,
+     "39d5c8640e65589164ff0ca354f36c88f201ea3a8a9d60eedcf6889e57bcddfb"),
+    ("pase", "intra", 32062,
+     "96375d5ee03fa338a187355417517fb39fbfbd8a05d0f84175c3d6b5afa2ce67"),
+    ("pase-dctcp", "intra", 35333,
+     "44b832029a767d52125d3807609c5e0990bb18767958d20a1474535fcc1f44bb"),
+    ("pase-local", "intra", 32062,
+     "96375d5ee03fa338a187355417517fb39fbfbd8a05d0f84175c3d6b5afa2ce67"),
+    ("pase-noopt", "intra", 32062,
+     "96375d5ee03fa338a187355417517fb39fbfbd8a05d0f84175c3d6b5afa2ce67"),
+    ("pase-noprobe", "intra", 32062,
+     "96375d5ee03fa338a187355417517fb39fbfbd8a05d0f84175c3d6b5afa2ce67"),
+    ("tcp", "leftright", 65553,
+     "5e8c5c6da49ad94df9a9bc463d4b05a5accdca3e1b071aff0a1b92b673c9aab6"),
+    ("dctcp", "leftright", 61624,
+     "89ad69f31cd4a4aad69f4e7d552e9cfd8d801642ecf5adc4f1ccca794941f678"),
+    ("d2tcp", "leftright", 61624,
+     "89ad69f31cd4a4aad69f4e7d552e9cfd8d801642ecf5adc4f1ccca794941f678"),
+    ("l2dct", "leftright", 58761,
+     "3a7f27155ab6de9b3eeade91d9f023220d4a391a964adb6c5b6cfe86c8cb8688"),
+    ("pdq", "leftright", 48679,
+     "cd8ab7d9db2f3cdfab7bc2a9007bf2f0953b7a04a49965be0493a8ecbb5dd852"),
+    ("d3", "leftright", 51783,
+     "f02c4aaa80752d4220a56726890695a65ef808a754c6a50e129b6c0f9aed91ee"),
+    ("pfabric", "leftright", 43248,
+     "ce3ac027cb330b274520d794e32c1bc25f2054927aeea6af29df86c5e1b0d39c"),
+    ("pase", "leftright", 46868,
+     "bcb22e7de54daba154c70547c573c2199ecf69276b1c1d90c15a1065ea9bc18a"),
+    ("pase-dctcp", "leftright", 47459,
+     "f3a6476112be25f5a8db76801265f9bc0abffacd7897d9b3b7b8b0441b6a4afe"),
+    ("pase-local", "leftright", 45075,
+     "6da8d172791294edae79e507fbe2a27ecc53ad2b64c046b20007c3f09b3c3c5d"),
+    ("pase-noopt", "leftright", 48154,
+     "b0fc2de6bd4d3cf66e7a90219ac18e088b16961e4686abd06955489d0b61c4d6"),
+    ("pase-noprobe", "leftright", 46868,
+     "bcb22e7de54daba154c70547c573c2199ecf69276b1c1d90c15a1065ea9bc18a"),
+]
+
+#: The two small points every protocol is pinned on.
+PIN_POINTS = {
+    "intra": (lambda: intra_rack_deadlines(num_hosts=5), 0.8, 20),
+    "leftright": (lambda: left_right(hosts_per_rack=2), 0.9, 30),
+}
+
+
+def test_protocol_pins_cover_every_registered_name():
+    for point in PIN_POINTS:
+        assert sorted(p for p, where, _, _ in PROTOCOL_PINS
+                      if where == point) == sorted(PROTOCOL_NAMES)
+
+
+@pytest.mark.parametrize("protocol,point,events,fingerprint", PROTOCOL_PINS,
+                         ids=[f"{p}-{where}" for p, where, _, _ in PROTOCOL_PINS])
+def test_protocol_pinned(protocol, point, events, fingerprint):
+    scenario, load, num_flows = PIN_POINTS[point]
+    r = run_experiment(ExperimentSpec(protocol, scenario(), load,
+                                      num_flows=num_flows, seed=3))
+    assert r.events == events
+    assert _fingerprint(r) == fingerprint
