@@ -9,28 +9,29 @@ breaks a result fails the benchmark run.
 Scale: ``PASE_BENCH_SCALE`` (default 1.0) multiplies per-point flow counts;
 set it to 3-5 for tighter confidence at the cost of wall-clock time.
 
-Parallelism: every figure's (protocol x load) grid runs through
-``repro.runner.run_sweep``.  ``PASE_BENCH_JOBS`` (default 1, in-process)
-fans it out over worker processes, with identical results;
-``PASE_BENCH_TIMEOUT``/``PASE_BENCH_RETRIES`` bound sick points.
+Parallelism: every figure's points go through :func:`run`, hence
+``repro.runner.run_sweep`` — a (protocol x load) grid via :func:`sweep`.
+``PASE_BENCH_JOBS`` (default 1, in-process) fans them out over worker
+processes, with identical results; ``PASE_BENCH_TIMEOUT``/
+``PASE_BENCH_RETRIES`` bound sick points.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core import PaseConfig
 from repro.harness import (
     ExperimentResult,
+    ExperimentSpec,
     Scenario,
     ScenarioSpec,
     format_series_table,
     series_from_results,
 )
-from repro.runner import (RunnerConfig, SweepSpec, results_by_protocol_load,
-                          run_sweep)
+from repro.runner import RunnerConfig, SweepSpec, run_sweep
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -49,6 +50,16 @@ def flows(n: int) -> int:
     return max(20, int(n * SCALE))
 
 
+def run(specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
+    """Run the points (uncached) and return their results in spec order; a
+    failed point fails the figure (``on_error='raise'``)."""
+    outcome = run_sweep(specs, RunnerConfig(
+        jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,
+        use_cache=False, on_error="raise",
+    ))
+    return [record.result for record in outcome.records]
+
+
 def sweep(
     protocols: Sequence[str],
     scenario: Union[Scenario, ScenarioSpec],
@@ -56,18 +67,17 @@ def sweep(
     num_flows: int = 200,
     seed: int = 42,
     pase_config: Optional[PaseConfig] = None,
+    horizon: Optional[float] = None,
 ) -> Dict[str, Dict[float, ExperimentResult]]:
-    """Run each protocol across the load sweep; a failed point fails the
-    figure (``on_error='raise'``)."""
-    spec = SweepSpec(
-        protocols=tuple(protocols), scenario=scenario, loads=tuple(loads),
-        seeds=(seed,), num_flows=flows(num_flows), pase_config=pase_config,
-    )
-    outcome = run_sweep(spec.expand(), RunnerConfig(
-        jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,
-        use_cache=False, on_error="raise",
-    ))
-    return results_by_protocol_load(outcome.records)
+    """Run each protocol across the load sweep (``num_flows`` scaled by
+    :func:`flows`), keyed protocol then load."""
+    specs = SweepSpec(tuple(protocols), scenario, tuple(loads),
+                      seeds=(seed,), num_flows=flows(num_flows),
+                      pase_config=pase_config, horizon=horizon).expand()
+    results: Dict[str, Dict[float, ExperimentResult]] = {}
+    for spec, result in zip(specs, run(specs)):
+        results.setdefault(spec.protocol, {})[spec.load] = result
+    return results
 
 
 def emit(name: str, text: str) -> str:

@@ -6,9 +6,9 @@ the knee: much longer intervals delay promotions (AFCT up), much shorter
 ones multiply messages with little AFCT gain.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, flows, run, run_once
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, left_right, run_experiment
+from repro.harness import ExperimentSpec, left_right
 from repro.utils.units import USEC
 
 LOAD = 0.7
@@ -16,13 +16,11 @@ INTERVALS = (150 * USEC, 300 * USEC, 600 * USEC, 1200 * USEC)
 
 
 def run_figure():
-    rows = {}
-    for interval in INTERVALS:
-        cfg = PaseConfig(arbitration_interval=interval)
-        result = run_experiment(ExperimentSpec("pase", left_right(), LOAD,
-                                num_flows=flows(250), seed=42,
-                                pase_config=cfg))
-        rows[interval] = result
+    scn = left_right()
+    rows = dict(zip(INTERVALS, run([
+        ExperimentSpec("pase", scn, LOAD, num_flows=flows(250), seed=42,
+                       pase_config=PaseConfig(arbitration_interval=interval))
+        for interval in INTERVALS])))
     lines = ["Ablation: arbitration interval (left-right, 70% load)",
              "-" * 56,
              f"{'interval (us)':<16}{'AFCT (ms)':<12}{'ctrl msgs/s':<14}"]

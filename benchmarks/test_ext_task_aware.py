@@ -10,9 +10,9 @@ query.  Task-aware FIFO-LM finishes whole queries in arrival order.
 
 from collections import defaultdict
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, all_to_all_intra_rack, format_series_table, run_experiment
+from repro.harness import all_to_all_intra_rack, format_series_table
 
 LOADS = (0.5, 0.7, 0.9)
 
@@ -37,15 +37,12 @@ def task_completion_times(result):
 
 
 def run_figure():
-    results = {}
-    for label, criterion in (("srpt", "size"), ("task-aware", "task")):
-        cfg = PaseConfig(criterion=criterion)
-        results[label] = {}
-        for load in LOADS:
-            r = run_experiment(ExperimentSpec(
-                "pase", all_to_all_intra_rack(num_hosts=20, fanin=8), load,
-                num_flows=flows(320), seed=42, pase_config=cfg))
-            results[label][load] = r
+    results = {
+        label: sweep(("pase",), all_to_all_intra_rack(num_hosts=20, fanin=8),
+                     LOADS, num_flows=320,
+                     pase_config=PaseConfig(criterion=criterion))["pase"]
+        for label, criterion in (("srpt", "size"), ("task-aware", "task"))
+    }
     mean_tct = {}
     for label, by_load in results.items():
         mean_tct[label] = {}

@@ -8,9 +8,9 @@ checks the size-unaware "las" criterion, which must recover most of the
 SRPT benefit without knowing flow sizes.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table, intra_rack, run_experiment
+from repro.harness import format_series_table, intra_rack
 from repro.metrics import bucket_stats
 from repro.utils.units import KB, MB
 from repro.workloads import web_search_sizes
@@ -24,18 +24,15 @@ def scenario():
 
 
 def run_figure():
-    results = {}
-    for label, protocol, cfg in (
-        ("pase", "pase", None),
-        ("pase-las", "pase", PaseConfig(criterion="las")),
-        ("dctcp", "dctcp", None),
-    ):
-        results[label] = {
-            load: run_experiment(ExperimentSpec(protocol, scenario(), load,
-                                 num_flows=flows(250), seed=42,
-                                 pase_config=cfg, horizon=5.0))
-            for load in LOADS
-        }
+    results = {
+        label: sweep((protocol,), scenario(), LOADS, num_flows=250,
+                     pase_config=cfg, horizon=5.0)[protocol]
+        for label, protocol, cfg in (
+            ("pase", "pase", None),
+            ("pase-las", "pase", PaseConfig(criterion="las")),
+            ("dctcp", "dctcp", None),
+        )
+    }
     afct = {label: {l: r.afct * 1e3 for l, r in by_load.items()}
             for label, by_load in results.items()}
     text = format_series_table(

@@ -4,17 +4,16 @@ Paper: at 70% load PASE's FCT distribution dominates L2DCT's and DCTCP's
 almost everywhere (their CDFs sit to the right of PASE's).
 """
 
-from benchmarks.bench_common import emit, flows, run_once
-from repro.harness import ExperimentSpec, format_cdf, left_right, run_experiment
+from benchmarks.bench_common import emit, run_once, sweep
+from repro.harness import format_cdf, left_right
 
 LOAD = 0.7
 
 
 def run_figure():
-    results = {}
-    for protocol in ("pase", "l2dct", "dctcp"):
-        results[protocol] = run_experiment(ExperimentSpec(
-            protocol, left_right(), LOAD, num_flows=flows(250), seed=42))
+    results = {protocol: by_load[LOAD] for protocol, by_load in sweep(
+        ("pase", "l2dct", "dctcp"), left_right(), (LOAD,),
+        num_flows=250).items()}
     cdfs = {name: r.stats.fct_cdf() for name, r in results.items()}
     emit("fig09b_fct_cdf", format_cdf(
         "Figure 9b: FCT CDF at 70% load — left-right inter-rack", cdfs))

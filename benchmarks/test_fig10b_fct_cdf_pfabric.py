@@ -5,17 +5,15 @@ advantage shows for the shortest flows while its loss-affected tail is
 longer.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
-from repro.harness import ExperimentSpec, format_cdf, left_right, run_experiment
+from benchmarks.bench_common import emit, run_once, sweep
+from repro.harness import format_cdf, left_right
 
 LOAD = 0.7
 
 
 def run_figure():
-    results = {}
-    for protocol in ("pase", "pfabric"):
-        results[protocol] = run_experiment(ExperimentSpec(
-            protocol, left_right(), LOAD, num_flows=flows(250), seed=42))
+    results = {protocol: by_load[LOAD] for protocol, by_load in sweep(
+        ("pase", "pfabric"), left_right(), (LOAD,), num_flows=250).items()}
     cdfs = {name: r.stats.fct_cdf() for name, r in results.items()}
     emit("fig10b_fct_cdf_pfabric", format_cdf(
         "Figure 10b: FCT CDF at 70% load — PASE vs pFabric", cdfs))

@@ -7,9 +7,9 @@ AFCT than DCTCP across loads.  We replace the Linux hosts with the
 simulator (see DESIGN.md), keeping every testbed parameter.
 """
 
-from benchmarks.bench_common import emit, flows, run_once
+from benchmarks.bench_common import emit, flows, run, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table, run_experiment
+from repro.harness import ExperimentSpec, format_series_table
 from repro.harness import testbed as scn_testbed
 from repro.harness.protocols import DctcpBinding
 from repro.sim.queues import REDQueue
@@ -28,15 +28,13 @@ class DctcpTestbedBinding(DctcpBinding):
 
 
 def run_figure():
-    results = {"pase": {}, "dctcp": {}}
-    for load in LOADS:
-        results["pase"][load] = run_experiment(ExperimentSpec(
-            "pase", scn_testbed(), load, num_flows=flows(200), seed=42,
-            pase_config=PASE_CFG))
-        scn = scn_testbed()
-        results["dctcp"][load] = run_experiment(ExperimentSpec(
-            "dctcp", scn, load, num_flows=flows(200), seed=42,
-            binding=DctcpTestbedBinding(scn)))
+    scn = scn_testbed()
+    results = sweep(("pase",), scn, LOADS, num_flows=200,
+                    pase_config=PASE_CFG)
+    results["dctcp"] = dict(zip(LOADS, run([
+        ExperimentSpec("dctcp", scn, load, num_flows=flows(200), seed=42,
+                       binding=DctcpTestbedBinding(scn))
+        for load in LOADS])))
     series = {name: {load: r.afct * 1e3 for load, r in by_load.items()}
               for name, by_load in results.items()}
     emit("fig13b_testbed", format_series_table(

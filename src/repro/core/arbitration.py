@@ -63,10 +63,6 @@ class ArbitratedFlow:
     demand: float
     last_update: float
 
-    def sort_key(self) -> Tuple[float, int]:
-        # flow_id tie-break keeps the ordering total and deterministic.
-        return (self.criterion_value, self.flow_id)
-
 
 @dataclass(slots=True)
 class ArbitrationResult:

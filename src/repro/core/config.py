@@ -57,7 +57,10 @@ class PaseConfig:
     #:                known up front,
     #:   "task"     — task-aware FIFO-LM (Baraat-style): tasks in arrival
     #:                order, shortest-remaining within a task.
-    criterion: str = "size"
+    #: None (default) means "the scenario's criterion": the protocol
+    #: binding resolves it to EDF on deadline scenarios and to "size"
+    #: elsewhere; a sender built without a binding ranks by size.
+    criterion: Optional[str] = None
     #: Deadline mode only: terminate flows whose deadline is provably
     #: unreachable at NIC line rate, freeing their capacity for flows that
     #: can still make it (PDQ's Early Termination, applied to PASE).
@@ -117,7 +120,7 @@ class PaseConfig:
         check_positive("arbitration_interval", self.arbitration_interval)
         check_positive("delegation_update_interval", self.delegation_update_interval)
         valid_criteria = ("size", "deadline", "las", "task")
-        if self.criterion not in valid_criteria:
+        if self.criterion is not None and self.criterion not in valid_criteria:
             raise ValueError(
                 f"criterion must be one of {valid_criteria}, got {self.criterion!r}")
         if self.pruning_queues < 0:

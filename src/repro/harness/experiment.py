@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core import PaseConfig
 from repro.core.control_plane import PaseControlPlane
@@ -45,9 +45,9 @@ class ExperimentSpec:
     topology and traffic from it.  Only a ``ScenarioSpec`` run has a
     :meth:`content_hash`, so only those are served from the result cache.
 
-    ``binding_overrides`` carries extra keyword arguments for
-    :func:`~repro.harness.protocols.make_binding` (ignored when an explicit
-    ``binding`` is supplied).
+    ``binding`` replaces the registered protocol's wiring with an explicit
+    :class:`~repro.harness.protocols.ProtocolBinding` (such a run is never
+    cached).
     """
 
     protocol: str
@@ -58,7 +58,6 @@ class ExperimentSpec:
     pase_config: Optional[PaseConfig] = None
     horizon: Optional[float] = None
     binding: Optional[ProtocolBinding] = None
-    binding_overrides: Mapping[str, Any] = field(default_factory=dict)
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy with the given fields changed (spec fields only)."""
@@ -77,8 +76,8 @@ class ExperimentSpec:
 
     def key_dict(self) -> Optional[Dict[str, Any]]:
         """The canonical content of this run, or None when a component (a
-        built scenario, an explicit binding, a non-JSON override) has no
-        stable content identity."""
+        built scenario, an explicit binding, a non-JSON scenario argument)
+        has no stable content identity."""
         if (not isinstance(self.scenario, ScenarioSpec)
                 or self.binding is not None):
             return None
@@ -92,7 +91,9 @@ class ExperimentSpec:
             "pase_config": (None if self.pase_config is None
                             else asdict(self.pase_config)),
             "horizon": self.horizon,
-            "overrides": dict(self.binding_overrides),
+            # Always empty; the slot keeps content hashes (ledger rows,
+            # cache entries) comparable across versions of the spec.
+            "overrides": {},
         }
         try:
             json.dumps(key, sort_keys=True)
@@ -180,8 +181,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     sim = Simulator()
     binding = spec.binding
     if binding is None:
-        binding = make_binding(protocol, scenario, spec.pase_config,
-                               **spec.binding_overrides)
+        binding = make_binding(protocol, scenario, spec.pase_config)
     topology = scenario.build_topology(sim, binding.queue_factory())
     binding.setup_network(sim, topology)
 
@@ -286,7 +286,6 @@ def sweep_loads(
     retries: int = 0,
     cache_dir=None,
     horizon: Optional[float] = None,
-    **binding_overrides,
 ) -> Dict[float, ExperimentResult]:
     """Run ``protocol`` on ``scenario`` at each of ``loads``.
 
@@ -296,17 +295,23 @@ def sweep_loads(
     which serves only points whose scenario is a :class:`ScenarioSpec`.
     A failed point raises :class:`repro.runner.SweepFailure`.
     """
-    from repro.runner import RunnerConfig, results_by_load, run_sweep
+    from repro.runner import SweepSpec, results_by_load
 
-    specs = [
-        ExperimentSpec(protocol, scenario, load, num_flows=num_flows,
-                       seed=seed, pase_config=pase_config, horizon=horizon,
-                       binding_overrides=binding_overrides)
-        for load in loads
-    ]
-    outcome = run_sweep(specs, RunnerConfig(
+    grid = SweepSpec((protocol,), scenario, loads, seeds=(seed,),
+                     num_flows=num_flows, pase_config=pase_config,
+                     horizon=horizon)
+    return results_by_load(_run_grid(grid, jobs, timeout, retries, cache_dir))
+
+
+def _run_grid(grid, jobs: int, timeout: Optional[float], retries: int,
+              cache_dir) -> list:
+    """The records of a :class:`~repro.runner.SweepSpec` run through
+    :func:`~repro.runner.run_sweep` (in grid order, cached only when
+    ``cache_dir`` is given); any failed point raises."""
+    from repro.runner import RunnerConfig, run_sweep
+
+    return run_sweep(grid.expand(), RunnerConfig(
         jobs=jobs, timeout=timeout, retries=retries,
         use_cache=cache_dir is not None, cache_dir=cache_dir,
         on_error="raise",
-    ))
-    return results_by_load(outcome.records)
+    )).records

@@ -3,7 +3,7 @@ protocol on one scenario — the switch queue discipline, any network-side
 machinery (PDQ's link schedulers, PASE's control plane), and the per-flow
 agent constructors.
 
-Registered names:
+Registered names (the keys of :data:`PROTOCOLS`):
 
 ``tcp, dctcp, d2tcp, l2dct, pdq, d3, pfabric, pase`` plus the paper's ablation
 variants ``pase-dctcp`` (no reference rate, Fig. 13a), ``pase-local``
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Any, Dict, Optional, Type
 
 from repro.core import PaseConfig, PaseControlPlane, PaseReceiver, PaseSender, pase_queue_factory
 from repro.sim.engine import Simulator
 from repro.sim.network import QueueFactory
 from repro.sim.queues import PFabricQueue, REDQueue
-from repro.sim.topology import Topology
+from repro.sim.topology import Topology, default_queue_factory
 from repro.transports import (
     D3Config,
     D3Sender,
@@ -49,17 +49,20 @@ from repro.harness.scenarios import Scenario
 
 
 class ProtocolBinding:
-    """Per-protocol wiring.  Subclasses fill in the four hooks."""
+    """Per-protocol wiring.  Subclasses fill in the four hooks (the default
+    sender is ``sender_cls`` over ``self.config``); only the PASE bindings
+    read ``pase_config``."""
 
-    name = "base"
+    sender_cls: type
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario,
+                 pase_config: Optional[PaseConfig] = None) -> None:
         self.scenario = scenario
 
     # -- hooks -----------------------------------------------------------
     def queue_factory(self) -> QueueFactory:
         """Queue discipline installed on every link in the topology."""
-        return lambda: REDQueue(capacity_pkts=225, mark_threshold_pkts=65)
+        return default_queue_factory
 
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
         """Install network-side machinery (schedulers, control plane)."""
@@ -68,150 +71,125 @@ class ProtocolBinding:
         return ReceiverAgent(sim, host, flow, on_complete)
 
     def make_sender(self, sim, host, flow: Flow, on_done=None):
-        raise NotImplementedError
-
-    # -- shared helpers ----------------------------------------------------
-    def bdp_pkts(self) -> float:
-        """Bandwidth-delay product of an access link, in MTU packets."""
-        link_bps = self._access_link_bps()
-        return link_bps * self.scenario.base_rtt / bytes_to_bits(1500)
-
-    def _access_link_bps(self) -> float:
-        return getattr(self.scenario, "_access_bps", 1e9)
-
-
-class _WindowedBinding(ProtocolBinding):
-    """Shared logic for the DCTCP family: same queues, per-protocol config."""
-
-    sender_cls = DctcpSender
-    config_cls = DctcpConfig
-    name = "dctcp"
-
-    def __init__(self, scenario: Scenario, **config_overrides) -> None:
-        super().__init__(scenario)
-        self.config = self.config_cls(
-            initial_rtt=scenario.base_rtt, **config_overrides)
-
-    def make_sender(self, sim, host, flow, on_done=None):
         return self.sender_cls(sim, host, flow, self.config, on_done)
 
 
-class TcpBinding(_WindowedBinding):
-    name = "tcp"
+def _unmarked_red() -> REDQueue:
+    """Table 3's 225-packet buffer without ECN marking (TCP, D3)."""
+    return REDQueue(capacity_pkts=225, mark_threshold_pkts=225)
+
+
+def _bdp_pkts(scenario: Scenario) -> float:
+    """Bandwidth-delay product of a 1 Gbps access link, in MTU packets."""
+    return 1e9 * scenario.base_rtt / bytes_to_bits(1500)
+
+
+def _two_bdp_capacity(scenario: Scenario) -> int:
+    """The shallow (~2 BDP, at least 12 packets) buffer of PDQ and pFabric."""
+    return max(12, int(2 * _bdp_pkts(scenario)))
+
+
+class DctcpBinding(ProtocolBinding):
+    """DCTCP, and the chassis of the window-based family below (each
+    subclass swaps in its own sender and config)."""
+
+    sender_cls = DctcpSender
+    config_cls = DctcpConfig
+
+    def __init__(self, scenario: Scenario,
+                 pase_config: Optional[PaseConfig] = None) -> None:
+        super().__init__(scenario)
+        self.config = self.config_cls(initial_rtt=scenario.base_rtt)
+
+
+class TcpBinding(DctcpBinding):
     sender_cls = TcpSender
     config_cls = TcpConfig
 
     def queue_factory(self) -> QueueFactory:
-        return lambda: REDQueue(capacity_pkts=225, mark_threshold_pkts=225)
+        return _unmarked_red
 
 
-class DctcpBinding(_WindowedBinding):
-    name = "dctcp"
-
-
-class D2tcpBinding(_WindowedBinding):
-    name = "d2tcp"
+class D2tcpBinding(DctcpBinding):
     sender_cls = D2tcpSender
     config_cls = D2tcpConfig
 
 
-class L2dctBinding(_WindowedBinding):
-    name = "l2dct"
+class L2dctBinding(DctcpBinding):
     sender_cls = L2dctSender
     config_cls = L2dctConfig
 
 
 class PdqBinding(ProtocolBinding):
-    name = "pdq"
+    sender_cls = PdqSender
+    config_cls = PdqConfig
+    install = staticmethod(install_pdq_schedulers)
 
-    def __init__(self, scenario: Scenario, **config_overrides) -> None:
+    def __init__(self, scenario: Scenario,
+                 pase_config: Optional[PaseConfig] = None) -> None:
         super().__init__(scenario)
-        overrides = dict(config_overrides)
-        overrides.setdefault("probe_interval", scenario.base_rtt)
-        overrides.setdefault("base_rtt", scenario.base_rtt)
-        overrides.setdefault("entry_timeout", 10 * scenario.base_rtt)
-        self.config = PdqConfig(initial_rtt=scenario.base_rtt, **overrides)
+        rtt = scenario.base_rtt
+        self.config = self.config_cls(
+            initial_rtt=rtt, probe_interval=rtt, base_rtt=rtt,
+            entry_timeout=10 * rtt)
 
     def queue_factory(self) -> QueueFactory:
-        # PDQ runs with shallow (~2 BDP) buffers: explicit rates keep queues
-        # near-empty, and the small buffer is what makes stale-rate overlaps
-        # during flow switching costly at high load (§2.1).
-        bdp = 1e9 * self.scenario.base_rtt / bytes_to_bits(1500)
-        capacity = max(12, int(2 * bdp))
+        # Explicit rates keep queues near-empty; the small buffer is what
+        # makes stale-rate overlaps during flow switching costly (§2.1).
+        capacity = _two_bdp_capacity(self.scenario)
         return lambda: REDQueue(capacity_pkts=capacity, mark_threshold_pkts=capacity)
 
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
-        install_pdq_schedulers(topology.network, self.config)
-
-    def make_sender(self, sim, host, flow, on_done=None):
-        return PdqSender(sim, host, flow, self.config, on_done)
+        self.install(topology.network, self.config)
 
 
-class D3Binding(ProtocolBinding):
-    name = "d3"
+class D3Binding(PdqBinding):
+    """PDQ's chassis with D3's first-come-first-served rate allocators."""
 
-    def __init__(self, scenario: Scenario, **config_overrides) -> None:
-        super().__init__(scenario)
-        overrides = dict(config_overrides)
-        overrides.setdefault("probe_interval", scenario.base_rtt)
-        overrides.setdefault("base_rtt", scenario.base_rtt)
-        overrides.setdefault("entry_timeout", 10 * scenario.base_rtt)
-        self.config = D3Config(initial_rtt=scenario.base_rtt, **overrides)
+    sender_cls = D3Sender
+    config_cls = D3Config
+    install = staticmethod(install_d3_allocators)
 
     def queue_factory(self) -> QueueFactory:
-        return lambda: REDQueue(capacity_pkts=225, mark_threshold_pkts=225)
-
-    def setup_network(self, sim: Simulator, topology: Topology) -> None:
-        install_d3_allocators(topology.network, self.config)
-
-    def make_sender(self, sim, host, flow, on_done=None):
-        return D3Sender(sim, host, flow, self.config, on_done)
+        return _unmarked_red
 
 
 class PfabricBinding(ProtocolBinding):
-    name = "pfabric"
+    sender_cls = PfabricSender
 
-    def __init__(self, scenario: Scenario, **config_overrides) -> None:
+    def __init__(self, scenario: Scenario,
+                 pase_config: Optional[PaseConfig] = None) -> None:
         super().__init__(scenario)
-        bdp = max(4.0, self.bdp_pkts())
-        overrides = dict(config_overrides)
-        overrides.setdefault("init_cwnd", math.ceil(bdp))
-        self.config = PfabricConfig(initial_rtt=scenario.base_rtt, **overrides)
-        self.queue_capacity = max(12, int(2 * bdp))
-
-    def bdp_pkts(self) -> float:
-        return 1e9 * self.scenario.base_rtt / bytes_to_bits(1500)
+        self.config = PfabricConfig(
+            initial_rtt=scenario.base_rtt,
+            init_cwnd=math.ceil(max(4.0, _bdp_pkts(scenario))))
 
     def queue_factory(self) -> QueueFactory:
-        capacity = self.queue_capacity
+        capacity = _two_bdp_capacity(self.scenario)
         return lambda: PFabricQueue(capacity_pkts=capacity)
-
-    def make_sender(self, sim, host, flow, on_done=None):
-        return PfabricSender(sim, host, flow, self.config, on_done)
 
 
 class PaseBinding(ProtocolBinding):
-    name = "pase"
     #: Fig. 13a ablation: queues via arbitration but DCTCP rate control.
     use_reference_rate = True
+    #: :class:`PaseConfig` fields an ablation pins over ``pase_config``.
+    ablation: Dict[str, Any] = {}
 
-    def __init__(self, scenario: Scenario, pase_config: Optional[PaseConfig] = None) -> None:
+    def __init__(self, scenario: Scenario,
+                 pase_config: Optional[PaseConfig] = None) -> None:
         super().__init__(scenario)
         cfg = pase_config or PaseConfig()
-        # A deadline scenario flips the *default* criterion to EDF, but an
-        # explicitly chosen criterion (las/task/size) is always respected.
-        default_criterion = PaseConfig.__dataclass_fields__["criterion"].default
-        if (cfg.criterion == default_criterion
-                and scenario.criterion != default_criterion):
-            cfg = replace(cfg, criterion=scenario.criterion)
+        changes = dict(self.ablation)
+        # criterion=None means "the scenario's": EDF on deadline scenarios.
+        if cfg.criterion is None:
+            changes["criterion"] = scenario.criterion
         # Track the scenario's RTT only when the interval was left at the
         # class default — an explicitly chosen interval (e.g. the ablation
         # benchmark) is respected as-is.
         default_interval = PaseConfig.__dataclass_fields__["arbitration_interval"].default
-        if (cfg.arbitration_interval == default_interval
-                and default_interval != scenario.base_rtt):
-            cfg = replace(cfg, arbitration_interval=scenario.base_rtt)
-        self.config = cfg
+        if cfg.arbitration_interval == default_interval:
+            changes["arbitration_interval"] = scenario.base_rtt
+        self.config = replace(cfg, **changes)
         self.control_plane: Optional[PaseControlPlane] = None
 
     def queue_factory(self) -> QueueFactory:
@@ -232,45 +210,54 @@ class PaseDctcpBinding(PaseBinding):
     """PASE-DCTCP (Fig. 13a): arbitrated queues, no reference-rate seeding —
     every flow runs DCTCP control laws regardless of its queue."""
 
-    name = "pase-dctcp"
     use_reference_rate = False
+
+
+class PaseLocalBinding(PaseBinding):
+    """Fig. 12a: only the access links are arbitrated."""
+
+    ablation = {"end_to_end_arbitration": False}
+
+
+class PaseNoOptBinding(PaseBinding):
+    """Fig. 11: no early pruning, no delegation."""
+
+    ablation = {"pruning_queues": 0, "delegation_enabled": False}
+
+
+class PaseNoProbeBinding(PaseBinding):
+    """§4.3.2: low-priority flows retransmit instead of probing."""
+
+    ablation = {"probing_enabled": False}
+
+
+#: The registered protocols, each built as ``cls(scenario, pase_config)``.
+PROTOCOLS: Dict[str, Type[ProtocolBinding]] = {
+    "tcp": TcpBinding,
+    "dctcp": DctcpBinding,
+    "d2tcp": D2tcpBinding,
+    "l2dct": L2dctBinding,
+    "pdq": PdqBinding,
+    "d3": D3Binding,
+    "pfabric": PfabricBinding,
+    "pase": PaseBinding,
+    "pase-dctcp": PaseDctcpBinding,
+    "pase-local": PaseLocalBinding,
+    "pase-noopt": PaseNoOptBinding,
+    "pase-noprobe": PaseNoProbeBinding,
+}
+
+PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
 def make_binding(
     protocol: str,
     scenario: Scenario,
     pase_config: Optional[PaseConfig] = None,
-    **overrides,
 ) -> ProtocolBinding:
-    """Build the binding for ``protocol`` (see module docstring for names)."""
-    simple: Dict[str, Callable[..., ProtocolBinding]] = {
-        "tcp": TcpBinding,
-        "dctcp": DctcpBinding,
-        "d2tcp": D2tcpBinding,
-        "l2dct": L2dctBinding,
-        "pdq": PdqBinding,
-        "d3": D3Binding,
-        "pfabric": PfabricBinding,
-    }
-    if protocol in simple:
-        return simple[protocol](scenario, **overrides)
-
-    base = pase_config or PaseConfig()
-    if protocol == "pase":
-        return PaseBinding(scenario, base)
-    if protocol == "pase-dctcp":
-        return PaseDctcpBinding(scenario, base)
-    if protocol == "pase-local":
-        return PaseBinding(scenario, replace(base, end_to_end_arbitration=False))
-    if protocol == "pase-noopt":
-        return PaseBinding(scenario, replace(
-            base, pruning_queues=0, delegation_enabled=False))
-    if protocol == "pase-noprobe":
-        return PaseBinding(scenario, replace(base, probing_enabled=False))
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-PROTOCOL_NAMES = (
-    "tcp", "dctcp", "d2tcp", "l2dct", "pdq", "d3", "pfabric",
-    "pase", "pase-dctcp", "pase-local", "pase-noopt", "pase-noprobe",
-)
+    """Build the binding for ``protocol`` (one of :data:`PROTOCOL_NAMES`)."""
+    try:
+        cls = PROTOCOLS[protocol]
+    except KeyError:
+        raise ValueError(f"unknown protocol {protocol!r}") from None
+    return cls(scenario, pase_config)

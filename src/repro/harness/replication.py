@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core import PaseConfig
-from repro.harness.experiment import ExperimentResult, ExperimentSpec
+from repro.harness.experiment import ExperimentResult, _run_grid
 from repro.harness.scenarios import Scenario, ScenarioSpec
 
 #: Extracts a scalar from a result, e.g. ``lambda r: r.afct``.
@@ -89,7 +89,6 @@ def replicate(
     retries: int = 0,
     cache_dir=None,
     horizon: Optional[float] = None,
-    **binding_overrides,
 ) -> Replication:
     """Run one experiment once per seed and aggregate ``metric``.
 
@@ -97,20 +96,13 @@ def replicate(
     fans them out over worker processes; seed order is preserved in the
     aggregate either way).  A failed replica raises
     :class:`repro.runner.SweepFailure`."""
-    from repro.runner import RunnerConfig, metric_values_by_seed, run_sweep
+    from repro.runner import SweepSpec, metric_values_by_seed
 
-    specs = [
-        ExperimentSpec(protocol, scenario, load, num_flows=num_flows,
-                       seed=seed, pase_config=pase_config, horizon=horizon,
-                       binding_overrides=binding_overrides)
-        for seed in seeds
-    ]
-    outcome = run_sweep(specs, RunnerConfig(
-        jobs=jobs, timeout=timeout, retries=retries,
-        use_cache=cache_dir is not None, cache_dir=cache_dir,
-        on_error="raise",
-    ))
-    return Replication(metric_values_by_seed(outcome.records, metric),
+    grid = SweepSpec((protocol,), scenario, (load,), seeds=tuple(seeds),
+                     num_flows=num_flows, pase_config=pase_config,
+                     horizon=horizon)
+    records = _run_grid(grid, jobs, timeout, retries, cache_dir)
+    return Replication(metric_values_by_seed(records, metric),
                        confidence=confidence)
 
 

@@ -198,8 +198,10 @@ def testbed(
 ) -> Scenario:
     """The simulated stand-in for the paper's Linux testbed (§4.4,
     Fig. 13b): one rack, nine clients sending U[100 KB, 500 KB] flows to a
-    single server, one long-lived background flow, 100-packet queues with
-    K = 20 (handled by the protocol binding's testbed queue settings)."""
+    single server, one long-lived background flow.  The testbed's
+    100-packet queues with K = 20 are not part of the scenario: the Fig. 13b
+    benchmark applies them (a ``PaseConfig`` for PASE, an explicit binding
+    for DCTCP)."""
     size_dist = UniformSizeDistribution(100 * KB, 500 * KB)
 
     def topology(sim: Simulator, queue_factory: QueueFactory) -> Topology:

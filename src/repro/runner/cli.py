@@ -38,8 +38,8 @@ from repro.core import PaseConfig
 from repro.harness.experiment import ExperimentResult
 from repro.harness.protocols import PROTOCOL_NAMES
 from repro.harness.report import format_series_table, series_from_results
-from repro.harness.scenarios import (SCENARIO_BUILDERS, Scenario,
-                                     ScenarioSpec, scenario_cli_kwargs)
+from repro.harness.scenarios import (SCENARIO_BUILDERS, ScenarioSpec,
+                                     scenario_cli_kwargs)
 from repro.metrics.slowdown import bucket_stats
 from repro.runner.api import RunnerConfig, run_sweep
 from repro.runner.cache import default_cache_dir
@@ -122,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_pase_config(args: argparse.Namespace,
-                      scenario: Scenario) -> Optional[PaseConfig]:
+def build_pase_config(args: argparse.Namespace) -> Optional[PaseConfig]:
     """The PASE config the ``--criterion``/``--early-termination``/
-    ``--num-queues`` flags ask for, or None when none is given."""
+    ``--num-queues`` flags ask for, or None when none is given.  Without
+    ``--criterion`` the run keeps the scenario's criterion."""
     overrides = {}
     if args.criterion:
         overrides["criterion"] = args.criterion
@@ -135,7 +135,6 @@ def build_pase_config(args: argparse.Namespace,
         overrides["num_queues"] = args.num_queues
     if not overrides:
         return None
-    overrides.setdefault("criterion", scenario.criterion)
     return PaseConfig(**overrides)
 
 
@@ -205,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         loads=args.loads,
         seeds=args.seeds,
         num_flows=args.flows,
-        pase_config=build_pase_config(args, scenario.build()),
+        pase_config=build_pase_config(args),
         horizon=args.horizon,
     ).expand()
     config = RunnerConfig(

@@ -12,8 +12,8 @@ same but is always recomputed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 from repro.core import PaseConfig
 from repro.harness.experiment import ExperimentSpec
@@ -32,7 +32,6 @@ class SweepSpec:
     num_flows: int = 200
     pase_config: Optional[PaseConfig] = None
     horizon: Optional[float] = None
-    binding_overrides: Dict[str, Any] = field(default_factory=dict)
 
     def expand(self) -> List[ExperimentSpec]:
         return [
@@ -40,7 +39,6 @@ class SweepSpec:
                 protocol, self.scenario, load, num_flows=self.num_flows,
                 seed=seed, pase_config=self.pase_config,
                 horizon=self.horizon,
-                binding_overrides=dict(self.binding_overrides),
             )
             for protocol, load, seed in itertools.product(
                 self.protocols, self.loads, self.seeds)

@@ -14,7 +14,7 @@ Agents register with their host through :meth:`Host.attach_sender` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.sim.packet import Packet, PacketKind, release_packet
 
@@ -75,18 +75,19 @@ class Host(Node):
 
     def __init__(self, sim: "Simulator", node_id: int, name: str) -> None:
         super().__init__(sim, node_id, name)
-        self._senders: Dict[int, "ReceiverLike"] = {}
-        self._receivers: Dict[int, "ReceiverLike"] = {}
+        #: Transport agents by flow id; each has ``on_packet(pkt)``.
+        self._senders: Dict[int, Any] = {}
+        self._receivers: Dict[int, Any] = {}
         #: Invoked for CONTROL packets addressed to this host.
         self.control_handler: Optional[Callable[[Packet], None]] = None
         self.packets_delivered = 0
         self.unroutable_packets = 0
 
     # -- agent registry -------------------------------------------------
-    def attach_sender(self, flow_id: int, agent: "ReceiverLike") -> None:
+    def attach_sender(self, flow_id: int, agent: Any) -> None:
         self._senders[flow_id] = agent
 
-    def attach_receiver(self, flow_id: int, agent: "ReceiverLike") -> None:
+    def attach_receiver(self, flow_id: int, agent: Any) -> None:
         self._receivers[flow_id] = agent
 
     def detach_flow(self, flow_id: int) -> None:
@@ -124,10 +125,3 @@ class Host(Node):
         # allocations, PDQ snapshots headers into its own entries), so the
         # shell can go back on the free-list.
         release_packet(pkt)
-
-
-class ReceiverLike:
-    """Duck-type for transport agents attachable to a host."""
-
-    def on_packet(self, pkt: Packet) -> None:  # pragma: no cover - interface
-        raise NotImplementedError

@@ -77,10 +77,6 @@ class QueueDiscipline:
             hook(pkt, reason)
         return False
 
-    def _record_accept(self, pkt: Packet) -> bool:
-        self.enqueued_total += 1
-        return True
-
 
 class DropTailQueue(QueueDiscipline):
     """FIFO with a capacity in packets; arrivals beyond capacity are dropped."""
@@ -176,16 +172,8 @@ class PriorityQueueBank(QueueDiscipline):
         self._len = 0
         self._bytes = 0
 
-    def _class_for(self, pkt: Packet) -> int:
-        idx = pkt.queue_index
-        if idx < 0:
-            return 0
-        if idx >= self.num_queues:
-            return self.num_queues - 1
-        return idx
-
     def enqueue(self, pkt: Packet) -> bool:
-        # Inlined _class_for: this is the per-packet path for every PASE run.
+        # Out-of-range classes clamp to the nearest queue.
         idx = pkt.queue_index
         if idx < 0:
             idx = 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.harness.protocols import make_binding
 from repro.harness.scenarios import ScenarioSpec, scenario_cli_kwargs
 from repro.runner.cli import build_parser, build_pase_config, main
 
@@ -75,22 +76,28 @@ class TestPaseOverrides:
 
     def test_no_overrides_returns_none(self):
         args = self._args("intra-rack")
-        assert build_pase_config(args, _scenario(args)) is None
+        assert build_pase_config(args) is None
 
     def test_criterion_override(self):
         args = self._args("intra-rack", "--criterion", "las")
-        cfg = build_pase_config(args, _scenario(args))
+        cfg = build_pase_config(args)
         assert cfg.criterion == "las"
 
     def test_early_termination_flag(self):
         args = self._args("intra-rack-deadlines", "--early-termination")
-        cfg = build_pase_config(args, _scenario(args))
+        cfg = build_pase_config(args)
         assert cfg.early_termination
-        assert cfg.criterion == "deadline"  # inherited from the scenario
+        binding = make_binding("pase", _scenario(args), cfg)
+        assert binding.config.criterion == "deadline"  # the scenario's
+
+    def test_explicit_size_criterion_survives_deadline_scenario(self):
+        args = self._args("intra-rack-deadlines", "--criterion", "size")
+        binding = make_binding("pase", _scenario(args), build_pase_config(args))
+        assert binding.config.criterion == "size"
 
     def test_num_queues_override(self):
         args = self._args("intra-rack", "--num-queues", "4")
-        cfg = build_pase_config(args, _scenario(args))
+        cfg = build_pase_config(args)
         assert cfg.num_queues == 4
 
 

@@ -22,7 +22,6 @@ class TestSpecConstruction:
         assert spec.pase_config is None
         assert spec.horizon is None
         assert spec.binding is None
-        assert spec.binding_overrides == {}
 
     def test_spec_is_frozen(self):
         spec = ExperimentSpec("dctcp", SCN, 0.4)

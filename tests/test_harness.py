@@ -49,6 +49,11 @@ class TestBindings:
         binding = make_binding("pase", scn)
         assert binding.config.criterion == "deadline"
 
+    def test_explicit_size_criterion_overrides_deadline_scenario(self):
+        scn = intra_rack(num_hosts=4, with_deadlines=True)
+        binding = make_binding("pase", scn, PaseConfig(criterion="size"))
+        assert binding.config.criterion == "size"
+
 
 class TestRunExperiment:
     @pytest.mark.parametrize("protocol", ["dctcp", "d2tcp", "l2dct", "pdq",

@@ -93,7 +93,8 @@ class TestSpec:
     def test_built_scenarios_are_uncacheable(self):
         built = tiny_spec().replace(scenario=intra_rack(num_hosts=5))
         bound = tiny_spec(binding=make_binding("dctcp", TINY.build()))
-        opaque = tiny_spec(binding_overrides={"queue": object()})
+        opaque = tiny_spec().replace(
+            scenario=ScenarioSpec("intra-rack", {"sizes": object()}))
         for spec in (built, bound, opaque):
             assert spec.key_dict() is None
             assert spec.content_hash() is None
