@@ -9,8 +9,8 @@ Two workload shapes, each through both scheduling APIs:
   congested-fabric runs.
 
 ``schedule()`` returns a cancellable handle (one handle + one entry
-allocation per event); ``post()`` is the fire-and-forget fast path that
-recycles heap entries through the simulator's free list.
+allocation per event); ``post()`` is the fire-and-forget call that
+allocates only the entry.
 """
 
 from __future__ import annotations

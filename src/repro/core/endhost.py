@@ -29,7 +29,7 @@ from repro.core.arbitration import ArbitrationResult
 from repro.core.config import PaseConfig
 from repro.core.control_plane import PaseControlPlane
 from repro.sim.engine import Event
-from repro.sim.packet import HEADER_SIZE, Packet, PacketKind, alloc_packet
+from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.sim.trace import CAT_FALLBACK, CAT_QUEUE_CHANGE
 from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
 from repro.transports.dctcp import DctcpAlphaEstimator
@@ -397,7 +397,7 @@ class PaseSender(SenderAgent):
         self._rearm_rto()
 
     def _send_probe(self) -> None:
-        probe = alloc_packet(
+        probe = Packet(
             PacketKind.PROBE, self.host.node_id, self.flow.dst,
             self.flow.flow_id, seq=min(self.cum_ack, self.total_pkts - 1),
             size=HEADER_SIZE, queue_index=self.queue_index,

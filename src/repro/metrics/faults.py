@@ -77,10 +77,6 @@ class FaultCounters:
         return counters
 
     @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    @property
     def mean_recovery_latency(self) -> Optional[float]:
         if not self.recovery_latencies:
             return None

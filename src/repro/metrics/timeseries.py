@@ -1,5 +1,5 @@
-"""Windowed time-series collection: queue depths, link utilization, and
-active-flow counts sampled on a fixed period.
+"""Windowed time-series collection: queue depths, link busy state and any
+other gauge, sampled on a fixed period.
 
 The figure benchmarks only need end-of-run aggregates, but diagnosing *why*
 a protocol behaves as it does (is the bottleneck idle during flow
@@ -11,7 +11,7 @@ set of user-provided gauges every ``period`` seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -76,11 +76,6 @@ class TimeSeriesProbe:
         return self.add_gauge(name or f"qdepth:{link.name}",
                               lambda: float(len(link.queue)))
 
-    def watch_utilization(self, link: Link, name: Optional[str] = None) -> Series:
-        """Sample a link's cumulative busy fraction (monotone in time)."""
-        return self.add_gauge(name or f"util:{link.name}",
-                              lambda: link.utilization())
-
     def watch_busy(self, link: Link, name: Optional[str] = None) -> Series:
         """Sample whether the link is transmitting right now (0/1)."""
         return self.add_gauge(name or f"busy:{link.name}",
@@ -103,18 +98,3 @@ class TimeSeriesProbe:
         for name, gauge in self._gauges.items():
             self.series[name].append(now, gauge())
         self.sim.schedule(self.period, self._tick)
-
-    def window_utilization(self, link_series: Series) -> List[Tuple[float, float]]:
-        """Differentiate a cumulative-utilization series into per-window
-        utilization values: ``[(t, rho_window), ...]``."""
-        out: List[Tuple[float, float]] = []
-        times, vals = link_series.times, link_series.values
-        for i in range(1, len(times)):
-            dt = times[i] - times[i - 1]
-            if dt <= 0:
-                continue
-            # utilization() is busy_time/now; recover the window's share.
-            busy_i = vals[i] * times[i]
-            busy_prev = vals[i - 1] * times[i - 1]
-            out.append((times[i], max(0.0, min(1.0, (busy_i - busy_prev) / dt))))
-        return out

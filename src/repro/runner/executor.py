@@ -50,12 +50,12 @@ def _worker_main(conn, work_fn: WorkFn, spec: ExperimentSpec) -> None:
     """Worker entry: run one point, report exactly one message, exit."""
     try:
         result = work_fn(spec)
-        payload = ("ok", result, _peak_rss_kb())
+        message = ("ok", result, _peak_rss_kb())
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         tail = traceback.format_exc(limit=20)
-        payload = ("error", f"{exc!r}\n{tail}", _peak_rss_kb())
+        message = ("error", f"{exc!r}\n{tail}", _peak_rss_kb())
     try:
-        conn.send(payload)
+        conn.send(message)
     except Exception as exc:  # e.g. the result itself fails to pickle
         conn.send(("error", f"result not transferable: {exc!r}",
                    _peak_rss_kb()))
@@ -260,7 +260,7 @@ class ProcessPoolRunner:
                 now = time.perf_counter()
                 if slot.conn.poll():
                     try:
-                        kind, payload, rss = slot.conn.recv()
+                        kind, body, rss = slot.conn.recv()
                     except (EOFError, OSError):
                         # EOF with no message: the worker died before it
                         # could report (segfault, os._exit, OOM kill).
@@ -274,9 +274,9 @@ class ProcessPoolRunner:
                     self._reap(slot)
                     progressed = True
                     if kind == "ok":
-                        settle(slot, STATUS_OK, None, result=payload, rss=rss)
+                        settle(slot, STATUS_OK, None, result=body, rss=rss)
                     else:
-                        settle(slot, STATUS_FAILED, str(payload), rss=rss)
+                        settle(slot, STATUS_FAILED, str(body), rss=rss)
                 elif slot.deadline is not None and now > slot.deadline:
                     active.remove(slot)
                     self._reap(slot, kill=True)

@@ -1,10 +1,11 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event loop.  Heap entries are plain lists
-``[time, seq, fn, args, poolable]`` so ``heapq`` orders them with C-level
+``[time, seq, fn, args]`` so ``heapq`` orders them with C-level
 ``(time, seq)`` tuple comparisons — no Python ``__lt__`` call per sift step.
 The sequence number breaks ties deterministically so runs with the same
-seed replay identically, which the test suite relies on.
+seed replay identically, which the test suite relies on.  Every call
+pushes a fresh entry; the loop never reuses one.
 
 Two scheduling APIs share one sequence counter (so mixing them never
 perturbs tie-break order):
@@ -13,14 +14,11 @@ perturbs tie-break order):
   :class:`Event` handle the caller can cancel later (retransmission
   timers, arbitration ticks).  Cancellation is lazy: cancelling nulls the
   entry's callback and the loop skips it when popped, keeping heap
-  operations O(log n) with no re-heapify.
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` return nothing and
-  recycle their heap entries through a free list once fired.  This is the
-  hot path for the torrent of fire-and-forget events (link serialization
-  wake-ups, packet deliveries) where allocating a fresh handle plus entry
-  per packet dominates the event loop's cost.  Entries that handed out an
-  Event handle are never pooled — a stale ``cancel()`` after the event
-  fired must stay a no-op, not kill an unrelated recycled event.
+  operations O(log n) with no re-heapify.  A ``cancel()`` after the event
+  fired only touches that spent entry, so it is a no-op.
+* :meth:`Simulator.post` / :meth:`Simulator.post_at` return nothing.  Use
+  them for the torrent of fire-and-forget events (link serialization
+  wake-ups, packet deliveries), where a handle per event is wasted work.
 
 A component that may or may not need a callback at a known future time
 can claim its tie-break slot now and decide later:
@@ -96,7 +94,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[list] = []
-        self._free: List[list] = []
         self._seq: int = 0
         #: Sequence number of the callback firing now (or fired last).
         #: Together with :attr:`now` it is the loop's position: a slot from
@@ -124,7 +121,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
         self._seq = seq = self._seq + 1
-        entry = [self.now + delay, seq, fn, args, False]
+        entry = [self.now + delay, seq, fn, args]
         _heappush(self._heap, entry)
         # Event.__new__ + direct slot store skips the __init__ dispatch;
         # this path allocates one handle per call so every cycle counts.
@@ -139,32 +136,23 @@ class Simulator:
                 f"cannot schedule at t={time!r}, current time is {self.now!r}"
             )
         self._seq = seq = self._seq + 1
-        entry = [time, seq, fn, args, False]
+        entry = [time, seq, fn, args]
         _heappush(self._heap, entry)
         event = _new_event(Event)
         event._entry = entry
         return event
 
     # ------------------------------------------------------------------
-    # Posting (fire-and-forget fast path, pooled entries)
+    # Posting (fire-and-forget, no handle)
     # ------------------------------------------------------------------
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Like :meth:`schedule`, but returns no handle and recycles the
-        heap entry after the callback fires.  Use for high-rate events that
-        are never cancelled (packet deliveries, serialization wake-ups)."""
+        """Like :meth:`schedule`, but returns no handle.  Use for high-rate
+        events that are never cancelled (packet deliveries, serialization
+        wake-ups)."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
         self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = self.now + delay
-            entry[1] = seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [self.now + delay, seq, fn, args, True]
-        _heappush(self._heap, entry)
+        _heappush(self._heap, [self.now + delay, seq, fn, args])
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Absolute-time :meth:`post`."""
@@ -173,16 +161,7 @@ class Simulator:
                 f"cannot schedule at t={time!r}, current time is {self.now!r}"
             )
         self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = time
-            entry[1] = seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [time, seq, fn, args, True]
-        _heappush(self._heap, entry)
+        _heappush(self._heap, [time, seq, fn, args])
 
     # ------------------------------------------------------------------
     # Reserved slots (decide now, post later)
@@ -226,12 +205,11 @@ class Simulator:
         return False
 
     def discard_pending(self) -> None:
-        """Drop every pending callback and the pooled entries.  Call it when
-        a run is over: callbacks still queued past the horizon (background
-        flows, timers) otherwise keep their packets and agents alive for as
-        long as the simulator is referenced."""
+        """Drop every pending callback.  Call it when a run is over:
+        callbacks still queued past the horizon (background flows, timers)
+        otherwise keep their packets and agents alive for as long as the
+        simulator is referenced."""
         self._heap.clear()
-        self._free.clear()
 
     # ------------------------------------------------------------------
     # Execution
@@ -244,7 +222,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        free = self._free
         heappop = _heappop
         # Sentinel bounds keep the hot loop to two C-level compares instead
         # of ``is not None`` tests on every iteration.
@@ -268,10 +245,6 @@ class Simulator:
                 self.now = entry[0]
                 self.fired_seq = entry[1]
                 fn(*entry[3])
-                if entry[4]:
-                    entry[2] = None
-                    entry[3] = ()
-                    free.append(entry)
                 processed += 1
                 if processed == budget:
                     break

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.sim.packet import Packet, PacketKind, release_packet
+from repro.sim.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -118,10 +118,5 @@ class Host(Node):
         if agent is None:
             # Stale packet for an already-detached flow; count and drop.
             self.unroutable_packets += 1
-            release_packet(pkt)
             return
         agent.on_packet(pkt)
-        # The journey ends here: agents copy what they need (ACKs are fresh
-        # allocations, PDQ snapshots headers into its own entries), so the
-        # shell can go back on the free-list.
-        release_packet(pkt)

@@ -68,7 +68,6 @@ class Packet:
         "pdq_pause",
         "pdq_rank",
         "remaining_bytes",
-        "payload",
     )
 
     def __init__(
@@ -83,22 +82,6 @@ class Packet:
         queue_index: int = 0,
     ) -> None:
         self.packet_id: int = next(_packet_ids)
-        self._reset(kind, src, dst, flow_id, seq, size, priority, queue_index)
-
-    def _reset(
-        self,
-        kind: PacketKind,
-        src: int,
-        dst: int,
-        flow_id: int,
-        seq: int,
-        size: int,
-        priority: float,
-        queue_index: int,
-    ) -> None:
-        """(Re)initialize every header field except ``packet_id``.  Shared by
-        ``__init__`` and the free-list so a recycled packet is
-        indistinguishable from a fresh one."""
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -131,11 +114,9 @@ class Packet:
         self.pdq_rank: int = 0
         #: pFabric/PDQ header: bytes remaining in the flow (scheduling key).
         self.remaining_bytes: int = 0
-        #: Escape hatch for protocol extensions; ``None`` in the fast path.
-        self.payload: Optional[dict] = None
 
     def is_header_only(self) -> bool:
-        """True for packets that carry no application payload."""
+        """True for ACKs, probes and control messages: headers only."""
         return self.kind != PacketKind.DATA
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -144,49 +125,6 @@ class Packet:
             f"seq={self.seq} {self.src}->{self.dst} q={self.queue_index} "
             f"prio={self.priority:.0f})"
         )
-
-
-#: Recycled :class:`Packet` shells (the free-list).  Bounded so a transient
-#: burst cannot pin memory forever; beyond the cap, releases fall through to
-#: the garbage collector like any other object.
-_pool: list = []
-_POOL_CAP = 8192
-
-
-def alloc_packet(
-    kind: PacketKind,
-    src: int,
-    dst: int,
-    flow_id: int,
-    seq: int = 0,
-    size: int = DEFAULT_MTU,
-    priority: float = 0.0,
-    queue_index: int = 0,
-) -> Packet:
-    """Allocate a packet, recycling a shell from the free-list when one is
-    available.  Recycled packets still draw a fresh ``packet_id`` from the
-    global counter, so id sequences are identical with or without pooling —
-    byte-identical results are part of the contract."""
-    if _pool:
-        pkt = _pool.pop()
-        pkt.packet_id = next(_packet_ids)
-        pkt._reset(kind, src, dst, flow_id, seq, size, priority, queue_index)
-        return pkt
-    return Packet(kind, src, dst, flow_id, seq=seq, size=size,
-                  priority=priority, queue_index=queue_index)
-
-
-def release_packet(pkt: Packet) -> None:
-    """Return a packet to the free-list.
-
-    Only call this at a point where the packet provably has no remaining
-    references — in this simulator that is :meth:`Host.receive`, the single
-    terminal dispatch where every delivered packet's journey ends.  Dropped
-    packets are *not* released (drop sites are cold paths) and neither are
-    CONTROL packets (a handler may legitimately retain them)."""
-    if len(_pool) < _POOL_CAP:
-        pkt.payload = None
-        _pool.append(pkt)
 
 
 def make_data_packet(
@@ -198,8 +136,8 @@ def make_data_packet(
     priority: float = 0.0,
     queue_index: int = 0,
 ) -> Packet:
-    """Convenience constructor for a payload-carrying packet."""
-    return alloc_packet(
+    """Convenience constructor for a data packet."""
+    return Packet(
         PacketKind.DATA, src, dst, flow_id, seq=seq, size=size,
         priority=priority, queue_index=queue_index,
     )
@@ -211,7 +149,7 @@ def make_ack_packet(data_pkt: Packet, ack_seq: int, queue_index: int = 0) -> Pac
     ACKs travel in the same priority queue as their data (so a low-priority
     flow's ACKs cannot starve high-priority data) unless overridden.
     """
-    ack = alloc_packet(
+    ack = Packet(
         PacketKind.ACK,
         src=data_pkt.dst,
         dst=data_pkt.src,

@@ -88,10 +88,6 @@ class ReceiverAgent:
     def cum_ack(self) -> int:
         return self._cum_ack
 
-    @property
-    def num_received(self) -> int:
-        return self._num_received
-
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind == PacketKind.PROBE:
             self._ack_probe(pkt)

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.sim.engine import Event
 from repro.sim.link import Link
-from repro.sim.packet import HEADER_SIZE, Packet, PacketKind, alloc_packet
+from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
 from repro.utils.units import MSEC, USEC, bytes_to_bits
 from repro.utils.validation import check_positive
@@ -223,7 +223,7 @@ class PdqSender(SenderAgent):
     def _send_probe(self) -> None:
         if self.finished:
             return
-        probe = alloc_packet(
+        probe = Packet(
             PacketKind.PROBE, self.host.node_id, self.flow.dst,
             self.flow.flow_id, seq=max(0, self.cum_ack), size=HEADER_SIZE,
         )
@@ -303,7 +303,7 @@ class PdqSender(SenderAgent):
             self._probe_event = None
         # FIN probe: remaining == 0 clears our entry from every scheduler on
         # the path so the next flow is unpaused at once.
-        fin = alloc_packet(
+        fin = Packet(
             PacketKind.PROBE, self.host.node_id, self.flow.dst,
             self.flow.flow_id, seq=self.total_pkts - 1, size=HEADER_SIZE,
         )

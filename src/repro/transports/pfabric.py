@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.packet import HEADER_SIZE, Packet, PacketKind, alloc_packet
+from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.sim.queues import PFabricQueue
 from repro.transports.base import SenderAgent, TransportConfig
 from repro.utils.units import MSEC
@@ -107,11 +107,11 @@ class PfabricSender(SenderAgent):
             super().handle_timeout()
             return
         # Probe mode (pFabric §4.3): a chronically starved flow stops
-        # retransmitting payloads and sends one header-only probe per RTO;
+        # retransmitting data and sends one header-only probe per RTO;
         # the first probe reply (or any ACK) drops it back to normal
         # operation.  on_timeout_window_update already ran via _on_rto.
         self.on_timeout_window_update()
-        probe = alloc_packet(
+        probe = Packet(
             PacketKind.PROBE, self.host.node_id, self.flow.dst,
             self.flow.flow_id, seq=min(self.cum_ack, self.total_pkts - 1),
             size=HEADER_SIZE,

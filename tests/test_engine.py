@@ -171,7 +171,7 @@ def test_determinism_same_schedule_same_order():
 
 
 # ---------------------------------------------------------------------------
-# post() / post_at(): the pooled fire-and-forget fast path
+# post() / post_at(): fire-and-forget, no handle
 # ---------------------------------------------------------------------------
 
 def test_post_fires_like_schedule():
@@ -213,26 +213,6 @@ def test_post_and_schedule_share_tiebreak_order():
     sim.post(0.5, fired.append, "p2")
     sim.run()
     assert fired == ["s1", "p1", "s2", "p2"]
-
-
-def test_post_entries_are_recycled():
-    """Fired post() entries return to the free list and are reused, so a
-    long chain keeps the heap at depth 1 with no entry churn."""
-    sim = Simulator()
-    count = [0]
-
-    def tick():
-        count[0] += 1
-        if count[0] < 100:
-            sim.post(0.01, tick)
-
-    sim.post(0.0, tick)
-    sim.run()
-    assert count[0] == 100
-    # Two entries ping-pong through the free list (the in-flight entry is
-    # only recycled after its callback returns), regardless of chain length.
-    assert len(sim._free) == 2
-    assert sim.pending_events == 0
 
 
 def test_stale_cancel_after_fire_cannot_kill_recycled_entry():

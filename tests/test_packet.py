@@ -1,5 +1,6 @@
 """Unit tests for the packet model."""
 
+from repro.harness import ExperimentSpec, intra_rack, run_experiment
 from repro.sim.packet import (
     DEFAULT_MTU,
     HEADER_SIZE,
@@ -8,6 +9,7 @@ from repro.sim.packet import (
     make_ack_packet,
     make_data_packet,
 )
+from repro.transports.base import SenderAgent
 
 
 def test_unique_packet_ids():
@@ -76,3 +78,29 @@ def test_header_only_classification():
     assert ack.is_header_only()
     probe = Packet(PacketKind.PROBE, 0, 1, 2)
     assert probe.is_header_only()
+
+
+def _ack_fields(ack):
+    return (ack.kind, ack.flow_id, ack.seq, ack.ack_seq, ack.ack_sacks)
+
+
+def test_delivered_packets_are_never_rewritten(monkeypatch):
+    """A packet handed to an agent stays the agent's: the simulator never
+    reuses it for a later packet, so an ACK kept past its delivery still
+    reads as it did on arrival when the run is over."""
+    kept = []
+    on_packet = SenderAgent.on_packet
+
+    def keep(self, ack):
+        kept.append((ack, _ack_fields(ack)))
+        on_packet(self, ack)
+
+    monkeypatch.setattr(SenderAgent, "on_packet", keep)
+    result = run_experiment(ExperimentSpec(
+        "dctcp", intra_rack(num_hosts=4), load=0.5, num_flows=10, seed=1))
+    assert result.stats.completion_fraction == 1.0
+    assert kept
+    changed = [(before, _ack_fields(ack)) for ack, before in kept
+               if _ack_fields(ack) != before]
+    assert not changed, (f"{len(changed)} of {len(kept)} kept ACKs "
+                         f"rewritten, first: {changed[0]}")
