@@ -11,7 +11,7 @@ Three layers, each isolating one slice of the stack:
   (packets/second through a loaded switch, no transports).
 
 ``python -m benchmarks.perf`` runs all three and writes ``BENCH_sim.json``
-at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v3).
+at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v4).
 The end-to-end figure sweep is timed by ``sweepbench/``.
 """
 

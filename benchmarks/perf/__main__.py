@@ -49,7 +49,7 @@ def build_report(scale: str) -> dict:
         for key, base in BASELINE_ARBITRATIONS_PER_SEC.items()
     }
     return {
-        "schema": "bench_sim/v3",
+        "schema": "bench_sim/v4",
         "suite": "benchmarks/perf",
         "scale": scale,
         "python": platform.python_version(),
@@ -109,10 +109,8 @@ def main(argv=None) -> int:
     engine = report["results"]["engine"]
     print(f"engine  spin(post):      {engine['spin_post_events_per_sec']:>12,.0f} events/sec "
           f"({report['speedup_vs_baseline']['spin']:.2f}x baseline)")
-    print(f"engine  spin(schedule):  {engine['spin_schedule_events_per_sec']:>12,.0f} events/sec")
     print(f"engine  churn(post):     {engine['churn_post_events_per_sec']:>12,.0f} events/sec "
           f"({report['speedup_vs_baseline']['churn']:.2f}x baseline)")
-    print(f"engine  churn(schedule): {engine['churn_schedule_events_per_sec']:>12,.0f} events/sec")
     arb = report["results"]["arbitration"]
     arb_speed = report["arbitration_speedup_vs_baseline"]
     for n in (100, 1_000, 10_000):

@@ -1,16 +1,12 @@
 """Bare event-loop throughput: events/second with no network machinery.
 
-Two workload shapes, each through both scheduling APIs:
+Two workload shapes, both through :meth:`~repro.sim.engine.Simulator.post`:
 
 * ``spin`` — one event in flight at a time (heap depth 1): measures
   per-event fixed cost with no sift work.
 * ``churn`` — a steady-state heap of ~2000 pending timers with randomized
   deadlines: adds the ``O(log n)`` heap maintenance that dominates
   congested-fabric runs.
-
-``schedule()`` returns a cancellable handle (one handle + one entry
-allocation per event); ``post()`` is the fire-and-forget call that
-allocates only the entry.
 """
 
 from __future__ import annotations
@@ -23,10 +19,10 @@ from repro.sim.engine import Simulator
 from benchmarks.perf import best_of
 
 
-def spin_events_per_sec(count: int = 200_000, api: str = "post") -> float:
+def spin_events_per_sec(count: int = 200_000) -> float:
     """A single self-rescheduling tick chain, ``count`` events long."""
     sim = Simulator()
-    emit = getattr(sim, api)
+    emit = sim.post
 
     def tick(n: int) -> None:
         if n > 0:
@@ -38,8 +34,7 @@ def spin_events_per_sec(count: int = 200_000, api: str = "post") -> float:
     return processed / (time.perf_counter() - t0)
 
 
-def churn_events_per_sec(count: int = 50_000, width: int = 2_000,
-                         api: str = "post") -> float:
+def churn_events_per_sec(count: int = 50_000, width: int = 2_000) -> float:
     """``width`` self-rescheduling callbacks with seeded-random deadlines
     (steady heap depth = ``width``), capped at ``count`` fired events.
     This is byte-for-byte the workload the pre-optimization baseline in
@@ -47,7 +42,7 @@ def churn_events_per_sec(count: int = 50_000, width: int = 2_000,
     import random
 
     sim = Simulator()
-    emit = getattr(sim, api)
+    emit = sim.post
     rng = random.Random(7)
 
     def cb() -> None:
@@ -66,11 +61,7 @@ def run(scale: str = "full", repeats: int = 3) -> Dict[str, float]:
     n_churn = 50_000 if scale == "full" else 15_000
     return {
         "spin_post_events_per_sec": best_of(
-            lambda: spin_events_per_sec(n_spin, api="post"), repeats),
-        "spin_schedule_events_per_sec": best_of(
-            lambda: spin_events_per_sec(n_spin, api="schedule"), repeats),
+            lambda: spin_events_per_sec(n_spin), repeats),
         "churn_post_events_per_sec": best_of(
-            lambda: churn_events_per_sec(n_churn, api="post"), repeats),
-        "churn_schedule_events_per_sec": best_of(
-            lambda: churn_events_per_sec(n_churn, api="schedule"), repeats),
+            lambda: churn_events_per_sec(n_churn), repeats),
     }

@@ -41,7 +41,7 @@ from repro.core.arbitration import (
     VirtualLinkArbitrator,
 )
 from repro.core.config import PaseConfig
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.topology import Topology, TreeTopology
 from repro.transports.flow import Flow
@@ -92,10 +92,6 @@ class PaseControlPlane:
         self.sim = sim
         self.topology = topology
         self.config = config or PaseConfig()
-        if isinstance(topology, TreeTopology) and topology.config.multipath:
-            raise ValueError(
-                "the PASE control plane requires deterministic single-path "
-                "routing; build the tree with multipath=False")
         self.arbitrators: Dict[str, LinkArbitrator] = {}
         #: (parent link name, child ToR node id) -> virtual arbitrator.
         self.virtual: Dict[Tuple[str, int], VirtualLinkArbitrator] = {}
@@ -139,9 +135,11 @@ class PaseControlPlane:
 
         self._build_arbitrators()
         if self.config.delegation_enabled and self._delegation_groups:
-            self.sim.schedule(self.config.delegation_update_interval, self._rebalance_delegation)
-        self._expire_event: Optional["Event"] = self.sim.schedule(
-            self.config.entry_timeout, self._expire_sweep)
+            self.sim.post(self.config.delegation_update_interval, self._rebalance_delegation)
+        #: True while an expiry sweep is pending; the sweep parks itself
+        #: (clears this) when every table is empty.
+        self._expire_armed = True
+        self.sim.post(self.config.entry_timeout, self._expire_sweep)
 
     # ------------------------------------------------------------------
     # Construction
@@ -296,16 +294,16 @@ class PaseControlPlane:
         local = chains.src_hops[0].arbitrator.arbitrate(
             flow.flow_id, criterion_value, demand, self.sim.now)
         self.processed_by_level[LEVEL_HOST] += 1
-        if self._expire_event is None:
+        if not self._expire_armed:
             # The expiry sweep parked itself when every table emptied;
             # fresh soft state re-arms it.
-            self._expire_event = self.sim.schedule(
-                self.config.entry_timeout, self._expire_sweep)
+            self._expire_armed = True
+            self.sim.post(self.config.entry_timeout, self._expire_sweep)
         self._walk(flow, chains.src_hops, 1, local, state, "src",
                    return_extra=0.0)
         dst_start = chains.transfer_latency
-        self.sim.schedule(dst_start, self._walk, flow, chains.dst_hops, 0,
-                          None, state, "dst", chains.transfer_latency)
+        self.sim.post(dst_start, self._walk, flow, chains.dst_hops, 0,
+                      None, state, "dst", chains.transfer_latency)
         return local
 
     def _walk(
@@ -340,8 +338,8 @@ class PaseControlPlane:
                     return  # request message eaten by the control channel
                 if self.control_extra_delay > 0.0:
                     step += self.control_extra_delay
-                self.sim.schedule(step, self._consult_and_continue, flow,
-                                  hops, index, acc, state, half, return_extra)
+                self.sim.post(step, self._consult_and_continue, flow,
+                              hops, index, acc, state, half, return_extra)
                 return
             acc = self._consult(flow, hop, acc, state)
             prev_latency = hop.latency
@@ -375,7 +373,7 @@ class PaseControlPlane:
         if used_messages and self.control_extra_delay > 0.0:
             delay += self.control_extra_delay
         if delay > 1e-12:
-            self.sim.schedule(delay, state.fire, half, acc)
+            self.sim.post(delay, state.fire, half, acc)
         else:
             state.fire(half, acc)
 
@@ -461,11 +459,11 @@ class PaseControlPlane:
                     # every decision until the next mutation is memoized.
                     arb.decide_all()
         if occupied:
-            self._expire_event = self.sim.schedule(timeout, self._expire_sweep)
+            self.sim.post(timeout, self._expire_sweep)
         else:
             # Every table is empty: park the sweep so an idle simulation can
             # drain.  request() re-arms it when fresh soft state appears.
-            self._expire_event = None
+            self._expire_armed = False
 
     def _consume_expired(self, arb: LinkArbitrator, stale: List[int]) -> None:
         """Account for entries :meth:`LinkArbitrator.expire` dropped and let
@@ -483,7 +481,7 @@ class PaseControlPlane:
         if self.cp_down:
             # A crashed control plane neither reports demand nor reassigns
             # shares; the last shares stay frozen until recovery.
-            self.sim.schedule(cfg.delegation_update_interval, self._rebalance_delegation)
+            self.sim.post(cfg.delegation_update_interval, self._rebalance_delegation)
             return
         for parent_link, group in self._delegation_groups:
             demands = [max(v.aggregate_demand(top_queues=1), 0.0) for v in group]
@@ -504,7 +502,7 @@ class PaseControlPlane:
             # One report up + one share notification down per child.
             self.messages_sent += 2 * len(group)
             self.messages_by_level[LEVEL_AGG] += 2 * len(group)
-        self.sim.schedule(cfg.delegation_update_interval, self._rebalance_delegation)
+        self.sim.post(cfg.delegation_update_interval, self._rebalance_delegation)
 
 
 class _RequestState:

@@ -28,7 +28,7 @@ from typing import Optional
 from repro.core.arbitration import ArbitrationResult
 from repro.core.config import PaseConfig
 from repro.core.control_plane import PaseControlPlane
-from repro.sim.engine import Event
+from repro.sim.engine import Handle
 from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.sim.trace import CAT_FALLBACK, CAT_QUEUE_CHANGE
 from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
@@ -74,7 +74,9 @@ class PaseSender(SenderAgent):
         self._is_intermediate = False
         self._pending_queue: Optional[int] = None
         self._last_reduction_seq = -1
-        self._arb_event: Optional[Event] = None
+        #: Seq of the outstanding loss-recovery probe, if any.
+        self._probe_seq: Optional[int] = None
+        self._arb_event: Optional[Handle] = None
         #: Latest known result per path half ("src"/"dst"); the flow obeys
         #: the merge of the two (lowest queue, smallest reference rate).
         self._half_results: dict = {}
@@ -126,7 +128,7 @@ class PaseSender(SenderAgent):
         if not cp.fallible:
             cp.request(self.flow, self._criterion_value(), self._demand(),
                        self._on_arbitration)
-            self._arb_event = self.sim.schedule(
+            self._arb_event = self.sim.post(
                 self.pase.arbitration_interval, self._arbitrate)
             return
         # Fallible path.  A request that never answered by this tick has
@@ -149,7 +151,7 @@ class PaseSender(SenderAgent):
         if self._arb_failures:
             interval *= min(2.0 ** self._arb_failures,
                             self.pase.arbitration_backoff_cap)
-        self._arb_event = self.sim.schedule(interval, self._arbitrate)
+        self._arb_event = self.sim.post(interval, self._arbitrate)
 
     def _criterion_value(self) -> float:
         criterion = self.pase.criterion
@@ -202,7 +204,7 @@ class PaseSender(SenderAgent):
         self.finished = True
         self._cancel_rto()
         if self._arb_event is not None:
-            self._arb_event.cancel()
+            self.sim.cancel(self._arb_event)
             self._arb_event = None
         if not self.flow.background:
             self.control_plane.notify_complete(self.flow)
@@ -215,7 +217,7 @@ class PaseSender(SenderAgent):
             return
         self._close_fallback_episode()
         if self._arb_event is not None:
-            self._arb_event.cancel()
+            self.sim.cancel(self._arb_event)
             self._arb_event = None
         if not self.flow.background:
             self.control_plane.notify_complete(self.flow)
@@ -405,16 +407,32 @@ class PaseSender(SenderAgent):
         probe.priority = float(self.queue_index)
         probe.sent_time = self.sim.now
         self.flow.probes_sent += 1
+        self._probe_seq = probe.seq
         self.host.send(probe)
 
     def handle_special_ack(self, ack: Packet) -> bool:
-        if ack.ack_sacks == -1:
+        sack = ack.ack_sacks
+        if sack == self._probe_seq:
+            # Probe answered "received".  The reply's cumulative ack also
+            # covers packets whose own ACKs were lost (a link flap can eat
+            # a whole window of them); without it each later probe would
+            # free one packet.  The chassis books the probed seq itself.
+            self._probe_seq = None
+            acked = self._acked
+            for seq in range(self.cum_ack, ack.ack_seq):
+                if seq != sack and not acked[seq]:
+                    acked[seq] = True
+                    self.pkts_acked += 1
+                    self._inflight.discard(seq)
+            return False
+        if sack == -1:
             # Probe answered but the probed packet never arrived.  The probe
             # travelled the same FIFO class as the data, so everything sent
             # before it either arrived (and was SACKed) or was dropped:
             # declare the whole in-flight set lost so the window can
             # actually re-send (a stale in-flight set would otherwise pin
             # the one-packet window shut forever).
+            self._probe_seq = None
             seq = ack.seq
             for lost in sorted(self._inflight):
                 if lost not in self._retx_queue and not self._acked[lost]:

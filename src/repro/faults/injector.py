@@ -81,28 +81,28 @@ class FaultInjector:
     def _arm(self, event) -> None:
         if isinstance(event, LinkDown):
             links = self._resolve_links(event.links)
-            self.sim.schedule_at(event.at, self._link_down, links, event.flush)
+            self.sim.post_at(event.at, self._link_down, links, event.flush)
             if event.duration is not None:
-                self.sim.schedule_at(event.at + event.duration,
-                                     self._link_up, links)
+                self.sim.post_at(event.at + event.duration,
+                                 self._link_up, links)
         elif isinstance(event, ArbitratorCrash):
-            self.sim.schedule_at(event.at, self._arb_crash, event.links)
+            self.sim.post_at(event.at, self._arb_crash, event.links)
             if event.duration is not None:
-                self.sim.schedule_at(event.at + event.duration,
-                                     self._arb_recover, event.links)
+                self.sim.post_at(event.at + event.duration,
+                                 self._arb_recover, event.links)
         elif isinstance(event, ControlDegrade):
-            self.sim.schedule_at(event.at, self._control_degrade,
-                                 event.loss_rate, event.extra_delay)
+            self.sim.post_at(event.at, self._control_degrade,
+                             event.loss_rate, event.extra_delay)
             if event.duration is not None:
-                self.sim.schedule_at(event.at + event.duration,
-                                     self._control_degrade, 0.0, 0.0)
+                self.sim.post_at(event.at + event.duration,
+                                 self._control_degrade, 0.0, 0.0)
         elif isinstance(event, DataLoss):
             links = self._resolve_links(event.links)
-            self.sim.schedule_at(event.at, self._loss_on, links,
-                                 event.model, event.params_dict())
+            self.sim.post_at(event.at, self._loss_on, links,
+                             event.model, event.params_dict())
             if event.duration is not None:
-                self.sim.schedule_at(event.at + event.duration,
-                                     self._loss_off, links)
+                self.sim.post_at(event.at + event.duration,
+                                 self._loss_off, links)
         else:  # pragma: no cover - schedule validation catches this
             raise TypeError(f"unknown fault event {event!r}")
 

@@ -226,7 +226,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         sender.start()
 
     for flow in flows:
-        sim.schedule_at(flow.start_time, launch, flow)
+        sim.post_at(flow.start_time, launch, flow)
 
     last_arrival = max(f.start_time for f in flows)
     cap = last_arrival + (2.0 if horizon is None else horizon)

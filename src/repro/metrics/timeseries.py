@@ -86,7 +86,7 @@ class TimeSeriesProbe:
         if self._running:
             return
         self._running = True
-        self.sim.schedule(0.0, self._tick)
+        self.sim.post(0.0, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -97,4 +97,4 @@ class TimeSeriesProbe:
         now = self.sim.now
         for name, gauge in self._gauges.items():
             self.series[name].append(now, gauge())
-        self.sim.schedule(self.period, self._tick)
+        self.sim.post(self.period, self._tick)

@@ -13,7 +13,7 @@ Layering, bottom up:
 * :mod:`~repro.sim.topology` — the paper's star and three-tier tree shapes.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.network import Network
 from repro.sim.node import Host, Node, Switch
@@ -41,7 +41,6 @@ from repro.sim.topology import (
 )
 
 __all__ = [
-    "Event",
     "Simulator",
     "Link",
     "Network",

@@ -7,18 +7,14 @@ The sequence number breaks ties deterministically so runs with the same
 seed replay identically, which the test suite relies on.  Every call
 pushes a fresh entry; the loop never reuses one.
 
-Two scheduling APIs share one sequence counter (so mixing them never
-perturbs tie-break order):
-
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-  :class:`Event` handle the caller can cancel later (retransmission
-  timers, arbitration ticks).  Cancellation is lazy: cancelling nulls the
-  entry's callback and the loop skips it when popped, keeping heap
-  operations O(log n) with no re-heapify.  A ``cancel()`` after the event
-  fired only touches that spent entry, so it is a no-op.
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` return nothing.  Use
-  them for the torrent of fire-and-forget events (link serialization
-  wake-ups, packet deliveries), where a handle per event is wasted work.
+:meth:`Simulator.post` / :meth:`Simulator.post_at` schedule a callback and
+return an opaque handle.  Most callers drop it (packet deliveries, link
+wake-ups); timer owners keep it (retransmission timers, arbitration ticks)
+and pass it to :meth:`Simulator.cancel`.  Cancellation is lazy: it nulls
+the entry's callback and the loop skips the entry when popped, keeping
+heap operations O(log n) with no re-heapify.  Because entries are never
+reused, a cancel after the callback fired touches only that spent entry,
+so it is a no-op.
 
 A component that may or may not need a callback at a known future time
 can claim its tie-break slot now and decide later:
@@ -39,43 +35,9 @@ _heappop = heapq.heappop
 _INF = float("inf")
 
 
-class Event:
-    """Handle for a scheduled callback.  Returned by
-    :meth:`Simulator.schedule` so the caller can cancel it later (e.g. a
-    retransmission timer)."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list):
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        return self._entry[0]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
-
-    def cancel(self) -> None:
-        """Mark the event so the loop discards it instead of firing it.
-        Safe to call more than once, and after the event has fired."""
-        entry = self._entry
-        entry[2] = None
-        entry[3] = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fn = self._entry[2]
-        state = "cancelled" if fn is None else "pending"
-        return (f"Event(t={self._entry[0]:.9f}, "
-                f"fn={getattr(fn, '__name__', fn)}, {state})")
-
-
-_new_event = Event.__new__
+#: What :meth:`Simulator.post` returns: pass it to :meth:`Simulator.cancel`.
+#: Only this module looks inside.
+Handle = list
 
 
 class Simulator:
@@ -84,7 +46,7 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(0.001, my_callback, arg1, arg2)
+        sim.post(0.001, my_callback, arg1, arg2)
         sim.run(until=1.0)
 
     All model components hold a reference to the one ``Simulator`` instance
@@ -109,27 +71,23 @@ class Simulator:
         self.tracer = None
 
     # ------------------------------------------------------------------
-    # Scheduling (cancellable handles)
+    # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative; a zero delay runs the callback after
         all events already scheduled for the current instant (FIFO within a
-        timestamp).
+        timestamp).  Returns a handle for :meth:`cancel`.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
         self._seq = seq = self._seq + 1
         entry = [self.now + delay, seq, fn, args]
         _heappush(self._heap, entry)
-        # Event.__new__ + direct slot store skips the __init__ dispatch;
-        # this path allocates one handle per call so every cycle counts.
-        event = _new_event(Event)
-        event._entry = entry
-        return event
+        return entry
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` at absolute virtual ``time``."""
         if time < self.now:
             raise ValueError(
@@ -138,30 +96,19 @@ class Simulator:
         self._seq = seq = self._seq + 1
         entry = [time, seq, fn, args]
         _heappush(self._heap, entry)
-        event = _new_event(Event)
-        event._entry = entry
-        return event
+        return entry
 
-    # ------------------------------------------------------------------
-    # Posting (fire-and-forget, no handle)
-    # ------------------------------------------------------------------
-    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Like :meth:`schedule`, but returns no handle.  Use for high-rate
-        events that are never cancelled (packet deliveries, serialization
-        wake-ups)."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        self._seq = seq = self._seq + 1
-        _heappush(self._heap, [self.now + delay, seq, fn, args])
+    # The older names, bound to the same function objects: the benchmark's
+    # census (sweepbench/census.py) reads all four from Simulator.__dict__.
+    schedule = post
+    schedule_at = post_at
 
-    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Absolute-time :meth:`post`."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time!r}, current time is {self.now!r}"
-            )
-        self._seq = seq = self._seq + 1
-        _heappush(self._heap, [time, seq, fn, args])
+    @staticmethod
+    def cancel(handle: Handle) -> None:
+        """Discard the callback behind ``handle`` instead of firing it.
+        Safe to call more than once, and after the callback has fired."""
+        handle[2] = None
+        handle[3] = ()
 
     # ------------------------------------------------------------------
     # Reserved slots (decide now, post later)
@@ -187,22 +134,6 @@ class Simulator:
             self.post_at(time, fn, *args)
         finally:
             self._seq = saved
-
-    def cancel_posted(self, *args: Any) -> bool:
-        """Cancel the pending callback whose arguments are exactly ``args``
-        (compared by identity).  Returns whether one was found.
-
-        Posted callbacks have no handle, so this scans the whole heap: a
-        cold-path tool (a link going down mid-frame), never a hot one."""
-        n = len(args)
-        for entry in self._heap:
-            pending = entry[3]
-            if (entry[2] is not None and len(pending) == n
-                    and all(a is b for a, b in zip(pending, args))):
-                entry[2] = None
-                entry[3] = ()
-                return True
-        return False
 
     def discard_pending(self) -> None:
         """Drop every pending callback.  Call it when a run is over:

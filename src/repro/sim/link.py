@@ -36,7 +36,7 @@ model, with far fewer events.
   fault layer's lossy wrapper, take the full queue path.
 * Link-down is the cold path.  A frame is corrupted if and only if the
   link is down when its serialization ends.  :meth:`Link.set_down` during a
-  frame cancels the posted delivery (an O(heap) scan) and pushes the
+  frame cancels the posted delivery through its handle and pushes the
   wake-up, which delivers or corrupts the frame at ``end``.
 
 Drop tracing hangs off the queue's ``drop_hook`` so the accept path never
@@ -56,7 +56,7 @@ from repro.sim.trace import CAT_DROP
 from repro.utils.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Handle, Simulator
     from repro.sim.node import Node
 
 #: Disciplines whose ``enqueue`` accepts, unmarked, any packet offered to an
@@ -110,8 +110,9 @@ class Link:
         #: When the last started frame's final bit leaves the line (it is
         #: on the wire until then; see :attr:`busy` for the exact instant).
         self.busy_until: float = float("-inf")
-        #: The last started frame.
+        #: The last started frame, and the handle of its posted delivery.
         self._in_flight: Optional[Packet] = None
+        self._delivery: Optional["Handle"] = None
         #: The wake-up at ``busy_until``: the engine sequence number
         #: reserved for it, ``_POSTED`` once it is in the heap, 0 once it
         #: has fired.
@@ -204,7 +205,8 @@ class Link:
         self.busy_until = end = now + tx_delay
         self._in_flight = pkt
         self._wake = self._reserve_seq()
-        self._post_at(end + self.prop_delay, self._deliver, pkt, self)
+        self._delivery = self._post_at(end + self.prop_delay, self._deliver,
+                                       pkt, self)
         return True
 
     def _wakeup(self) -> None:
@@ -244,7 +246,8 @@ class Link:
             self._wake = _POSTED
         else:
             self._wake = self._reserve_seq()
-        self._post_at(end + self.prop_delay, self._deliver, pkt, self)
+        self._delivery = self._post_at(end + self.prop_delay, self._deliver,
+                                       pkt, self)
 
     def _post_wakeup(self) -> None:
         """Push the wake-up into the slot reserved for ``busy_until``."""
@@ -291,8 +294,8 @@ class Link:
             # Mid-frame: whether the frame arrives depends on the link
             # being up when it ends, so recall the delivery and let the
             # wake-up decide.
-            pkt = self._held = self._in_flight
-            self.sim.cancel_posted(pkt, self)
+            self._held = self._in_flight
+            self.sim.cancel(self._delivery)
             if self._wake != _POSTED:
                 self._post_wakeup()
 

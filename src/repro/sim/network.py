@@ -96,9 +96,8 @@ class Network:
             self._install_routes_toward(host.node_id)
 
     def _install_routes_toward(self, dst: int) -> None:
-        # BFS distance labels from dst; every neighbor one step closer to
-        # dst is an equal-cost next hop (ECMP set).  The first found is the
-        # primary route; the full set goes to multipath_routes when larger.
+        # BFS distance labels from dst; a node's route is its first
+        # neighbor (in connect order) one step closer to dst.
         dist: Dict[int, int] = {dst: 0}
         frontier = deque([dst])
         while frontier:
@@ -110,13 +109,9 @@ class Network:
         for node_id, d in dist.items():
             if node_id == dst:
                 continue
-            node = self.nodes[node_id]
-            nexthops = [n for n in self._adjacency[node_id]
-                        if dist.get(n, float("inf")) == d - 1]
-            node.routes[dst] = self.links[(node_id, nexthops[0])]
-            if len(nexthops) > 1:
-                node.multipath_routes[dst] = [
-                    self.links[(node_id, n)] for n in nexthops]
+            nexthop = next(n for n in self._adjacency[node_id]
+                           if dist[n] == d - 1)
+            self.nodes[node_id].routes[dst] = self.links[(node_id, nexthop)]
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -128,16 +123,14 @@ class Network:
         except KeyError:
             raise KeyError(f"no link {a.name}->{b.name}") from None
 
-    def path_links(self, src: int, dst: int, flow_id: int = 0) -> List[Link]:
-        """The ordered list of links a packet of ``flow_id`` traverses from
-        host ``src`` to host ``dst``.  Without ECMP the path is unique; with
-        ECMP this follows the flow's hashed path (``flow_id=0`` gives a
-        deterministic representative)."""
+    def path_links(self, src: int, dst: int) -> List[Link]:
+        """The ordered list of links a packet traverses from host ``src``
+        to host ``dst``."""
         links: List[Link] = []
         node = self.nodes[src]
         hops = 0
         while node.node_id != dst:
-            link = node.egress_for(dst, flow_id)
+            link = node.egress_for(dst)
             links.append(link)
             node = link.dst
             hops += 1

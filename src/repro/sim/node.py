@@ -30,20 +30,13 @@ class Node:
         self.sim = sim
         self.node_id = node_id
         self.name = name
-        #: Static routing: destination host id -> egress link (primary path).
+        #: Static routing: destination host id -> egress link.
         self.routes: Dict[int, "Link"] = {}
-        #: ECMP: destination host id -> all equal-cost egress links.  Only
-        #: populated when the topology was built with multipath enabled;
-        #: flows hash onto one member so a flow never reorders across paths.
-        self.multipath_routes: Dict[int, list] = {}
 
     def receive(self, pkt: Packet, from_link: "Link") -> None:
         raise NotImplementedError
 
-    def egress_for(self, dst: int, flow_id: int = 0) -> "Link":
-        candidates = self.multipath_routes.get(dst)
-        if candidates:
-            return candidates[hash((flow_id, dst)) % len(candidates)]
+    def egress_for(self, dst: int) -> "Link":
         try:
             return self.routes[dst]
         except KeyError:
@@ -54,15 +47,14 @@ class Node:
 
 
 class Switch(Node):
-    """Output-queued switch: forward to the egress link for the destination
-    (flow-hashed among equal-cost links under ECMP)."""
+    """Output-queued switch: forward to the egress link for the destination."""
 
     def receive(self, pkt: Packet, from_link: "Link") -> None:
-        # Single-path tables hit the dict directly; ECMP and a missing
-        # route go through egress_for.
-        link = None if self.multipath_routes else self.routes.get(pkt.dst)
+        # The dict hit is the hot path; a missing route goes through
+        # egress_for for its error.
+        link = self.routes.get(pkt.dst)
         if link is None:
-            link = self.egress_for(pkt.dst, pkt.flow_id)
+            link = self.egress_for(pkt.dst)
         link.send(pkt)
 
 

@@ -52,12 +52,6 @@ class TreeTopologyConfig:
     host_link_bps: float = 1 * GBPS
     fabric_link_bps: float = 10 * GBPS
     core_rtt: float = 300 * USEC
-    #: When True every ToR connects to *every* aggregation switch (the
-    #: dual-homed fabric of Fig. 8's drawing) and switches ECMP-hash flows
-    #: across the equal-cost paths.  Note: the PASE control plane requires
-    #: deterministic single paths and rejects multipath topologies; this
-    #: option serves the endpoint-only and in-network-only protocols.
-    multipath: bool = False
 
     def __post_init__(self) -> None:
         check_positive("num_racks", self.num_racks)
@@ -192,12 +186,7 @@ class TreeTopology(Topology):
             self.tors.append(tor)
             agg = self.aggs[r // cfg.racks_per_agg]
             self._agg_of_tor[tor.node_id] = agg
-            if cfg.multipath:
-                for candidate in self.aggs:
-                    self.network.connect(tor, candidate, cfg.fabric_link_bps,
-                                         delay, factory)
-            else:
-                self.network.connect(tor, agg, cfg.fabric_link_bps, delay, factory)
+            self.network.connect(tor, agg, cfg.fabric_link_bps, delay, factory)
             rack: List[Host] = []
             for h in range(cfg.hosts_per_rack):
                 host = self.network.add_host(f"h{r}_{h}")

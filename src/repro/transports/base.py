@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Handle, Simulator
 from repro.sim.packet import (
     HEADER_SIZE,
     Packet,
@@ -156,7 +156,7 @@ class SenderAgent:
         #: (queueing-free), which rate-to-window conversions should use.
         self._rtt_min_sample: Optional[float] = None
         self._rto_backoff: int = 0
-        self._rto_event: Optional[Event] = None
+        self._rto_event: Optional[Handle] = None
 
         self.started = False
         self.finished = False
@@ -327,16 +327,16 @@ class SenderAgent:
 
     def _arm_rto(self) -> None:
         if self._rto_event is None:
-            self._rto_event = self.sim.schedule(self.rto_value(), self._on_rto)
+            self._rto_event = self.sim.post(self.rto_value(), self._on_rto)
 
     def _rearm_rto(self) -> None:
         self._cancel_rto()
         if self._inflight or self._retx_queue or self.next_new < self.total_pkts:
-            self._rto_event = self.sim.schedule(self.rto_value(), self._on_rto)
+            self._rto_event = self.sim.post(self.rto_value(), self._on_rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
 
     def _on_rto(self) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.engine import Event
+from repro.sim.engine import Handle
 from repro.sim.link import Link
 from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
@@ -176,8 +176,8 @@ class PdqSender(SenderAgent):
         self.rate_bps: float = 0.0
         self.paused: bool = True
         self.rank: int = 0
-        self._pace_event: Optional[Event] = None
-        self._probe_event: Optional[Event] = None
+        self._pace_event: Optional[Handle] = None
+        self._probe_event: Optional[Handle] = None
         self.cwnd = 1.0  # unused by pacing; kept sane for introspection
 
     # ------------------------------------------------------------------
@@ -200,7 +200,7 @@ class PdqSender(SenderAgent):
         if self.finished or self.paused or self.rate_bps <= 0:
             return
         if self._pace_event is None:
-            self._pace_event = self.sim.schedule(0.0, self._pace_tick)
+            self._pace_event = self.sim.post(0.0, self._pace_tick)
 
     def _pace_tick(self) -> None:
         self._pace_event = None
@@ -212,11 +212,11 @@ class PdqSender(SenderAgent):
         seq, is_retx = item
         self._transmit(seq, retransmit=is_retx)
         gap = bytes_to_bits(self._packet_size(seq)) / self.rate_bps
-        self._pace_event = self.sim.schedule(gap, self._pace_tick)
+        self._pace_event = self.sim.post(gap, self._pace_tick)
 
     def _cancel_pacing(self) -> None:
         if self._pace_event is not None:
-            self._pace_event.cancel()
+            self.sim.cancel(self._pace_event)
             self._pace_event = None
 
     # -- probing -------------------------------------------------------------
@@ -237,12 +237,12 @@ class PdqSender(SenderAgent):
     def _schedule_probe(self) -> None:
         cfg: PdqConfig = self.config
         if self._probe_event is not None:
-            self._probe_event.cancel()
+            self.sim.cancel(self._probe_event)
         # Suppressed probing: back off with priority rank when paused.
         multiplier = 1
         if self.paused and cfg.probe_rank_cap > 1:
             multiplier = max(1, min(self.rank, cfg.probe_rank_cap))
-        self._probe_event = self.sim.schedule(
+        self._probe_event = self.sim.post(
             cfg.probe_interval * multiplier, self._maybe_probe)
 
     def _maybe_probe(self) -> None:
@@ -299,7 +299,7 @@ class PdqSender(SenderAgent):
             return
         self._cancel_pacing()
         if self._probe_event is not None:
-            self._probe_event.cancel()
+            self.sim.cancel(self._probe_event)
             self._probe_event = None
         # FIN probe: remaining == 0 clears our entry from every scheduler on
         # the path so the next flow is unpaused at once.

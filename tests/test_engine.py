@@ -65,8 +65,8 @@ def test_schedule_at_in_past_rejected():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.schedule(0.1, fired.append, "x")
-    event.cancel()
+    handle = sim.post(0.1, fired.append, "x")
+    sim.cancel(handle)
     sim.run()
     assert fired == []
     assert sim.events_processed == 0
@@ -75,12 +75,12 @@ def test_cancelled_event_does_not_fire():
 def test_cancel_one_of_many():
     sim = Simulator()
     fired = []
-    keep = sim.schedule(0.1, fired.append, "keep")
-    drop = sim.schedule(0.2, fired.append, "drop")
-    drop.cancel()
+    sim.post(0.1, fired.append, "keep")
+    drop = sim.post(0.2, fired.append, "drop")
+    sim.post(0.3, fired.append, "keep too")
+    sim.cancel(drop)
     sim.run()
-    assert fired == ["keep"]
-    assert keep.time == 0.1
+    assert fired == ["keep", "keep too"]
 
 
 def test_run_until_stops_at_horizon():
@@ -132,9 +132,9 @@ def test_events_processed_accumulates_across_runs():
 
 def test_peek_time_skips_cancelled():
     sim = Simulator()
-    first = sim.schedule(0.1, lambda: None)
-    sim.schedule(0.2, lambda: None)
-    first.cancel()
+    first = sim.post(0.1, lambda: None)
+    sim.post(0.2, lambda: None)
+    sim.cancel(first)
     assert sim.peek_time() == 0.2
 
 
@@ -171,8 +171,12 @@ def test_determinism_same_schedule_same_order():
 
 
 # ---------------------------------------------------------------------------
-# post() / post_at(): fire-and-forget, no handle
+# post() / post_at() and their handles
 # ---------------------------------------------------------------------------
+
+def test_schedule_names_are_post():
+    assert Simulator.schedule is Simulator.post
+    assert Simulator.schedule_at is Simulator.post_at
 
 def test_post_fires_like_schedule():
     sim = Simulator()
@@ -185,10 +189,14 @@ def test_post_fires_like_schedule():
     assert sim.events_processed == 3
 
 
-def test_post_returns_no_handle():
+def test_post_returns_cancellable_handle():
     sim = Simulator()
-    assert sim.post(0.1, lambda: None) is None
-    assert sim.post_at(0.2, lambda: None) is None
+    fired = []
+    sim.cancel(sim.post(0.1, fired.append, "post"))
+    sim.cancel(sim.post_at(0.2, fired.append, "post_at"))
+    sim.post(0.3, fired.append, "kept")
+    sim.run()
+    assert fired == ["kept"]
 
 
 def test_post_rejects_past_times():
@@ -202,9 +210,9 @@ def test_post_rejects_past_times():
 
 
 def test_post_and_schedule_share_tiebreak_order():
-    """Mixing the two APIs at one timestamp fires in call order — they draw
-    from the same sequence counter, so replacing schedule() with post() on
-    a hot path can never perturb determinism."""
+    """Mixing the two names at one timestamp fires in call order: schedule()
+    is post() under its older name, drawing from the same sequence
+    counter."""
     sim = Simulator()
     fired = []
     sim.schedule(0.5, fired.append, "s1")
@@ -216,32 +224,33 @@ def test_post_and_schedule_share_tiebreak_order():
 
 
 def test_stale_cancel_after_fire_cannot_kill_recycled_entry():
-    """schedule() entries are never pooled: cancelling a handle after its
-    event fired must not affect any later event (the lazy-cancel trap a
+    """Heap entries are never pooled: cancelling a handle after its
+    callback fired must not affect any later one (the lazy-cancel trap a
     shared free list would create)."""
     sim = Simulator()
     fired = []
-    handle = sim.schedule(0.1, fired.append, "first")
+    handle = sim.post(0.1, fired.append, "first")
     sim.run()
     assert fired == ["first"]
     # Recycle-heavy traffic after the fire...
     for _ in range(5):
         sim.post(0.1, fired.append, "posted")
     # ...then a stale cancel on the already-fired handle.
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == ["first"] + ["posted"] * 5
 
 
-def test_event_handle_reports_cancelled_state():
+def test_cancel_is_idempotent():
     sim = Simulator()
-    event = sim.schedule(0.1, lambda: None)
-    assert not event.cancelled
-    event.cancel()
-    assert event.cancelled
-    event.cancel()  # idempotent
+    fired = []
+    handle = sim.post(0.1, fired.append, "x")
+    sim.post(0.2, fired.append, "y")
+    sim.cancel(handle)
+    sim.cancel(handle)
     sim.run()
-    assert sim.events_processed == 0
+    assert fired == ["y"]
+    assert sim.events_processed == 1
 
 
 def test_run_until_with_post_only_heap():
@@ -259,15 +268,15 @@ def test_run_until_with_post_only_heap():
 def test_max_events_counts_fired_not_cancelled():
     sim = Simulator()
     fired = []
-    keep1 = sim.schedule(0.1, fired.append, 1)
-    drop = sim.schedule(0.2, fired.append, 2)
-    sim.schedule(0.3, fired.append, 3)
-    sim.schedule(0.4, fired.append, 4)
-    drop.cancel()
+    sim.post(0.1, fired.append, 1)
+    drop = sim.post(0.2, fired.append, 2)
+    sim.post(0.3, fired.append, 3)
+    sim.post(0.4, fired.append, 4)
+    sim.cancel(drop)
     processed = sim.run(max_events=2)
     assert processed == 2
     assert fired == [1, 3]
-    assert keep1.time == 0.1
+    assert sim.now == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +344,6 @@ def test_fired_seq_tracks_loop_position():
     sim.run()
     # Drained: every claimed number counts as passed.
     assert sim.fired_seq >= sim.reserve_seq() - 1
-
-
-def test_cancel_posted_matches_arguments_by_identity():
-    sim = Simulator()
-    fired = []
-    a, b = object(), object()
-    sim.post(0.1, fired.append, a)
-    sim.post(0.2, fired.append, b)
-    assert sim.cancel_posted(a)
-    assert not sim.cancel_posted(a)
-    assert not sim.cancel_posted(object())
-    sim.run()
-    assert fired == [b]
-    assert sim.events_processed == 1
 
 
 def test_discard_pending_drops_every_callback():

@@ -290,6 +290,19 @@ class TestPaseDegradation:
         assert result.faults.link_down_drops > 0
         assert result.faults.injected == {"link-down": 1, "link-up": 1}
 
+    def test_link_flap_does_not_strand_pase_flows(self):
+        """The flap eats ACKs for packets the receiver already holds, and
+        the cwnd left open is smaller than the in-flight set.  The reply to
+        the low-priority probe carries the receiver's cumulative ack, so
+        the sender frees them all at once instead of one per probe (which
+        stranded flows 4 and 14 here after 349,784 events)."""
+        result = run_experiment(ExperimentSpec(
+            "pase", build_scenario("intra-rack-link-flap", num_hosts=10),
+            0.8, num_flows=12, seed=1))
+        assert result.faults.injected == {"link-down": 1, "link-up": 1}
+        assert result.stats.completion_fraction == 1.0
+        assert result.events < 30_000
+
     def test_control_message_loss_on_tree(self):
         result = run_experiment(ExperimentSpec(
             "pase",
@@ -386,7 +399,10 @@ class TestExpireSweepDrains:
         PaseSender(sim, topo.hosts[0], flow, cp).start()
         sim.run()  # must drain on its own — no `until` safety net
         assert flow.completed
-        assert cp._expire_event is None  # the sweep parked itself
+        # The sweep parked itself: nothing is left pending, and it left no
+        # soft state behind.
+        assert sim.pending_events == 0
+        assert all(not arb.flows for arb in cp.arbitrators.values())
 
     def test_sweep_rearms_for_late_flows(self):
         cfg = PaseConfig()

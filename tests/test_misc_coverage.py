@@ -34,13 +34,6 @@ class TestEngineCorners:
         assert sim.now == 0.5
         assert sim.pending_events == 1
 
-    def test_event_repr_mentions_state(self):
-        sim = Simulator()
-        event = sim.schedule(0.1, lambda: None)
-        assert "pending" in repr(event)
-        event.cancel()
-        assert "cancelled" in repr(event)
-
 
 class TestQueueCorners:
     def test_priority_bank_dequeue_empty(self):

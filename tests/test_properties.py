@@ -40,12 +40,12 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
 def test_engine_cancellation_only_skips_cancelled(items):
     sim = Simulator()
     fired = []
-    events = []
+    handles = []
     for i, (delay, cancel) in enumerate(items):
-        events.append((sim.schedule(delay, fired.append, i), cancel))
-    for event, cancel in events:
+        handles.append((sim.post(delay, fired.append, i), cancel))
+    for handle, cancel in handles:
         if cancel:
-            event.cancel()
+            sim.cancel(handle)
     sim.run()
     expected = {i for i, (_, cancel) in enumerate(items) if not cancel}
     assert set(fired) == expected
