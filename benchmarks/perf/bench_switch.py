@@ -1,10 +1,10 @@
 """Fabric datapath throughput: packets/second through a loaded switch.
 
-No transports, no control plane — raw :class:`~repro.sim.packet.Packet`
-objects are offered to the access links of a star topology faster than the
-core can drain them, so the switch's egress queue stays loaded and every
-packet pays the full serialize → propagate → forward → serialize →
-deliver path.  This isolates the link/queue/node hot path that the engine
+No transports, no control plane — raw header-only ACK packets are offered
+to the access links of a star topology faster than the core can drain
+them, so the switch's egress queue stays loaded and every packet pays the
+full serialize → propagate → forward → serialize → deliver path (the
+receiver has no agent for them, so it counts them unroutable).  This isolates the link/queue/node hot path that the engine
 optimizations target.
 """
 
@@ -37,7 +37,7 @@ def switch_packets_per_sec(num_packets: int = 30_000,
     receiver = topo.hosts[-1]
     senders = topo.hosts[:-1]
 
-    pkt_time = Packet(PacketKind.CONTROL, 0, 0, 0).size * 8 / (10 * GBPS)
+    pkt_time = Packet(PacketKind.ACK, 0, 0, 0).size * 8 / (10 * GBPS)
     per_sender = num_packets // num_senders
 
     def make_injector(host, flow_id):
@@ -47,7 +47,7 @@ def switch_packets_per_sec(num_packets: int = 30_000,
             n = next(remaining, None)
             if n is None:
                 return
-            host.send(Packet(PacketKind.CONTROL, host.node_id,
+            host.send(Packet(PacketKind.ACK, host.node_id,
                              receiver.node_id, flow_id, seq=n))
             sim.post(num_senders * pkt_time, inject)
 
@@ -55,9 +55,6 @@ def switch_packets_per_sec(num_packets: int = 30_000,
 
     for i, host in enumerate(senders):
         sim.post_at(i * pkt_time, make_injector(host, i + 1))
-    # CONTROL packets terminate at the host without needing a flow agent;
-    # a no-op handler keeps them off the unroutable counter.
-    receiver.control_handler = lambda pkt: None
 
     t0 = time.perf_counter()
     sim.run()

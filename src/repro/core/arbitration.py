@@ -282,7 +282,7 @@ class LinkArbitrator:
 
     def expire(self, now: float, timeout: float) -> List[int]:
         """Drop entries not refreshed within ``timeout``; returns the
-        removed flow ids so the control plane can notify their sources.
+        removed flow ids so the control plane can count them.
 
         The safety net for sources that died without a completion message.
         When every entry is provably fresh (the cached minimum last-update

@@ -78,7 +78,8 @@ class PaseConfig:
     processing_delay: float = 10 * USEC
 
     # -- fault tolerance (§3.1's soft-state argument, exercised by
-    # -- repro.faults; all of these are inert in clean runs) -------------
+    # -- repro.faults).  Every sender runs this retry/fallback logic; a
+    # -- clean run never misses a reply, so it never triggers. ------------
     #: Consecutive unanswered/refused arbitration requests tolerated before
     #: the sender falls back to pure DCTCP behavior.
     arbitration_max_retries: int = 3

@@ -97,11 +97,7 @@ class PaseControlPlane:
         self.virtual: Dict[Tuple[str, int], VirtualLinkArbitrator] = {}
         self._delegation_groups: List[Tuple[Link, List[VirtualLinkArbitrator]]] = []
         self._chains: Dict[int, FlowChains] = {}
-        # -- fault model (all inert until a FaultInjector arms them) ----
-        #: True once fault injection is active: requests may fail, and
-        #: senders arm their timeout/retry/fallback machinery.  Clean runs
-        #: never set this, keeping them byte-identical to a fault-free build.
-        self.fallible = False
+        # -- fault model (all inert until a fault crashes or degrades it) --
         #: True while the whole control plane is crashed.
         self.cp_down = False
         #: Names of individually crashed arbitrators (link or virtual names).
@@ -127,11 +123,9 @@ class PaseControlPlane:
         #: Control messages eaten by a degraded control channel.
         self.control_messages_lost = 0
         self.arbitrator_crashes = 0
-        #: Soft-state entries dropped by the periodic expiry sweep.
+        #: Soft-state entries dropped by the periodic expiry sweep (a
+        #: source that is still alive re-registers on its next request).
         self.entries_expired = 0
-        #: Optional ``callback(arbitrator_name, [flow_id, ...])`` fired when
-        #: the sweep evicts stale entries, so sources can be notified.
-        self.on_expired: Optional[Callable[[str, List[int]], None]] = None
 
         self._build_arbitrators()
         if self.config.delegation_enabled and self._delegation_groups:
@@ -277,12 +271,12 @@ class PaseControlPlane:
         asynchronously; ``callback`` fires with the merged result as each
         half completes.
 
-        Under fault injection the request is fallible: when the control
-        plane (or the source host's own arbitrator) is crashed, ``None``
-        comes back immediately and no callback will ever fire — the sender's
-        retry/fallback machinery takes over.  A crashed arbitrator higher
-        up the chain silently swallows that half's walk (the response simply
-        never arrives), which the sender detects by timeout.
+        Any request can fail: when the control plane (or the source host's
+        own arbitrator) is crashed, ``None`` comes back immediately and no
+        callback will ever fire — the sender's retry/fallback machinery
+        takes over.  A crashed arbitrator higher up the chain silently
+        swallows that half's walk (the response simply never arrives),
+        which the sender detects by timeout.
         """
         self.requests_started += 1
         chains = self.chains_for(flow)
@@ -381,8 +375,6 @@ class PaseControlPlane:
     # Fault hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
     def _is_crashed(self, hop: ChainHop) -> bool:
-        if not self.fallible:
-            return False
         return self.cp_down or hop.arbitrator.name in self._crashed
 
     def _lose_control_message(self) -> bool:
@@ -403,7 +395,6 @@ class PaseControlPlane:
         or ``link@tor`` virtual names) crash; walks that reach them die
         silently and the senders' timeouts kick in.
         """
-        self.fallible = True
         self.arbitrator_crashes += 1
         if names is None:
             self.cp_down = True
@@ -452,7 +443,7 @@ class PaseControlPlane:
         occupied = False
         for tables in (self.arbitrators, self.virtual):
             for arb in tables.values():
-                self._consume_expired(arb, arb.expire(now, timeout))
+                self.entries_expired += len(arb.expire(now, timeout))
                 if arb.flows:
                     occupied = True
                     # Epoch-batch: recompute the surviving table once, so
@@ -464,16 +455,6 @@ class PaseControlPlane:
             # Every table is empty: park the sweep so an idle simulation can
             # drain.  request() re-arms it when fresh soft state appears.
             self._expire_armed = False
-
-    def _consume_expired(self, arb: LinkArbitrator, stale: List[int]) -> None:
-        """Account for entries :meth:`LinkArbitrator.expire` dropped and let
-        interested sources know their soft state is gone (a source that is
-        still alive will simply re-register on its next periodic request)."""
-        if not stale:
-            return
-        self.entries_expired += len(stale)
-        if self.on_expired is not None:
-            self.on_expired(arb.name, stale)
 
     def _rebalance_delegation(self) -> None:
         """Periodic virtual-link capacity refresh from child demand reports."""

@@ -1,13 +1,15 @@
 """PASE's end-host transport (§3.2, Algorithm 2).
 
-Built on the shared reliable chassis and DCTCP's alpha estimator, but aware
-of the two arbitration outputs:
+A :class:`~repro.transports.dctcp.DctcpSender` (estimator, once-per-window
+decrease, slow start then 1/cwnd growth) that is aware of the two
+arbitration outputs:
 
 * **Reference rate** — a top-queue flow pins its window to ``Rref * RTT``
   instead of slow-starting; a marked ACK still applies the DCTCP decrease,
   so endpoints remain self-adjusting when the arbitrator's estimate is off.
-* **Priority queue** — intermediate-queue flows run DCTCP control laws from
-  a one-packet window; bottom-queue flows stay at one packet per RTT.
+* **Priority queue** — intermediate-queue and background flows run DCTCP's
+  increase law from a cold window; bottom-queue flows stay at one packet
+  per RTT.
 
 Two further mechanisms from the paper:
 
@@ -31,8 +33,8 @@ from repro.core.control_plane import PaseControlPlane
 from repro.sim.engine import Handle
 from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.sim.trace import CAT_FALLBACK, CAT_QUEUE_CHANGE
-from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
-from repro.transports.dctcp import DctcpAlphaEstimator
+from repro.transports.base import ReceiverAgent
+from repro.transports.dctcp import DctcpConfig, DctcpSender
 from repro.utils.units import bytes_to_bits
 
 #: PASE receivers are plain receivers: probe replies are part of the shared
@@ -40,7 +42,7 @@ from repro.utils.units import bytes_to_bits
 PaseReceiver = ReceiverAgent
 
 
-class PaseSender(SenderAgent):
+class PaseSender(DctcpSender):
     """Algorithm 2 rate control driven by (PrioQue, Rref) from arbitration."""
 
     def __init__(
@@ -58,22 +60,16 @@ class PaseSender(SenderAgent):
         #: ignoring the reference rate.
         self.use_reference_rate = use_reference_rate
         self.pase = config or control_plane.config
-        base_cfg = TransportConfig(
-            init_cwnd=1.0,
-            min_rto=self.pase.min_rto_top,
-            slow_start=False,
-        )
-        super().__init__(sim, host, flow, base_cfg, on_done)
+        dctcp = DctcpConfig(init_cwnd=1.0, min_rto=self.pase.min_rto_top,
+                            g=self.pase.g)
+        super().__init__(sim, host, flow, dctcp, on_done)
         self.control_plane = control_plane
         self.nic_rate_bps = control_plane.topology.host_uplink(host).capacity_bps
-        self.estimator = DctcpAlphaEstimator(self.pase.g)
-        self.estimator.begin_window(self.cwnd)
 
         self.queue_index: int = self.pase.num_data_queues - 1
         self.reference_rate: float = 0.0
         self._is_intermediate = False
         self._pending_queue: Optional[int] = None
-        self._last_reduction_seq = -1
         #: Seq of the outstanding loss-recovery probe, if any.
         self._probe_seq: Optional[int] = None
         self._arb_event: Optional[Handle] = None
@@ -83,9 +79,11 @@ class PaseSender(SenderAgent):
         #: No data leaves before the first arbitration response (§3.1.2);
         #: background flows are exempt (they never arbitrate).
         self._arbitrated = False
-        # -- fallback machinery (active only under fault injection) ----
+        # -- retry / fallback machinery (§3.1: arbitration is soft state) --
         #: True between issuing a request and any arbitration response; if
-        #: still set at the next periodic tick the request timed out.
+        #: still set at the next periodic tick the request timed out.  In a
+        #: clean run every reply lands before the next tick (pinned by
+        #: ``test_clean_replies_beat_the_next_tick``).
         self._request_pending = False
         self._arb_failures = 0
         #: True while running pure DCTCP because arbitrators are unreachable.
@@ -124,24 +122,19 @@ class PaseSender(SenderAgent):
         # synchronously for intra-rack, after the ToR round trip otherwise.
         # Starting on host-local information alone would blast line-rate
         # top-queue bursts into fabric links the host knows nothing about.
-        cp = self.control_plane
-        if not cp.fallible:
-            cp.request(self.flow, self._criterion_value(), self._demand(),
-                       self._on_arbitration)
-            self._arb_event = self.sim.post(
-                self.pase.arbitration_interval, self._arbitrate)
-            return
-        # Fallible path.  A request that never answered by this tick has
-        # timed out (no extra timeout events needed — the periodic cadence
-        # is the timer); an outright refusal fails immediately.  Enough
-        # consecutive failures and the flow falls back to pure DCTCP,
+        #
+        # Any request can fail.  A request that never answered by this
+        # tick has timed out (no extra timeout events needed — the periodic
+        # cadence is the timer); an outright refusal fails immediately.
+        # Enough consecutive failures and the flow falls back to pure DCTCP,
         # still re-requesting (with backoff) so it rejoins arbitration the
         # moment the control plane answers again.
         if self._request_pending:
             self._arb_failures += 1
         self._request_pending = True
-        local = cp.request(self.flow, self._criterion_value(), self._demand(),
-                           self._on_arbitration)
+        local = self.control_plane.request(
+            self.flow, self._criterion_value(), self._demand(),
+            self._on_arbitration)
         if local is None:
             self._request_pending = False
             self._arb_failures += 1
@@ -200,17 +193,7 @@ class PaseSender(SenderAgent):
         if self.finished:
             return
         self.flow.terminated = True
-        self._close_fallback_episode()
-        self.finished = True
-        self._cancel_rto()
-        if self._arb_event is not None:
-            self.sim.cancel(self._arb_event)
-            self._arb_event = None
-        if not self.flow.background:
-            self.control_plane.notify_complete(self.flow)
-        self.host.detach_flow(self.flow.flow_id)
-        if self.on_done is not None:
-            self.on_done(self.flow)
+        self._finish()
 
     def _finish(self) -> None:
         if self.finished:
@@ -353,33 +336,16 @@ class PaseSender(SenderAgent):
         pkt.priority = float(self.queue_index)
 
     # ------------------------------------------------------------------
-    # Algorithm 2: window update per ACK
+    # Algorithm 2: window increase per unmarked ACK
     # ------------------------------------------------------------------
-    def on_ack_window_update(self, ack: Packet, newly_acked: bool) -> None:
-        if not newly_acked:
-            return
-        self.estimator.observe(ack.ecn_echo, self.cwnd)
-        if ack.ecn_echo and self._may_reduce():
-            self.cwnd = max(1.0, self.cwnd * (1 - self.estimator.alpha / 2))
-            self.ssthresh = max(self.cwnd, 2.0)
-            return
+    def _increase_window(self) -> None:
         if self.flow.background or self._is_intermediate:
-            if self.cwnd < self.ssthresh:
-                self.cwnd = min(self.cwnd + 1.0, self.config.max_cwnd)
-            else:
-                self.cwnd = min(self.cwnd + 1.0 / max(self.cwnd, 1.0),
-                                self.config.max_cwnd)
+            super()._increase_window()
         elif self.queue_index == 0 and self.use_reference_rate:
             self.cwnd = min(max(1.0, self._reference_window()),
                             self.config.max_cwnd)
         else:
             self.cwnd = 1.0
-
-    def _may_reduce(self) -> bool:
-        if self.cum_ack > self._last_reduction_seq:
-            self._last_reduction_seq = self.next_new
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Loss recovery: queue-dependent RTO + probing

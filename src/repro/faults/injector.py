@@ -1,10 +1,11 @@
 """The fault injector: executes a declarative schedule on the event engine.
 
 One :class:`FaultInjector` per run.  At construction it resolves every
-event's link selectors against the network, arms the corresponding
-simulator events, and — when a control plane is present — flips it into
-*fallible* mode so PASE senders arm their timeout/retry/fallback machinery
-(clean runs, with no schedule attached, never pay for any of this).
+event's link selectors against the network and arms the corresponding
+simulator events (clean runs, with no schedule attached, build no
+injector).  PASE senders need no arming: any arbitration request can fail,
+and their timeout/retry/fallback machinery simply never fires while the
+control plane answers in time.
 
 Everything the injector does is observable: per-kind injection counts in
 :attr:`injected`, trace events in the ``"fault"`` category, and the
@@ -63,10 +64,6 @@ class FaultInjector:
                                for link in network.links.values()}
         self._next_model_seed = schedule.seed * _SEED_STRIDE + 1
 
-        if control_plane is not None and schedule:
-            # Any schedule makes arbitration fallible: senders arm their
-            # per-request timeout / retry / fallback machinery.
-            control_plane.fallible = True
         if (control_plane is None and schedule.touches_control_plane()):
             raise ValueError(
                 "schedule contains control-plane faults but no control "

@@ -26,7 +26,7 @@ class NetworkCounters:
     def from_network(cls, network: Network, duration: float) -> "NetworkCounters":
         return cls(
             data_pkts_offered=network.total_data_offered(),
-            data_pkts_dropped=network.total_drops(),
+            data_pkts_dropped=network.total_data_drops(),
             duration=duration,
         )
 

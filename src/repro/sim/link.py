@@ -129,6 +129,10 @@ class Link:
         self._pkts_started: int = 0
         self._bytes_started: int = 0
         self.data_pkts_offered: int = 0
+        #: Data packets lost here, whatever the cause: queue drops, pFabric
+        #: evictions, injected loss and link-down losses all pass through
+        #: :meth:`_on_queue_drop`.
+        self.data_drops: int = 0
         self.busy_time: float = 0.0
         self.down_drops: int = 0
         self.down_transitions: int = 0
@@ -258,6 +262,8 @@ class Link:
     # Drop instrumentation (cold paths)
     # ------------------------------------------------------------------
     def _on_queue_drop(self, pkt: Packet, reason: Optional[str] = None) -> None:
+        if pkt.kind == 0:  # PacketKind.DATA
+            self.data_drops += 1
         tracer = self.sim.tracer
         if tracer is not None:
             if reason is None:
@@ -318,10 +324,10 @@ class Link:
     @property
     def loss_rate(self) -> float:
         """Fraction of offered data packets dropped at this egress (queue
-        overflows plus link-outage losses)."""
+        overflows, evictions, injected and link-outage losses)."""
         if self.data_pkts_offered == 0:
             return 0.0
-        return (self.queue.drops + self.down_drops) / self.data_pkts_offered
+        return self.data_drops / self.data_pkts_offered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, {self.capacity_bps/1e9:.1f} Gbps)"

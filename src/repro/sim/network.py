@@ -149,9 +149,6 @@ class Network:
     def total_data_offered(self) -> int:
         return sum(link.data_pkts_offered for link in self.links.values())
 
-    def data_loss_rate(self) -> float:
-        """Network-wide fraction of offered data packets that were dropped."""
-        offered = self.total_data_offered()
-        if offered == 0:
-            return 0.0
-        return self.total_drops() / offered
+    def total_data_drops(self) -> int:
+        """Data packets lost network-wide (ACKs and probes excluded)."""
+        return sum(link.data_drops for link in self.links.values())

@@ -3,9 +3,8 @@
 * A :class:`Switch` forwards packets along its static routing table (the
   topologies in the paper are trees, so single-path routing suffices).
 * A :class:`Host` terminates transports: data/probe packets are demuxed to a
-  per-flow receiver agent, ACKs to the sender agent.  Hosts also expose a
-  ``control_handler`` hook used when arbitration control traffic is sent
-  through the data plane.
+  per-flow receiver agent, ACKs to the sender agent.  Arbitration control
+  traffic rides a modeled channel, not the data plane (see DESIGN.md).
 
 Agents register with their host through :meth:`Host.attach_sender` /
 :meth:`Host.attach_receiver`; the transport layer defines the agent API
@@ -14,7 +13,7 @@ Agents register with their host through :meth:`Host.attach_sender` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.sim.packet import Packet, PacketKind
 
@@ -70,8 +69,6 @@ class Host(Node):
         #: Transport agents by flow id; each has ``on_packet(pkt)``.
         self._senders: Dict[int, Any] = {}
         self._receivers: Dict[int, Any] = {}
-        #: Invoked for CONTROL packets addressed to this host.
-        self.control_handler: Optional[Callable[[Packet], None]] = None
         self.packets_delivered = 0
         self.unroutable_packets = 0
 
@@ -98,13 +95,8 @@ class Host(Node):
 
     def receive(self, pkt: Packet, from_link: Optional["Link"]) -> None:
         self.packets_delivered += 1
-        kind = pkt.kind
-        if kind == PacketKind.ACK:
+        if pkt.kind == PacketKind.ACK:
             agent = self._senders.get(pkt.flow_id)
-        elif kind == PacketKind.CONTROL:
-            if self.control_handler is not None:
-                self.control_handler(pkt)
-            return
         else:  # DATA or PROBE terminate at the receiver agent
             agent = self._receivers.get(pkt.flow_id)
         if agent is None:

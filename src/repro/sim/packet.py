@@ -29,9 +29,6 @@ class PacketKind(IntEnum):
     #: Header-only probe used by PASE low-priority loss recovery and by PDQ's
     #: paused flows.
     PROBE = 2
-    #: Control-plane message (arbitration).  Only used when the control plane
-    #: is configured to traverse the data network.
-    CONTROL = 3
 
 
 #: Default maximum transmission unit, bytes (matches ns2 setups in the paper).

@@ -359,7 +359,7 @@ class TestDeterminism:
         assert a.faults.to_json_dict() == b.faults.to_json_dict()
 
     def test_clean_runs_unaffected_by_fault_machinery(self):
-        """No schedule → no injector, fallible stays off, and repeated
+        """No schedule → no injector, no request fails, and repeated
         clean runs are event-for-event identical."""
         scenario = build_scenario("intra-rack", num_hosts=8)
         a = run_experiment(ExperimentSpec("pase", scenario, 0.5, num_flows=25, seed=4))
@@ -370,6 +370,27 @@ class TestDeterminism:
         assert [f.fct for f in a.flows] == [f.fct for f in b.flows]
         assert a.control_plane.requests_failed == 0
         assert a.control_plane.messages_lost == 0
+
+    def test_clean_replies_beat_the_next_tick(self, monkeypatch):
+        """Senders always run the retry/backoff logic; it is a no-op in a
+        clean run only because every reply lands before the next tick.
+        ``pase-noopt`` on ``left-right`` is the slowest case: an agg-level
+        consult on the source half with no pruning."""
+        ticks = []
+        arbitrate = PaseSender._arbitrate
+
+        def spy(sender):
+            ticks.append((sender._request_pending, sender._arb_failures))
+            arbitrate(sender)
+
+        monkeypatch.setattr(PaseSender, "_arbitrate", spy)
+        result = run_experiment(ExperimentSpec(
+            "pase-noopt", build_scenario("left-right"), 0.8,
+            num_flows=150, seed=1))
+        assert len(ticks) > 500
+        assert not any(pending for pending, _ in ticks)
+        assert not any(failures for _, failures in ticks)
+        assert not any(f.fallback_episodes for f in result.flows)
 
     def test_empty_schedule_is_a_no_op(self):
         scenario = build_scenario("intra-rack", num_hosts=8)

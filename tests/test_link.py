@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.metrics.overhead import NetworkCounters
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
+from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.packet import make_data_packet
+from repro.sim.packet import make_ack_packet, make_data_packet
 from repro.sim.queues import DropTailQueue
 from repro.utils.units import GBPS, USEC
 
@@ -85,6 +87,26 @@ def test_loss_rate():
         link.send(make_data_packet(0, 1, 1, i))
     sim.run()
     assert link.loss_rate == pytest.approx(2 / 4)
+
+
+def test_dropped_acks_do_not_raise_data_loss_rate():
+    """Loss rate is data drops over data offered: a dropped ACK is not a
+    lost data packet, at the link or network-wide."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.add_host("a"), net.add_host("b")
+    link, _ = net.connect(a, b, 1 * GBPS, 10 * USEC,
+                          lambda: DropTailQueue(capacity_pkts=1))
+    first = make_data_packet(a.node_id, b.node_id, 1, 0)
+    link.send(first)                              # on the wire
+    link.send(make_data_packet(a.node_id, b.node_id, 1, 1))  # queued
+    link.send(make_ack_packet(first, 1))          # dropped ACK
+    link.send(make_data_packet(a.node_id, b.node_id, 1, 2))  # dropped data
+    assert link.queue.drops == 2
+    assert link.loss_rate == pytest.approx(1 / 3)
+    counters = NetworkCounters.from_network(net, 1.0)
+    assert counters.data_pkts_dropped == 1
+    assert counters.loss_rate == pytest.approx(1 / 3)
 
 
 def test_processors_run_on_send():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.overhead import NetworkCounters
 from repro.sim import Simulator, StarTopology
 from repro.transports import (
     Flow,
@@ -106,7 +107,9 @@ def test_loss_rate_grows_with_fanin():
         [(i, 5, 200 * KB, 0.0) for i in range(2)], num_hosts=6)
     topo_big, _ = run_pfabric(
         [(i, 5, 200 * KB, 0.0) for i in range(5)], num_hosts=6)
-    assert topo_big.network.data_loss_rate() >= topo_small.network.data_loss_rate()
+    small = NetworkCounters.from_network(topo_small.network, 1.0)
+    big = NetworkCounters.from_network(topo_big.network, 1.0)
+    assert big.loss_rate >= small.loss_rate
 
 
 def test_persistence_threshold_validation():
