@@ -111,6 +111,7 @@ def main(argv=None) -> int:
           f"({report['speedup_vs_baseline']['spin']:.2f}x baseline)")
     print(f"engine  churn(post):     {engine['churn_post_events_per_sec']:>12,.0f} events/sec "
           f"({report['speedup_vs_baseline']['churn']:.2f}x baseline)")
+    print(f"engine  rearm(repost):   {engine['rearm_post_events_per_sec']:>12,.0f} events/sec")
     arb = report["results"]["arbitration"]
     arb_speed = report["arbitration_speedup_vs_baseline"]
     for n in (100, 1_000, 10_000):

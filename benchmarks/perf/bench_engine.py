@@ -1,12 +1,15 @@
 """Bare event-loop throughput: events/second with no network machinery.
 
-Two workload shapes, both through :meth:`~repro.sim.engine.Simulator.post`:
+Three workload shapes, all scheduled with :meth:`~repro.sim.engine.Simulator.post`:
 
 * ``spin`` — one event in flight at a time (heap depth 1): measures
   per-event fixed cost with no sift work.
 * ``churn`` — a steady-state heap of ~2000 pending timers with randomized
   deadlines: adds the ``O(log n)`` heap maintenance that dominates
   congested-fabric runs.
+* ``rearm`` — ACK-clocked senders: each tick pushes its sender's
+  retransmission timer later with :meth:`~repro.sim.engine.Simulator.repost`,
+  so the heap holds one entry per timer instead of one per re-arm.
 """
 
 from __future__ import annotations
@@ -55,13 +58,44 @@ def churn_events_per_sec(count: int = 50_000, width: int = 2_000) -> float:
     return processed / (time.perf_counter() - t0)
 
 
+def rearm_events_per_sec(count: int = 50_000, width: int = 500) -> float:
+    """``width`` senders, each ticking at seeded-random gaps (the ACK
+    clock) and pushing its own timer 1 ms past every tick, as a sender
+    re-arms its RTO per ACK.  Timers are reached and re-keyed about once
+    per 20 ticks but never fire; capped at ``count`` fired ticks."""
+    import random
+
+    sim = Simulator()
+    emit = sim.post
+    repost = sim.repost
+    rng = random.Random(7)
+    timers = []
+
+    def expire() -> None:
+        pass
+
+    def tick(i: int) -> None:
+        timers[i] = repost(timers[i], 1e-3)
+        emit(rng.random() * 1e-4, tick, i)
+
+    for i in range(width):
+        timers.append(emit(1e-3, expire))
+        emit(rng.random() * 1e-4, tick, i)
+    t0 = time.perf_counter()
+    processed = sim.run(max_events=count)
+    return processed / (time.perf_counter() - t0)
+
+
 def run(scale: str = "full", repeats: int = 3) -> Dict[str, float]:
     """All engine measurements as a flat ``{metric: events_per_sec}``."""
     n_spin = 200_000 if scale == "full" else 40_000
     n_churn = 50_000 if scale == "full" else 15_000
+    n_rearm = 100_000 if scale == "full" else 30_000
     return {
         "spin_post_events_per_sec": best_of(
             lambda: spin_events_per_sec(n_spin), repeats),
         "churn_post_events_per_sec": best_of(
             lambda: churn_events_per_sec(n_churn), repeats),
+        "rearm_post_events_per_sec": best_of(
+            lambda: rearm_events_per_sec(n_rearm), repeats),
     }

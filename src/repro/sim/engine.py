@@ -4,17 +4,25 @@ A minimal, fast event loop.  Heap entries are plain lists
 ``[time, seq, fn, args]`` so ``heapq`` orders them with C-level
 ``(time, seq)`` tuple comparisons — no Python ``__lt__`` call per sift step.
 The sequence number breaks ties deterministically so runs with the same
-seed replay identically, which the test suite relies on.  Every call
-pushes a fresh entry; the loop never reuses one.
+seed replay identically, which the test suite relies on.
 
-:meth:`Simulator.post` / :meth:`Simulator.post_at` schedule a callback and
-return an opaque handle.  Most callers drop it (packet deliveries, link
-wake-ups); timer owners keep it (retransmission timers, arbitration ticks)
-and pass it to :meth:`Simulator.cancel`.  Cancellation is lazy: it nulls
-the entry's callback and the loop skips the entry when popped, keeping
-heap operations O(log n) with no re-heapify.  Because entries are never
-reused, a cancel after the callback fired touches only that spent entry,
-so it is a no-op.
+:meth:`Simulator.post` / :meth:`Simulator.post_at` schedule a callback,
+push a fresh entry and return it as an opaque handle.  Most callers drop
+it (packet deliveries, link wake-ups); timer owners keep it (retransmission
+timers, arbitration ticks) and pass it to :meth:`Simulator.cancel`.
+Cancellation is lazy: it nulls the entry's callback and the loop skips the
+entry when popped, keeping heap operations O(log n) with no re-heapify.
+An entry that has fired is never pushed again, so a cancel after the
+callback fired touches only that spent entry: it is a no-op.
+
+A timer that is pushed back on every ACK would otherwise leave one dead
+entry per re-arm in the heap.  :meth:`Simulator.repost` keeps the pending
+entry instead: when the new time is not earlier, the entry stays in the
+heap under its old key as a *placeholder* whose callback slot is nulled
+and whose args slot holds the pending ``[time, seq, fn, args]``.  When the
+loop reaches the old key it re-keys the same entry and pushes it back,
+without firing or counting anything, so each re-armed timer owns one heap
+entry.  An earlier time cancels the entry and pushes a fresh one.
 
 A component that may or may not need a callback at a known future time
 can claim its tie-break slot now and decide later:
@@ -32,7 +40,20 @@ from typing import Any, Callable, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 _INF = float("inf")
+
+
+def _skip(heap: List[list], entry: list) -> None:
+    """Take the dead ``entry`` off the top of ``heap``: drop a cancelled
+    one, or re-key a :meth:`Simulator.repost` placeholder at its pending
+    ``[time, seq, fn, args]`` and push it back.  Nothing fires."""
+    pending = entry[3]
+    if pending:
+        entry[0], entry[1], entry[2], entry[3] = pending
+        _heapreplace(heap, entry)
+    else:
+        _heappop(heap)
 
 
 #: What :meth:`Simulator.post` returns: pass it to :meth:`Simulator.cancel`.
@@ -106,9 +127,44 @@ class Simulator:
     @staticmethod
     def cancel(handle: Handle) -> None:
         """Discard the callback behind ``handle`` instead of firing it.
-        Safe to call more than once, and after the callback has fired."""
+        Safe to call more than once, and after the callback has fired.
+        A placeholder left by :meth:`repost` becomes a plain cancelled
+        entry."""
         handle[2] = None
         handle[3] = ()
+
+    def repost(self, handle: Handle, delay: float) -> Handle:
+        """Move the pending callback behind ``handle`` to ``delay`` seconds
+        from now; return the handle to keep.
+
+        Same as ``cancel(handle)`` followed by ``post(delay, fn, *args)``
+        with the handle's own callback and arguments: the sequence number
+        is drawn here, so ties order exactly as they would after a fresh
+        post.  A later (or equal) time keeps the entry as a placeholder and
+        returns ``handle``; an earlier one cancels it and returns a new
+        handle.  The stored callback is reused as is, so a wrapper of
+        :meth:`post` sees each callback once.
+
+        Only for a handle that is still pending: one that has fired or was
+        cancelled has no heap entry left to carry the callback.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
+        self._seq = seq = self._seq + 1
+        time = self.now + delay
+        fn, args = handle[2], handle[3]
+        if fn is None:  # already a placeholder: args holds the pending entry
+            if not args:
+                raise ValueError("cannot repost a cancelled handle")
+            fn, args = args[2], args[3]
+        handle[2] = None
+        if time >= handle[0]:
+            handle[3] = [time, seq, fn, args]
+            return handle
+        handle[3] = ()
+        entry = [time, seq, fn, args]
+        _heappush(self._heap, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Reserved slots (decide now, post later)
@@ -169,10 +225,11 @@ class Simulator:
                     self.now = until
                     self.fired_seq = self._seq
                     break
-                heappop(heap)
                 fn = entry[2]
                 if fn is None:
+                    _skip(heap, entry)
                     continue
+                heappop(heap)
                 self.now = entry[0]
                 self.fired_seq = entry[1]
                 fn(*entry[3])
@@ -196,8 +253,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones that
-        have not yet been popped)."""
+        """Number of entries in the heap: live callbacks, one placeholder
+        per timer re-armed by :meth:`repost`, and cancelled entries not
+        yet popped."""
         return len(self._heap)
 
     @property
@@ -207,8 +265,12 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the heap is
-        empty.  Skips over cancelled events without firing anything."""
+        empty.  Drops cancelled entries and re-keys placeholders on the
+        way, as the loop would, without firing anything."""
         heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None:
+                return entry[0]
+            _skip(heap, entry)
+        return None

@@ -330,9 +330,17 @@ class SenderAgent:
             self._rto_event = self.sim.post(self.rto_value(), self._on_rto)
 
     def _rearm_rto(self) -> None:
-        self._cancel_rto()
-        if self._inflight or self._retx_queue or self.next_new < self.total_pkts:
-            self._rto_event = self.sim.post(self.rto_value(), self._on_rto)
+        if not (self._inflight or self._retx_queue
+                or self.next_new < self.total_pkts):
+            self._cancel_rto()
+        elif self._rto_event is None:
+            self._arm_rto()
+        else:
+            # In place: one heap entry per timer.  _on_rto clears
+            # _rto_event before anything re-arms, so a kept handle is
+            # still pending, as repost requires.
+            self._rto_event = self.sim.repost(self._rto_event,
+                                              self.rto_value())
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

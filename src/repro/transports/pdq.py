@@ -236,14 +236,15 @@ class PdqSender(SenderAgent):
 
     def _schedule_probe(self) -> None:
         cfg: PdqConfig = self.config
-        if self._probe_event is not None:
-            self.sim.cancel(self._probe_event)
         # Suppressed probing: back off with priority rank when paused.
         multiplier = 1
         if self.paused and cfg.probe_rank_cap > 1:
             multiplier = max(1, min(self.rank, cfg.probe_rank_cap))
-        self._probe_event = self.sim.post(
-            cfg.probe_interval * multiplier, self._maybe_probe)
+        delay = cfg.probe_interval * multiplier
+        if self._probe_event is None:
+            self._probe_event = self.sim.post(delay, self._maybe_probe)
+        else:
+            self._probe_event = self.sim.repost(self._probe_event, delay)
 
     def _maybe_probe(self) -> None:
         self._probe_event = None

@@ -356,3 +356,161 @@ def test_discard_pending_drops_every_callback():
     assert sim.pending_events == 0
     sim.run()
     assert fired == []
+
+
+# ---------------------------------------------------------------------------
+# Re-arming in place: repost()
+# ---------------------------------------------------------------------------
+
+def _rearm_trace(rearm):
+    """Fire a timer re-armed at t=0.1 to t=0.5, among same-time posts made
+    before and after the re-arm; ``rearm(sim, handle, delay)`` re-arms."""
+    sim = Simulator()
+    fired = []
+    timer = sim.post(0.3, fired.append, "timer")
+    sim.post(0.5, fired.append, "before")
+
+    def at_tick():
+        rearm(sim, timer, 0.4)
+        sim.post(0.4, fired.append, "after")
+
+    sim.post(0.1, at_tick)
+    sim.run()
+    return fired, sim.events_processed
+
+
+def test_repost_fires_in_cancel_then_post_tie_order():
+    def eager(sim, handle, delay):
+        fn, args = handle[2], handle[3]
+        sim.cancel(handle)
+        sim.post(delay, fn, *args)
+
+    def in_place(sim, handle, delay):
+        sim.repost(handle, delay)
+
+    expected = _rearm_trace(eager)
+    assert expected == (["before", "timer", "after"], 4)
+    assert _rearm_trace(in_place) == expected
+
+
+def test_repost_earlier_returns_new_handle_and_kills_old():
+    sim = Simulator()
+    fired = []
+    old = sim.post(0.5, fired.append, "x")
+    new = sim.repost(old, 0.2)
+    assert new is not old
+    sim.cancel(old)  # the old handle is dead: cancelling it changes nothing
+    sim.run()
+    assert fired == ["x"]
+    assert sim.now == 0.2
+    assert sim.events_processed == 1
+
+
+def test_repost_earlier_then_cancel_new_handle_fires_nothing():
+    sim = Simulator()
+    fired = []
+    new = sim.repost(sim.post(0.5, fired.append, "x"), 0.2)
+    sim.cancel(new)
+    sim.run()
+    assert fired == []
+    assert sim.events_processed == 0
+
+
+def test_reposting_a_placeholder_twice_fires_once_at_last_time():
+    sim = Simulator()
+    seen = []
+    handle = sim.post(0.1, lambda: seen.append(sim.now))
+    assert sim.repost(handle, 0.2) is handle
+    assert sim.repost(handle, 0.4) is handle
+    assert sim.pending_events == 1
+    sim.run()
+    assert seen == [0.4]
+    assert sim.events_processed == 1
+
+
+def test_reposting_a_placeholder_earlier_fires_once_at_last_time():
+    sim = Simulator()
+    seen = []
+    handle = sim.post(0.2, lambda: seen.append(sim.now))
+    handle = sim.repost(handle, 0.5)
+    handle = sim.repost(handle, 0.3)
+    sim.run()
+    assert seen == [0.3]
+    assert sim.events_processed == 1
+
+
+def test_cancel_of_placeholder_fires_nothing():
+    sim = Simulator()
+    fired = []
+    handle = sim.repost(sim.post(0.1, fired.append, "x"), 0.3)
+    sim.cancel(handle)
+    sim.run()
+    assert fired == []
+    assert sim.events_processed == 0
+    assert sim.pending_events == 0
+    with pytest.raises(ValueError):
+        sim.repost(handle, 0.1)
+
+
+def test_peek_time_reports_placeholder_time_and_keeps_it():
+    sim = Simulator()
+    fired = []
+    sim.repost(sim.post(0.1, fired.append, "x"), 0.3)
+    assert sim.peek_time() == 0.3
+    assert sim.peek_time() == 0.3
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["x"]
+    assert sim.now == 0.3
+
+
+def test_placeholder_pops_are_not_counted_as_events():
+    sim = Simulator()
+    fired = []
+    sim.repost(sim.post(0.1, fired.append, "timer"), 0.6)
+    sim.post(0.2, fired.append, 1)
+    sim.post(0.3, fired.append, 2)
+    sim.post(0.7, fired.append, 3)
+    processed = sim.run(max_events=2)
+    assert processed == 2
+    assert fired == [1, 2]
+    assert sim.events_processed == 2
+    assert sim.now == 0.3
+    sim.run()
+    assert fired == [1, 2, "timer", 3]
+    assert sim.events_processed == 4
+
+
+def test_run_until_leaves_placeholder_pending_for_next_run():
+    sim = Simulator()
+    seen = []
+    sim.repost(sim.post(0.1, lambda: seen.append(sim.now)), 2.0)
+    sim.run(until=1.0)
+    assert seen == []
+    assert sim.now == 1.0
+    assert sim.pending_events == 1
+    assert sim.events_processed == 0
+    sim.run()
+    assert seen == [2.0]
+
+
+def test_repost_from_inside_callback_tracks_current_time():
+    sim = Simulator()
+    seen = []
+    timer = sim.post(0.5, lambda: seen.append(sim.now))
+
+    def push_back():
+        sim.repost(timer, 0.5)
+
+    sim.post(0.2, push_back)
+    sim.run()
+    assert seen == [0.7]
+
+
+def test_repost_negative_delay_rejected():
+    sim = Simulator()
+    handle = sim.post(0.1, lambda: None)
+    with pytest.raises(ValueError):
+        sim.repost(handle, -0.1)
+    sim.run()
+    assert sim.events_processed == 1

@@ -51,6 +51,60 @@ def test_engine_cancellation_only_skips_cancelled(items):
     assert set(fired) == expected
 
 
+#: One timer operation: (kind, timer id, delay).  Few distinct delays, so
+#: ties are common.
+_TIMER_OP = st.tuples(st.sampled_from(["post", "cancel", "repost"]),
+                      st.integers(min_value=0, max_value=4),
+                      st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5]))
+
+
+def _drive_timers(upfront, on_fire, horizon, in_place):
+    """Apply ``upfront`` at t=0 and one op of ``on_fire`` from each firing
+    callback; run to ``horizon``, peek, then drain.  ``in_place`` re-arms
+    with :meth:`Simulator.repost`, otherwise with cancel + post."""
+    sim = Simulator()
+    handles = {}
+    fired = []
+    on_fire = list(on_fire)
+
+    def apply(op):
+        kind, timer, delay = op
+        handle = handles.get(timer)
+        if kind == "cancel":
+            if handle is not None:
+                sim.cancel(handle)
+                handles[timer] = None
+        elif kind == "repost" and handle is not None:
+            if in_place:
+                handles[timer] = sim.repost(handle, delay)
+            else:
+                sim.cancel(handle)
+                handles[timer] = sim.post(delay, fire, timer)
+        else:
+            handles[timer] = sim.post(delay, fire, timer)
+
+    def fire(timer):
+        handles[timer] = None
+        fired.append((timer, sim.now, sim.fired_seq))
+        if on_fire:
+            apply(on_fire.pop(0))
+
+    for op in upfront:
+        apply(op)
+    sim.run(until=horizon)
+    peeked = sim.peek_time()
+    sim.run()
+    return fired, peeked, sim.events_processed
+
+
+@given(st.lists(_TIMER_OP, min_size=1, max_size=30),
+       st.lists(_TIMER_OP, max_size=30),
+       st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+def test_engine_repost_fires_like_cancel_then_post(upfront, on_fire, horizon):
+    assert (_drive_timers(upfront, on_fire, horizon, in_place=True)
+            == _drive_timers(upfront, on_fire, horizon, in_place=False))
+
+
 # ---------------------------------------------------------------------------
 # Queues
 # ---------------------------------------------------------------------------
