@@ -118,8 +118,6 @@ def main(argv=None) -> int:
         print(f"arb     churn F={n:<6}   "
               f"{arb[f'churn_{n}_arbitrations_per_sec']:>12,.0f} arbitrations/sec "
               f"({arb_speed[f'churn_{n}']:.1f}x baseline)")
-    print(f"arb     epoch F=1000:    "
-          f"{arb['epoch_1000_decisions_per_sec']:>12,.0f} decisions/sec")
     switch = report["results"]["switch"]
     print(f"switch  incast:          {switch['incast_packets_per_sec']:>12,.0f} packets/sec")
     print(f"report: {args.output}")

@@ -1,7 +1,7 @@
 """Control-plane throughput: arbitrations/second on one link arbitrator.
 
 PR 3 made the event engine fast enough that PASE's own control plane became
-the hot spot, so this benchmark isolates it.  Four single-link workloads
+the hot spot, so this benchmark isolates it.  Three single-link workloads
 over table sizes spanning 10²–10⁴ flows, plus one full-stack
 control-plane-heavy sweep point:
 
@@ -11,8 +11,6 @@ control-plane-heavy sweep point:
   workload the pre-PR baseline numbers were measured on.
 * ``parked`` — re-registration with *unchanged* criterion/demand (a flow
   refreshing its soft state between sends): no table mutation, pure decide.
-* ``epoch`` — one mutation followed by :meth:`decide_all`: the epoch-batch
-  pattern, reported as flows-decided/second.
 * ``aggregate`` — ``aggregate_demand(top_queues=1)`` on a static table,
   the delegation rebalancer's per-child demand read.
 * ``cp_heavy`` — a full ``left-right`` PASE run at high load: every layer,
@@ -78,22 +76,6 @@ def parked_arbitrations_per_sec(n_flows: int, ops: int) -> float:
     return ops / (time.perf_counter() - t0)
 
 
-def epoch_decisions_per_sec(n_flows: int, epochs: int) -> float:
-    """One mutation + one ``decide_all()`` per epoch; rate counts every
-    per-flow decision produced."""
-    arb = _make_arbitrator()
-    criteria, demands = _population(n_flows)
-    for i in range(n_flows):
-        arb.arbitrate(i, criteria[i], demands[i], 0.0)
-    t0 = time.perf_counter()
-    for n in range(epochs):
-        i = n % n_flows
-        criteria[i] *= 0.97
-        arb.arbitrate(i, criteria[i], demands[i], n * 1e-6)
-        arb.decide_all()
-    return epochs * n_flows / (time.perf_counter() - t0)
-
-
 def aggregate_calls_per_sec(n_flows: int, calls: int) -> float:
     arb = _make_arbitrator()
     criteria, demands = _population(n_flows)
@@ -128,11 +110,11 @@ def run(scale: str = "full", repeats: int = 3) -> Dict[str, float]:
     """All arbitration measurements as a flat ``{metric: rate}`` dict."""
     if scale == "full":
         churn_ops = {100: 200_000, 1_000: 200_000, 10_000: 100_000}
-        parked_ops, epochs, agg_calls = 200_000, 2_000, 20_000
+        parked_ops, agg_calls = 200_000, 20_000
         cp_flows, cp_hosts = 150, 4
     else:
         churn_ops = {100: 40_000, 1_000: 40_000, 10_000: 20_000}
-        parked_ops, epochs, agg_calls = 40_000, 400, 4_000
+        parked_ops, agg_calls = 40_000, 4_000
         cp_flows, cp_hosts = 40, 3
     report: Dict[str, float] = {}
     for n in TABLE_SIZES:
@@ -140,8 +122,6 @@ def run(scale: str = "full", repeats: int = 3) -> Dict[str, float]:
             lambda n=n: churn_arbitrations_per_sec(n, churn_ops[n]), repeats)
     report["parked_1000_arbitrations_per_sec"] = best_of(
         lambda: parked_arbitrations_per_sec(1_000, parked_ops), repeats)
-    report["epoch_1000_decisions_per_sec"] = best_of(
-        lambda: epoch_decisions_per_sec(1_000, epochs), repeats)
     report["aggregate_top1_1000_calls_per_sec"] = best_of(
         lambda: aggregate_calls_per_sec(1_000, agg_calls), repeats)
     report.update(cp_heavy_point(cp_flows, cp_hosts))

@@ -16,13 +16,13 @@ a given flow, computes:
 
 Fast-path design
 ----------------
-The table is kept **sorted** by ``(criterion_value, flow_id)`` in three
-parallel lists (keys, demands, cached prefix demand), maintained by
-``bisect`` on insert/update/remove.  ADH for the flow at sorted position
-``i`` is then just ``prefix[i]``, so one :meth:`_decide` is an O(log F)
-lookup instead of the historical O(F) scan — and a full ``arbitrate()``
-(update + decide) costs one memmove plus at most a C-speed
-``itertools.accumulate`` over the invalidated prefix suffix.
+The table is kept **sorted** by ``(criterion_value, flow_id)`` in two
+parallel lists (keys, demands) plus a prefix sum of the demands, maintained
+by ``bisect`` on insert/update/remove.  ADH for the flow at sorted position
+``i`` is then just ``prefix[i]``, so one decide is an O(log F) lookup instead
+of an O(F) scan, and a full ``arbitrate()`` (update + decide) costs one
+memmove plus at most a C-speed ``itertools.accumulate`` over the invalidated
+prefix suffix.
 
 Prefix invalidation is *positional*: a mutation at sorted position ``p``
 only discards ``prefix[p+1:]`` (the watermark ``_valid``), so interleaved
@@ -30,11 +30,8 @@ update/decide traffic — the control plane's actual access pattern — re-sums
 only the slice between the lowest dirty position and the queried index.
 The summation order is always left-to-right over the sorted order, so
 repeated partial extensions are bit-identical to one full rebuild.
-
-:meth:`decide_all` is the epoch-batch API: one sorted pass yields every
-registered flow's ``(PrioQue, Rref)`` and memoizes the table until the next
-mutation (or capacity change), so unchanged epochs are served from cache.
-:meth:`aggregate_demand` reads the same cached prefix sums.
+:meth:`aggregate_demand` reads the same prefix sums.  Nothing else is
+cached: every decision is computed from the table when it is asked for.
 
 :class:`VirtualLinkArbitrator` is the same machine over a mutable capacity —
 the delegated slice of a parent (aggregation–core) link (§3.1.2).
@@ -48,8 +45,6 @@ from itertools import accumulate, islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.utils.validation import check_non_negative, check_positive
-
-_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -96,13 +91,10 @@ class LinkArbitrator:
         "num_queues",
         "base_rate_bps",
         "flows",
-        "requests_served",
         "_keys",
         "_demands",
         "_prefix",
         "_valid",
-        "_decisions",
-        "_min_update",
     )
 
     def __init__(
@@ -117,8 +109,6 @@ class LinkArbitrator:
         self.num_queues = int(check_positive("num_queues", num_queues))
         self.base_rate_bps = check_positive("base_rate_bps", base_rate_bps)
         self.flows: Dict[int, ArbitratedFlow] = {}
-        #: Number of arbitrate() calls served (processing-load metric).
-        self.requests_served = 0
         # -- sorted-table fast path ------------------------------------
         #: Sort keys ``(criterion_value, flow_id)``, ascending.
         self._keys: List[Tuple[float, int]] = []
@@ -128,12 +118,6 @@ class LinkArbitrator:
         #: position ``i``); only ``_prefix[: _valid + 1]`` is trustworthy.
         self._prefix: List[float] = [0.0]
         self._valid = 0
-        #: Memoized epoch decision table from :meth:`decide_all`; ``None``
-        #: whenever the table (or the capacity) changed since it was built.
-        self._decisions: Optional[Dict[int, ArbitrationResult]] = None
-        #: Lower bound on ``min(entry.last_update)`` — lets :meth:`expire`
-        #: skip the scan outright while every entry is provably fresh.
-        self._min_update = _INF
 
     # ------------------------------------------------------------------
     @property
@@ -151,19 +135,15 @@ class LinkArbitrator:
         if i < self._valid:
             del self._prefix[i + 1:]
             self._valid = i
-        self._decisions = None
 
     def _remove_entry(self, key: Tuple[float, int]) -> None:
         i = bisect_left(self._keys, key)
         del self._keys[i]
         del self._demands[i]
+        # i < len(old keys), so a watermark at or below i is still in range.
         if i < self._valid:
             del self._prefix[i + 1:]
             self._valid = i
-        elif self._valid > len(self._keys):
-            del self._prefix[len(self._keys) + 1:]
-            self._valid = len(self._keys)
-        self._decisions = None
 
     def _adh_before(self, index: int) -> float:
         """Aggregate demand of the first ``index`` sorted flows, extending
@@ -189,14 +169,11 @@ class LinkArbitrator:
         """Register/update a flow and compute its (PrioQue, Rref)."""
         check_non_negative("criterion_value", criterion_value)
         check_non_negative("demand", demand)
-        self.requests_served += 1
         entry = self.flows.get(flow_id)
         if entry is None:
             self.flows[flow_id] = ArbitratedFlow(
                 flow_id, criterion_value, demand, now)
             self._insert_entry((criterion_value, flow_id), demand)
-            if now < self._min_update:
-                self._min_update = now
         else:
             if (entry.criterion_value != criterion_value
                     or entry.demand != demand):
@@ -208,16 +185,8 @@ class LinkArbitrator:
         return self._decide(flow_id)
 
     def _decide(self, flow_id: int) -> ArbitrationResult:
-        """Step 2 of Algorithm 1: ADH -> (PrioQue, Rref).
-
-        Served from the memoized epoch table when one is live, otherwise an
-        O(log F) bisect into the sorted table plus a cached-prefix read.
-        """
-        decisions = self._decisions
-        if decisions is not None:
-            cached = decisions.get(flow_id)
-            if cached is not None:
-                return cached
+        """Step 2 of Algorithm 1: ADH -> (PrioQue, Rref), an O(log F)
+        bisect into the sorted table plus a prefix read."""
         me = self.flows[flow_id]
         idx = bisect_left(self._keys, (me.criterion_value, flow_id))
         adh = self._adh_before(idx)
@@ -230,45 +199,12 @@ class LinkArbitrator:
             queue = min(int(adh // capacity), self.num_queues - 1)
         return ArbitrationResult(queue=queue, reference_rate=rate)
 
-    def decide_all(self) -> Dict[int, ArbitrationResult]:
-        """Epoch-batch API: every registered flow's (PrioQue, Rref) in one
-        sorted pass over the cached prefix sums.
-
-        The result is memoized and returned as-is until the table mutates
-        (insert/update/remove/expire) or the capacity changes, so callers
-        that poll an unchanged epoch pay a dict lookup, not a recompute.
-        The returned mapping is shared — treat it as read-only.
-        """
-        decisions = self._decisions
-        if decisions is not None:
-            return decisions
-        n = len(self._keys)
-        self._adh_before(n)
-        prefix = self._prefix
-        demands = self._demands
-        capacity = self.capacity
-        lowest = self.num_queues - 1
-        base = self.base_rate_bps
-        decisions = {}
-        for i, (_, fid) in enumerate(self._keys):
-            adh = prefix[i]
-            if adh < capacity:
-                decisions[fid] = ArbitrationResult(
-                    0, min(demands[i], capacity - adh))
-            else:
-                decisions[fid] = ArbitrationResult(
-                    min(int(adh // capacity), lowest), base)
-        self._decisions = decisions
-        return decisions
-
     # ------------------------------------------------------------------
     def remove(self, flow_id: int) -> None:
         """Explicit removal when the source reports completion."""
         entry = self.flows.pop(flow_id, None)
         if entry is not None:
             self._remove_entry((entry.criterion_value, flow_id))
-            if not self.flows:
-                self._min_update = _INF
 
     def clear(self) -> None:
         """Drop every entry (an arbitrator crash wipes its soft state)."""
@@ -277,30 +213,18 @@ class LinkArbitrator:
         self._demands.clear()
         self._prefix = [0.0]
         self._valid = 0
-        self._decisions = None
-        self._min_update = _INF
 
     def expire(self, now: float, timeout: float) -> List[int]:
         """Drop entries not refreshed within ``timeout``; returns the
         removed flow ids so the control plane can count them.
 
         The safety net for sources that died without a completion message.
-        When every entry is provably fresh (the cached minimum last-update
-        is within ``timeout``) the scan is skipped entirely.
         """
-        if not self.flows or now - self._min_update <= timeout:
-            return []
-        stale: List[int] = []
-        oldest = _INF
-        for fid, entry in self.flows.items():
-            if now - entry.last_update > timeout:
-                stale.append(fid)
-            elif entry.last_update < oldest:
-                oldest = entry.last_update
+        stale = [fid for fid, entry in self.flows.items()
+                 if now - entry.last_update > timeout]
         for fid in stale:
             entry = self.flows.pop(fid)
             self._remove_entry((entry.criterion_value, fid))
-        self._min_update = oldest
         return stale
 
     @property
@@ -335,21 +259,20 @@ class VirtualLinkArbitrator(LinkArbitrator):
 
     The owning child arbitrator runs ordinary Algorithm 1 over the slice;
     :meth:`set_share` is called by the delegation manager on each rebalance.
-    ``full_capacity_bps`` is the physical parent link's capacity.
+    ``capacity_bps`` is the physical parent link's capacity.
     """
 
-    __slots__ = ("full_capacity_bps", "_share")
+    __slots__ = ("_share",)
 
     def __init__(
         self,
         name: str,
-        full_capacity_bps: float,
+        capacity_bps: float,
         num_queues: int,
         base_rate_bps: float,
         initial_share: float,
     ) -> None:
-        super().__init__(name, full_capacity_bps, num_queues, base_rate_bps)
-        self.full_capacity_bps = full_capacity_bps
+        super().__init__(name, capacity_bps, num_queues, base_rate_bps)
         self._share = initial_share
 
     @property
@@ -359,13 +282,8 @@ class VirtualLinkArbitrator(LinkArbitrator):
     def set_share(self, share: float) -> None:
         if not 0 < share <= 1:
             raise ValueError(f"share must be in (0, 1], got {share!r}")
-        if share != self._share:
-            self._share = share
-            # The slice capacity moved: every memoized epoch decision is
-            # stale (queue boundaries and spare top-queue rate shifted),
-            # but the prefix sums — pure demand — remain valid.
-            self._decisions = None
+        self._share = share
 
     @property
     def capacity(self) -> float:
-        return self.full_capacity_bps * self._share
+        return self.capacity_bps * self._share

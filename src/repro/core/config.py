@@ -22,10 +22,9 @@ class PaseConfig:
 
     # -- in-network prioritization ------------------------------------
     #: Priority queues per switch port (Table 2: commodity gear has 3-10).
-    num_queues: int = 8
     #: The lowest queue is reserved for background traffic (§3.3), so data
     #: flows are arbitrated across ``num_queues - 1`` classes.
-    reserve_background_queue: bool = True
+    num_queues: int = 8
     #: Per-port buffer (Table 3: qSize = 500 pkts).
     queue_capacity_pkts: int = 500
     #: When True, ``queue_capacity_pkts`` caps the whole port (one shared
@@ -65,17 +64,9 @@ class PaseConfig:
     #: unreachable at NIC line rate, freeing their capacity for flows that
     #: can still make it (PDQ's Early Termination, applied to PASE).
     early_termination: bool = False
-    #: Reference rate assigned to flows that cannot make the top queue:
-    #: one MTU per RTT ("baserate" in Algorithm 1), expressed as packets.
-    base_rate_pkts_per_rtt: float = 1.0
     #: How often a source refreshes its arbitration (s).  One network RTT by
     #: default so promotions lag at most an RTT behind flow completions.
     arbitration_interval: float = 300 * USEC
-    #: Arbitrator entries not refreshed in this many intervals are dropped
-    #: (safety net; normal removal is the explicit completion message).
-    entry_timeout_intervals: float = 4.0
-    #: Per-arbitrator processing delay for a control message (s).
-    processing_delay: float = 10 * USEC
 
     # -- fault tolerance (§3.1's soft-state argument, exercised by
     # -- repro.faults).  Every sender runs this retry/fallback logic; a
@@ -83,14 +74,6 @@ class PaseConfig:
     #: Consecutive unanswered/refused arbitration requests tolerated before
     #: the sender falls back to pure DCTCP behavior.
     arbitration_max_retries: int = 3
-    #: Cap on the exponential backoff multiplier applied to the re-request
-    #: interval while requests keep failing (also the fallback re-probe
-    #: cadence, so recovery is detected within cap x interval).
-    arbitration_backoff_cap: float = 8.0
-    #: Priority class used while in DCTCP fallback; None means the lowest
-    #: data class (conservative: degraded flows cannot starve arbitrated
-    #: top-queue traffic).
-    fallback_queue: Optional[int] = None
 
     # -- control-plane optimizations (§3.1.2) ----------------------------
     #: Early pruning: only flows mapped within the top ``pruning_queues``
@@ -102,10 +85,6 @@ class PaseConfig:
     delegation_enabled: bool = True
     #: Period between virtual-link capacity rebalances (s).
     delegation_update_interval: float = 1 * MSEC
-    #: Minimum fraction of the delegated link any child retains, so a burst
-    #: at a quiet child is never completely locked out while waiting for
-    #: the next rebalance.
-    delegation_min_share: float = 0.05
 
     # -- end-to-end vs local arbitration (Fig. 12a ablation) -------------
     #: When False, only the source/destination access links are arbitrated
@@ -126,26 +105,15 @@ class PaseConfig:
                 f"criterion must be one of {valid_criteria}, got {self.criterion!r}")
         if self.pruning_queues < 0:
             raise ValueError("pruning_queues must be >= 0 (0 disables pruning)")
-        if not 0 <= self.delegation_min_share < 1:
-            raise ValueError("delegation_min_share must be in [0, 1)")
-        if self.reserve_background_queue and self.num_queues < 2:
-            raise ValueError("need >= 2 queues when one is reserved for background")
+        if self.num_queues < 2:
+            raise ValueError("need >= 2 queues: one is reserved for background")
         if self.arbitration_max_retries < 0:
             raise ValueError("arbitration_max_retries must be >= 0")
-        if self.arbitration_backoff_cap < 1:
-            raise ValueError("arbitration_backoff_cap must be >= 1")
-        if self.fallback_queue is not None and not (
-                0 <= self.fallback_queue < self.num_data_queues):
-            raise ValueError(
-                f"fallback_queue must be in [0, {self.num_data_queues}), "
-                f"got {self.fallback_queue}")
 
     @property
     def num_data_queues(self) -> int:
         """Priority classes available to arbitrated (non-background) flows."""
-        if self.reserve_background_queue:
-            return self.num_queues - 1
-        return self.num_queues
+        return self.num_queues - 1
 
     @property
     def background_queue(self) -> int:
@@ -154,7 +122,9 @@ class PaseConfig:
 
     @property
     def entry_timeout(self) -> float:
-        return self.entry_timeout_intervals * self.arbitration_interval
+        """Arbitrator entries not refreshed in four intervals are dropped
+        (safety net; normal removal is the explicit completion message)."""
+        return 4.0 * self.arbitration_interval
 
     @property
     def pruning_enabled(self) -> bool:

@@ -43,9 +43,10 @@ from repro.core.arbitration import (
 from repro.core.config import PaseConfig
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
+from repro.sim.packet import DEFAULT_MTU
 from repro.sim.topology import Topology, TreeTopology
 from repro.transports.flow import Flow
-from repro.utils.units import bytes_to_bits
+from repro.utils.units import USEC, bytes_to_bits
 
 #: Invoked as ``callback(half, result)`` — ``half`` is "src" or "dst" —
 #: whenever one half-path's arbitration outcome reaches the source.  The
@@ -58,6 +59,13 @@ ArbitrationCallback = Callable[[str, ArbitrationResult], None]
 LEVEL_HOST = 0
 LEVEL_TOR = 1
 LEVEL_AGG = 2
+
+#: Per-arbitrator processing delay for one control message (s).
+PROCESSING_DELAY = 10 * USEC
+#: Minimum fraction of a delegated link any child retains, so a burst at a
+#: quiet child is never completely locked out while waiting for the next
+#: rebalance.
+DELEGATION_MIN_SHARE = 0.05
 
 
 @dataclass(slots=True)
@@ -128,7 +136,10 @@ class PaseControlPlane:
         self.entries_expired = 0
 
         self._build_arbitrators()
-        if self.config.delegation_enabled and self._delegation_groups:
+        #: True while a delegation rebalance is pending; the rebalancer
+        #: parks itself (clears this) when nothing else is pending.
+        self._rebalance_armed = bool(self._delegation_groups)
+        if self._rebalance_armed:
             self.sim.post(self.config.delegation_update_interval, self._rebalance_delegation)
         #: True while an expiry sweep is pending; the sweep parks itself
         #: (clears this) when every table is empty.
@@ -143,7 +154,7 @@ class PaseControlPlane:
         rtt = getattr(self.topology, "rtt", None)
         if rtt is None:
             rtt = self.topology.config.core_rtt  # TreeTopology
-        return self.config.base_rate_pkts_per_rtt * bytes_to_bits(1500) / rtt
+        return bytes_to_bits(DEFAULT_MTU) / rtt
 
     def _make_arbitrator(self, link: Link) -> LinkArbitrator:
         arb = LinkArbitrator(
@@ -220,7 +231,7 @@ class PaseControlPlane:
     ) -> None:
         cfg = self.config
         net = topo.network
-        proc = cfg.processing_delay
+        proc = PROCESSING_DELAY
         d_host = topo.host_uplink(net.nodes[flow.src]).prop_delay
         d_fabric = topo.config.per_link_delay
 
@@ -288,11 +299,15 @@ class PaseControlPlane:
         local = chains.src_hops[0].arbitrator.arbitrate(
             flow.flow_id, criterion_value, demand, self.sim.now)
         self.processed_by_level[LEVEL_HOST] += 1
+        # A parked expiry sweep or rebalancer restarts with fresh soft
+        # state.
         if not self._expire_armed:
-            # The expiry sweep parked itself when every table emptied;
-            # fresh soft state re-arms it.
             self._expire_armed = True
             self.sim.post(self.config.entry_timeout, self._expire_sweep)
+        if not self._rebalance_armed and self._delegation_groups:
+            self._rebalance_armed = True
+            self.sim.post(self.config.delegation_update_interval,
+                          self._rebalance_delegation)
         self._walk(flow, chains.src_hops, 1, local, state, "src",
                    return_extra=0.0)
         dst_start = chains.transfer_latency
@@ -444,11 +459,7 @@ class PaseControlPlane:
         for tables in (self.arbitrators, self.virtual):
             for arb in tables.values():
                 self.entries_expired += len(arb.expire(now, timeout))
-                if arb.flows:
-                    occupied = True
-                    # Epoch-batch: recompute the surviving table once, so
-                    # every decision until the next mutation is memoized.
-                    arb.decide_all()
+                occupied = occupied or bool(arb.flows)
         if occupied:
             self.sim.post(timeout, self._expire_sweep)
         else:
@@ -457,33 +468,34 @@ class PaseControlPlane:
             self._expire_armed = False
 
     def _rebalance_delegation(self) -> None:
-        """Periodic virtual-link capacity refresh from child demand reports."""
-        cfg = self.config
-        if self.cp_down:
-            # A crashed control plane neither reports demand nor reassigns
-            # shares; the last shares stay frozen until recovery.
-            self.sim.post(cfg.delegation_update_interval, self._rebalance_delegation)
-            return
-        for parent_link, group in self._delegation_groups:
-            demands = [max(v.aggregate_demand(top_queues=1), 0.0) for v in group]
-            total = sum(demands)
-            floor = cfg.delegation_min_share
-            if total <= 0:
-                shares = [1.0 / len(group)] * len(group)
-            else:
-                raw = [d / total for d in demands]
-                shares = [floor + (1 - floor * len(group)) * r for r in raw]
-            for varb, share in zip(group, shares):
-                varb.set_share(max(share, 1e-6))
-                # Epoch-batch: rebuild the slice's whole (PrioQue, Rref)
-                # table in one sorted pass, so every consult until the next
-                # table mutation is a memoized dict hit instead of a
-                # per-flow recompute.
-                varb.decide_all()
-            # One report up + one share notification down per child.
-            self.messages_sent += 2 * len(group)
-            self.messages_by_level[LEVEL_AGG] += 2 * len(group)
-        self.sim.post(cfg.delegation_update_interval, self._rebalance_delegation)
+        """Periodic virtual-link capacity refresh from child demand reports.
+
+        A crashed control plane neither reports demand nor reassigns
+        shares; the last shares stay frozen until recovery.
+        """
+        if not self.cp_down:
+            for _, group in self._delegation_groups:
+                demands = [max(v.aggregate_demand(top_queues=1), 0.0)
+                           for v in group]
+                total = sum(demands)
+                floor = DELEGATION_MIN_SHARE
+                if total <= 0:
+                    shares = [1.0 / len(group)] * len(group)
+                else:
+                    shares = [floor + (1 - floor * len(group)) * (d / total)
+                              for d in demands]
+                for varb, share in zip(group, shares):
+                    varb.set_share(max(share, 1e-6))
+                # One report up + one share notification down per child.
+                self.messages_sent += 2 * len(group)
+                self.messages_by_level[LEVEL_AGG] += 2 * len(group)
+        if self.sim.peek_time() is None:
+            # Nothing else is pending: park so an idle simulation can
+            # drain.  request() re-arms the rebalancer.
+            self._rebalance_armed = False
+        else:
+            self.sim.post(self.config.delegation_update_interval,
+                          self._rebalance_delegation)
 
 
 class _RequestState:

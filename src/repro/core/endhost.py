@@ -41,6 +41,11 @@ from repro.utils.units import bytes_to_bits
 #: chassis (the PASE paper introduced them; see ReceiverAgent._ack_probe).
 PaseReceiver = ReceiverAgent
 
+#: Cap on the exponential backoff multiplier applied to the re-request
+#: interval while requests keep failing (also the fallback re-probe cadence,
+#: so recovery is detected within cap x interval).
+ARBITRATION_BACKOFF_CAP = 8.0
+
 
 class PaseSender(DctcpSender):
     """Algorithm 2 rate control driven by (PrioQue, Rref) from arbitration."""
@@ -142,8 +147,7 @@ class PaseSender(DctcpSender):
             self._enter_fallback()
         interval = self.pase.arbitration_interval
         if self._arb_failures:
-            interval *= min(2.0 ** self._arb_failures,
-                            self.pase.arbitration_backoff_cap)
+            interval *= min(2.0 ** self._arb_failures, ARBITRATION_BACKOFF_CAP)
         self._arb_event = self.sim.post(interval, self._arbitrate)
 
     def _criterion_value(self) -> float:
@@ -289,10 +293,9 @@ class PaseSender(DctcpSender):
         self._half_results.clear()
         self._pending_queue = None
         self.reference_rate = 0.0
-        queue = self.pase.fallback_queue
-        if queue is None:
-            queue = self.pase.num_data_queues - 1
-        self.queue_index = queue
+        # The lowest data class: degraded flows cannot starve arbitrated
+        # top-queue traffic.
+        self.queue_index = self.pase.num_data_queues - 1
         self._is_intermediate = True  # DCTCP control laws
         self.cwnd = max(self.cwnd, 2.0)
         self.ssthresh = self.config.max_cwnd
@@ -300,7 +303,7 @@ class PaseSender(DctcpSender):
         if self.sim.tracer is not None:
             self.sim.tracer.record(self.sim.now, CAT_FALLBACK,
                                    self.flow.flow_id, phase="enter",
-                                   queue=queue)
+                                   queue=self.queue_index)
         self.send_window()
 
     def _exit_fallback(self) -> None:

@@ -129,46 +129,12 @@ class TestAlgorithmOne:
         r = a.arbitrate(3, 5 * KB, demand=C, now=1.0)
         assert r.queue == 0
 
-    def test_requests_served_counter(self):
-        a = arb()
-        a.arbitrate(1, 10 * KB, demand=C, now=0.0)
-        a.arbitrate(1, 8 * KB, demand=C, now=0.1)
-        assert a.requests_served == 2
-
     def test_negative_inputs_rejected(self):
         a = arb()
         with pytest.raises(ValueError):
             a.arbitrate(1, -5, demand=C, now=0.0)
         with pytest.raises(ValueError):
             a.arbitrate(1, 5, demand=-1, now=0.0)
-
-
-class TestDecideAll:
-    def test_matches_per_flow_decisions(self):
-        a = arb()
-        for fid in range(20):
-            a.arbitrate(fid, (fid + 1) * 7 * KB, demand=0.3 * C, now=0.0)
-        table = a.decide_all()
-        assert set(table) == set(range(20))
-        for fid in range(20):
-            # Re-registering with unchanged values is a pure decide and
-            # must agree with the batch table.
-            r = a.arbitrate(fid, (fid + 1) * 7 * KB, demand=0.3 * C, now=1.0)
-            assert r == table[fid]
-
-    def test_memoized_until_mutation(self):
-        a = arb()
-        a.arbitrate(1, 10 * KB, demand=C, now=0.0)
-        table = a.decide_all()
-        assert a.decide_all() is table  # unchanged epoch: cached object
-        a.arbitrate(2, 20 * KB, demand=C, now=0.0)  # insert invalidates
-        assert a.decide_all() is not table
-        table = a.decide_all()
-        a.remove(2)  # removal invalidates too
-        assert a.decide_all() is not table
-
-    def test_empty_table(self):
-        assert arb().decide_all() == {}
 
 
 class TestAggregateDemand:
@@ -236,22 +202,22 @@ class TestVirtualLink:
             assert rv == rr
 
     def test_capacity_change_mid_epoch_invalidates_decisions(self):
-        """A rebalance between two reads of the same epoch must be visible:
-        the memoized decide_all table may not survive a set_share."""
+        """A rebalance between two decisions on an unchanged table must be
+        visible: re-registering with the same values is a pure re-decide
+        against the new slice capacity."""
         v = VirtualLinkArbitrator("v", C, 7, BASE, initial_share=1.0)
         v.arbitrate(1, 10 * KB, demand=C, now=0.0)
-        v.arbitrate(2, 20 * KB, demand=C, now=0.0)
-        before = v.decide_all()
-        assert before[2].queue == 1  # flow 1 saturates the full link
+        # Flow 1 saturates the full link.
+        assert v.arbitrate(2, 20 * KB, demand=C, now=0.0).queue == 1
         v.set_share(0.5)
-        after = v.decide_all()
-        assert after is not before
-        assert after[2].queue == 2  # half the capacity: ADH spans 2 classes
-        assert after[1].reference_rate == pytest.approx(C / 2)
-        # Re-asserting the same share is a no-op: the epoch table survives.
-        again = v.decide_all()
+        # Half the capacity: ADH spans two classes.
+        assert v.arbitrate(2, 20 * KB, demand=C, now=1.0).queue == 2
+        r1 = v.arbitrate(1, 10 * KB, demand=C, now=1.0)
+        assert r1.reference_rate == pytest.approx(C / 2)
+        # Re-asserting the same share changes no decision.
         v.set_share(0.5)
-        assert v.decide_all() is again
+        assert v.arbitrate(1, 10 * KB, demand=C, now=2.0) == r1
+        assert v.arbitrate(2, 20 * KB, demand=C, now=2.0).queue == 2
 
     def test_aggregate_demand_tie_break_is_deterministic(self):
         """Flows with equal criterion order by flow id, so the top-queue

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import PaseConfig, PaseControlPlane
-from repro.core.control_plane import LEVEL_AGG, LEVEL_HOST, LEVEL_TOR
+from repro.core.control_plane import (
+    DELEGATION_MIN_SHARE,
+    LEVEL_AGG,
+    LEVEL_HOST,
+    LEVEL_TOR,
+)
 from repro.sim import Simulator, StarTopology, TreeTopology, TreeTopologyConfig
 from repro.transports import Flow
 from repro.utils.units import GBPS, KB, USEC
@@ -164,7 +169,25 @@ class TestDelegationRebalance:
         busy.arbitrate(1, 10 * KB, demand=5 * GBPS, now=0.0)
         sim.run(until=2e-3)  # one rebalance period
         assert busy.share > idle.share
-        assert idle.share >= cfg.delegation_min_share - 1e-9
+        assert idle.share >= DELEGATION_MIN_SHARE - 1e-9
+
+    def test_idle_tree_drains_and_request_rearms_rebalancer(self):
+        """With nothing else pending the rebalancer parks, so an idle run
+        drains instead of ticking forever; a request restarts it."""
+        sim, topo, cp = tree_cp()
+        sim.run(max_events=100_000)
+        assert sim.peek_time() is None
+        assert sim.events_processed <= 3
+        agg_up = topo.network.link_between(topo.aggs[0], topo.core)
+        busy = cp.virtual[(agg_up.name, topo.tors[0].node_id)]
+        idle = cp.virtual[(agg_up.name, topo.tors[1].node_id)]
+        assert busy.share == idle.share
+        src = topo.rack_hosts(0)[0]
+        dst = topo.rack_hosts(2)[0]
+        cp.request(flow_between(topo, src, dst), 100 * KB, 1 * GBPS,
+                   lambda h, r: None)
+        sim.run(until=sim.now + 1.5 * cp.config.delegation_update_interval)
+        assert busy.share > idle.share
 
     def test_rebalance_messages_counted(self):
         cfg = PaseConfig(delegation_enabled=True,

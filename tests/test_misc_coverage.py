@@ -67,14 +67,9 @@ class TestPaseConfigProperties:
         assert cfg.num_data_queues == 7
         assert cfg.background_queue == 7
 
-    def test_no_reserved_background(self):
-        cfg = PaseConfig(num_queues=4, reserve_background_queue=False)
-        assert cfg.num_data_queues == 4
-
     def test_entry_timeout_scales_with_interval(self):
-        cfg = PaseConfig(arbitration_interval=1 * MSEC,
-                         entry_timeout_intervals=3.0)
-        assert cfg.entry_timeout == pytest.approx(3 * MSEC)
+        cfg = PaseConfig(arbitration_interval=1 * MSEC)
+        assert cfg.entry_timeout == pytest.approx(4 * MSEC)
 
     def test_pruning_disabled_at_zero(self):
         assert not PaseConfig(pruning_queues=0).pruning_enabled
@@ -83,10 +78,6 @@ class TestPaseConfigProperties:
     def test_two_queue_minimum_with_background(self):
         with pytest.raises(ValueError):
             PaseConfig(num_queues=1)
-
-    def test_invalid_delegation_share(self):
-        with pytest.raises(ValueError):
-            PaseConfig(delegation_min_share=1.0)
 
     def test_invalid_criterion(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,19 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.core.arbitration import LinkArbitrator
+from repro.core.arbitration import (
+    ArbitrationResult,
+    LinkArbitrator,
+    VirtualLinkArbitrator,
+)
 from repro.metrics.stats import percentile
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketKind
@@ -201,6 +212,147 @@ def test_arbitration_rate_never_exceeds_capacity_or_demand(demand):
     r = arb.arbitrate(1, 1000, demand=demand, now=0.0)
     assert r.reference_rate <= 1 * GBPS + 1e-6
     assert r.reference_rate <= demand + 1e-6
+
+
+class _ReferenceArbitrator:
+    """Brute-force Algorithm 1: sort the whole table on every decision and
+    sum ADH with an explicit left-to-right loop (``sum()`` may compensate
+    its rounding, which the real table's prefix sums do not)."""
+
+    def __init__(self, capacity, num_queues, base_rate, share=None):
+        self.capacity_bps = capacity
+        self.num_queues = num_queues
+        self.base_rate = base_rate
+        self.share = share
+        #: flow id -> (criterion, demand, last update), in insertion order.
+        self.flows = {}
+
+    def capacity(self):
+        if self.share is None:
+            return self.capacity_bps
+        return self.capacity_bps * self.share
+
+    def _sorted(self):
+        return sorted((c, fid, d) for fid, (c, d, _) in self.flows.items())
+
+    def arbitrate(self, fid, criterion, demand, now):
+        self.flows[fid] = (criterion, demand, now)
+        adh = 0.0
+        for _, other, d in self._sorted():
+            if other == fid:
+                break
+            adh += d
+        cap = self.capacity()
+        if adh < cap:
+            return ArbitrationResult(0, min(demand, cap - adh))
+        return ArbitrationResult(min(int(adh // cap), self.num_queues - 1),
+                                 self.base_rate)
+
+    def expire(self, now, timeout):
+        stale = [fid for fid, (_, _, t) in self.flows.items()
+                 if now - t > timeout]
+        for fid in stale:
+            del self.flows[fid]
+        return stale
+
+    def aggregate_demand(self, top_queues=None):
+        total = 0.0
+        for _, _, d in self._sorted():
+            if top_queues is not None and total >= top_queues * self.capacity():
+                break
+            total += d
+        return total
+
+
+_ORACLE_C = 1 * GBPS
+_CRITERIA = st.one_of(st.sampled_from([0.0, 1e3, 1e4, 2.5e4, 1e5]),
+                      st.floats(min_value=0, max_value=1e6, allow_nan=False))
+_DEMANDS = st.one_of(
+    st.sampled_from([0.0, 0.1 * _ORACLE_C, 0.3 * _ORACLE_C, _ORACLE_C,
+                     2.5 * _ORACLE_C]),
+    st.floats(min_value=0, max_value=3 * _ORACLE_C, allow_nan=False))
+_SHARES = st.one_of(st.sampled_from([0.05, 0.25, 0.5, 1.0]),
+                    st.floats(min_value=1e-6, max_value=1.0,
+                              exclude_min=True))
+
+
+class ArbitratorOracle(RuleBasedStateMachine):
+    """Drive a real (optionally virtual) arbitrator and the brute-force
+    reference with the same operations; every answer must be equal, and
+    the sorted table must stay consistent after every step."""
+
+    @initialize(virtual=st.booleans(), share=_SHARES,
+                num_queues=st.integers(min_value=1, max_value=4))
+    def build(self, virtual, share, num_queues):
+        self.now = 0.0
+        if virtual:
+            self.arb = VirtualLinkArbitrator("v", _ORACLE_C, num_queues, 1e6,
+                                             initial_share=share)
+            self.ref = _ReferenceArbitrator(_ORACLE_C, num_queues, 1e6, share)
+        else:
+            self.arb = LinkArbitrator("l", _ORACLE_C, num_queues, 1e6)
+            self.ref = _ReferenceArbitrator(_ORACLE_C, num_queues, 1e6)
+
+    @rule(dt=st.sampled_from([0.0, 1e-4, 3e-4, 1e-3]))
+    def tick(self, dt):
+        self.now += dt
+
+    @rule(fid=st.integers(min_value=0, max_value=7), criterion=_CRITERIA,
+          demand=_DEMANDS)
+    def arbitrate(self, fid, criterion, demand):
+        assert (self.arb.arbitrate(fid, criterion, demand, self.now)
+                == self.ref.arbitrate(fid, criterion, demand, self.now))
+
+    @rule(fid=st.integers(min_value=0, max_value=7))
+    def refresh(self, fid):
+        """Re-register a known flow with unchanged values: a pure decide."""
+        if fid in self.ref.flows:
+            criterion, demand, _ = self.ref.flows[fid]
+            self.arbitrate(fid, criterion, demand)
+
+    @rule(fid=st.integers(min_value=0, max_value=7))
+    def remove(self, fid):
+        self.arb.remove(fid)
+        self.ref.flows.pop(fid, None)
+
+    @rule(timeout=st.sampled_from([0.0, 1e-4, 5e-4, 2e-3]))
+    def expire(self, timeout):
+        assert (self.arb.expire(self.now, timeout)
+                == self.ref.expire(self.now, timeout))
+
+    @rule()
+    def clear(self):
+        self.arb.clear()
+        self.ref.flows.clear()
+
+    @precondition(lambda self: self.ref.share is not None)
+    @rule(share=_SHARES)
+    def set_share(self, share):
+        self.arb.set_share(share)
+        self.ref.share = share
+
+    @rule()
+    def aggregate_demand(self):
+        assert self.arb.aggregate_demand() == self.ref.aggregate_demand()
+        assert (self.arb.aggregate_demand(top_queues=1)
+                == self.ref.aggregate_demand(top_queues=1))
+
+    @invariant()
+    def sorted_table_consistent(self):
+        arb = self.arb
+        assert arb._keys == sorted((e.criterion_value, fid)
+                                   for fid, e in arb.flows.items())
+        assert arb._demands == [arb.flows[fid].demand for _, fid in arb._keys]
+        assert len(arb._prefix) == arb._valid + 1
+        fresh = [0.0]
+        for d in arb._demands[:arb._valid]:
+            fresh.append(fresh[-1] + d)
+        assert arb._prefix == fresh
+
+
+ArbitratorOracle.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None)
+TestArbitratorOracle = ArbitratorOracle.TestCase
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,10 @@ class TestByteIdenticalGoldens:
     def test_pase_delegation_golden(self):
         """Delegation-heavy: every left-right flow crosses the core, so the
         virtual arbitrators and the periodic share rebalancer are on the
-        hot path.  Pinned immediately before the sorted-table fast path and
-        the epoch-batch ``decide_all`` landed, so it proves the rebalance
-        path (``aggregate_demand(top_queues=1)`` → ``set_share`` →
-        ``decide_all``) is byte-identical too."""
+        hot path.  Pinned immediately before the sorted-table fast path
+        landed, so it proves the rebalance path
+        (``aggregate_demand(top_queues=1)`` → ``set_share``) is
+        byte-identical too."""
         r = run_experiment(ExperimentSpec(
             "pase", left_right(hosts_per_rack=4), 0.7,
             num_flows=80, seed=11))
