@@ -12,8 +12,8 @@ set it to 3-5 for tighter confidence at the cost of wall-clock time.
 Parallelism: every figure's points go through :func:`run`, hence
 ``repro.runner.run_sweep`` — a (protocol x load) grid via :func:`sweep`.
 ``PASE_BENCH_JOBS`` (default 1, in-process) fans them out over worker
-processes, with identical results; ``PASE_BENCH_TIMEOUT``/
-``PASE_BENCH_RETRIES`` bound sick points.
+processes, with identical results; ``PASE_BENCH_TIMEOUT`` (which needs
+``PASE_BENCH_JOBS`` > 1) and ``PASE_BENCH_RETRIES`` bound sick points.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from repro.harness import (
     format_series_table,
     series_from_results,
 )
-from repro.runner import RunnerConfig, SweepSpec, run_sweep
+from repro.runner import (RunnerConfig, RunRecord, SweepSpec,
+                          results_by_protocol_load, run_sweep)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -50,14 +51,16 @@ def flows(n: int) -> int:
     return max(20, int(n * SCALE))
 
 
+def _records(specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
+    """Run the points uncached; a failed point raises ``SweepFailure``,
+    which fails the figure."""
+    return run_sweep(specs, RunnerConfig(
+        jobs=JOBS, timeout=TIMEOUT, retries=RETRIES)).records
+
+
 def run(specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
-    """Run the points (uncached) and return their results in spec order; a
-    failed point fails the figure (``on_error='raise'``)."""
-    outcome = run_sweep(specs, RunnerConfig(
-        jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,
-        use_cache=False, on_error="raise",
-    ))
-    return [record.result for record in outcome.records]
+    """Run the points (uncached) and return their results in spec order."""
+    return [record.result for record in _records(specs)]
 
 
 def sweep(
@@ -74,10 +77,7 @@ def sweep(
     specs = SweepSpec(tuple(protocols), scenario, tuple(loads),
                       seeds=(seed,), num_flows=flows(num_flows),
                       pase_config=pase_config, horizon=horizon).expand()
-    results: Dict[str, Dict[float, ExperimentResult]] = {}
-    for spec, result in zip(specs, run(specs)):
-        results.setdefault(spec.protocol, {})[spec.load] = result
-    return results
+    return results_by_protocol_load(_records(specs))
 
 
 def emit(name: str, text: str) -> str:

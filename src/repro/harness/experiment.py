@@ -59,10 +59,6 @@ class ExperimentSpec:
     horizon: Optional[float] = None
     binding: Optional[ProtocolBinding] = None
 
-    def replace(self, **changes: Any) -> "ExperimentSpec":
-        """A copy with the given fields changed (spec fields only)."""
-        return replace(self, **changes)
-
     @property
     def scenario_label(self) -> str:
         if isinstance(self.scenario, ScenarioSpec):
@@ -295,12 +291,13 @@ def sweep_loads(
     which serves only points whose scenario is a :class:`ScenarioSpec`.
     A failed point raises :class:`repro.runner.SweepFailure`.
     """
-    from repro.runner import SweepSpec, results_by_load
+    from repro.runner import SweepSpec, results_by_protocol_load
 
     grid = SweepSpec((protocol,), scenario, loads, seeds=(seed,),
                      num_flows=num_flows, pase_config=pase_config,
                      horizon=horizon)
-    return results_by_load(_run_grid(grid, jobs, timeout, retries, cache_dir))
+    records = _run_grid(grid, jobs, timeout, retries, cache_dir)
+    return results_by_protocol_load(records).get(protocol, {})
 
 
 def _run_grid(grid, jobs: int, timeout: Optional[float], retries: int,
@@ -311,7 +308,5 @@ def _run_grid(grid, jobs: int, timeout: Optional[float], retries: int,
     from repro.runner import RunnerConfig, run_sweep
 
     return run_sweep(grid.expand(), RunnerConfig(
-        jobs=jobs, timeout=timeout, retries=retries,
-        use_cache=cache_dir is not None, cache_dir=cache_dir,
-        on_error="raise",
+        jobs=jobs, timeout=timeout, retries=retries, cache_dir=cache_dir,
     )).records

@@ -2,9 +2,11 @@
 
 :func:`run_sweep` is the one call every client (``sweep_loads``, the
 replication helpers, ``bench_common``, the CLI) goes through.  It
-consults the result cache, executes only the missing points through the
-:class:`ProcessPoolRunner`, stores fresh results back, streams records to
-an optional JSONL sink, and returns the full ledger plus counters.
+consults the result cache, executes only the missing points (in-process
+when ``jobs == 1``, on forked workers otherwise; see
+:mod:`repro.runner.executor`), stores fresh results back, streams records
+to an optional JSONL sink, and returns the full ledger plus counters, or
+raises :class:`SweepFailure` carrying them when any point failed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentSpec
 from repro.runner.cache import ResultCache
-from repro.runner.executor import ProcessPoolRunner, WorkFn, execute_spec
+from repro.runner.executor import (WorkFn, execute_spec, run_parallel,
+                                   run_serial)
 from repro.runner.records import STATUS_OK, RunRecord, SweepStats
 from repro.runner.sink import JsonlSink
 
@@ -25,38 +28,27 @@ from repro.runner.sink import JsonlSink
 class RunnerConfig:
     """Execution policy for one sweep."""
 
+    #: Concurrent workers; 1 runs the points in order in this process.
     jobs: int = 1
-    #: Per-run wall-clock budget (seconds); None disables.  Enforced only
-    #: when ``jobs > 1`` (serial mode has no supervising process).
+    #: Per-run wall-clock budget (seconds); None disables.  Needs
+    #: ``jobs > 1``: serial mode has no supervising process to kill a run.
     timeout: Optional[float] = None
+    #: Extra attempts after a failed, timed-out or crashed one.
     retries: int = 0
-    backoff: float = 0.25
-    use_cache: bool = True
-    #: None -> ``PASE_CACHE_DIR`` or ``~/.cache/pase-repro``.
+    #: Result cache root; None runs every point and caches nothing.
     cache_dir: Optional[os.PathLike] = None
     #: Override the code-version salt (tests use this to force invalidation).
     cache_salt: Optional[str] = None
     jsonl_path: Optional[os.PathLike] = None
-    #: "record": failures become failed records (sweep completes).
-    #: "raise": raise :class:`SweepFailure` after the sweep settles — what
-    #: ``sweep_loads``/``replicate`` use.
-    on_error: str = "record"
 
     def __post_init__(self) -> None:
-        if self.on_error not in ("record", "raise"):
-            raise ValueError(f"on_error must be 'record' or 'raise', "
-                             f"got {self.on_error!r}")
-
-
-class SweepFailure(RuntimeError):
-    """Raised under ``on_error='raise'``; carries the failing records."""
-
-    def __init__(self, failed: List[RunRecord]) -> None:
-        lines = [f"{r.spec.label}: {r.status}" for r in failed]
-        super().__init__(
-            f"{len(failed)} sweep point(s) failed:\n  " + "\n  ".join(lines)
-            + (f"\nfirst error:\n{failed[0].error}" if failed[0].error else ""))
-        self.failed = failed
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout is not None and self.jobs == 1:
+            raise ValueError("a timeout needs jobs > 1: a serial run has no "
+                             "second process to stop it")
 
 
 @dataclass
@@ -66,17 +58,27 @@ class SweepOutcome:
     records: List[RunRecord] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
 
-    @property
-    def ok(self) -> bool:
-        return self.stats.failed == 0
-
     def summary_line(self) -> str:
         return self.stats.summary_line()
 
 
+class SweepFailure(RuntimeError):
+    """Raised once a sweep has settled every point and any failed;
+    ``outcome`` holds the whole ledger, ``failed`` its failing records."""
+
+    def __init__(self, outcome: SweepOutcome) -> None:
+        failed = [r for r in outcome.records if not r.ok]
+        lines = [f"{r.spec.label}: {r.status}" for r in failed]
+        super().__init__(
+            f"{len(failed)} sweep point(s) failed:\n  " + "\n  ".join(lines)
+            + (f"\nfirst error:\n{failed[0].error}" if failed[0].error else ""))
+        self.outcome = outcome
+        self.failed = failed
+
+
 def run_sweep(
     specs: Sequence[ExperimentSpec],
-    config: Optional[RunnerConfig] = None,
+    config: RunnerConfig,
     work_fn: WorkFn = execute_spec,
     on_record: Optional[Callable[[RunRecord], None]] = None,
 ) -> SweepOutcome:
@@ -85,14 +87,14 @@ def run_sweep(
     Records come back in spec order regardless of completion order.
     Cache hits never touch the executor; fresh ok results are stored back
     (only for cacheable specs — a built scenario executes fine but has no
-    stable identity to cache under).
+    stable identity to cache under).  Every point settles and the ledger
+    is written before a failed point raises :class:`SweepFailure`.
     """
-    config = config or RunnerConfig()
     specs = list(specs)
     started = time.perf_counter()
 
     cache = (ResultCache(config.cache_dir, salt=config.cache_salt)
-             if config.use_cache else None)
+             if config.cache_dir is not None else None)
     sink = JsonlSink(config.jsonl_path) if config.jsonl_path else None
 
     def emit(record: RunRecord) -> None:
@@ -115,19 +117,14 @@ def run_sweep(
                 to_run.append(i)
 
         if to_run:
-            runner = ProcessPoolRunner(
-                jobs=config.jobs, timeout=config.timeout,
-                retries=config.retries, backoff=config.backoff,
-                work_fn=work_fn,
-            )
-
             def settle(record: RunRecord) -> None:
                 if cache is not None and record.ok and record.result is not None:
                     cache.put(record.spec.content_hash(), record.result)
                 emit(record)
 
-            fresh = runner.run([specs[i] for i in to_run],
-                               on_record=settle)
+            execute = run_serial if config.jobs == 1 else run_parallel
+            fresh = execute([specs[i] for i in to_run], config, work_fn,
+                            settle)
             for i, record in zip(to_run, fresh):
                 records[i] = record
 
@@ -139,8 +136,7 @@ def run_sweep(
         if sink is not None:
             sink.close()
 
-    if config.on_error == "raise":
-        failed = [r for r in final if not r.ok]
-        if failed:
-            raise SweepFailure(failed)
-    return SweepOutcome(records=final, stats=stats)
+    outcome = SweepOutcome(records=final, stats=stats)
+    if stats.failed:
+        raise SweepFailure(outcome)
+    return outcome

@@ -51,15 +51,12 @@ def code_version_salt() -> str:
 
 
 class ResultCache:
-    """Pickle-per-entry cache with hit/miss/store counters."""
+    """Pickle-per-entry cache rooted at ``cache_dir``."""
 
-    def __init__(self, cache_dir: Optional[os.PathLike] = None,
+    def __init__(self, cache_dir: os.PathLike,
                  salt: Optional[str] = None) -> None:
-        self.root = Path(cache_dir) if cache_dir else default_cache_dir()
+        self.root = Path(cache_dir)
         self.salt = salt if salt is not None else code_version_salt()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     def path_for(self, content_hash: str) -> Path:
         return self.root / self.salt / content_hash[:2] / f"{content_hash}.pkl"
@@ -67,26 +64,21 @@ class ResultCache:
     def get(self, content_hash: Optional[str]) -> Optional[ExperimentResult]:
         """Return the cached result or None (uncacheable keys always miss)."""
         if content_hash is None:
-            self.misses += 1
             return None
         path = self.path_for(content_hash)
         try:
             with path.open("rb") as fh:
                 result = pickle.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except Exception:
             # Corrupt/truncated entry (e.g. a killed writer predating the
             # atomic rename): treat as a miss and clear it.
             path.unlink(missing_ok=True)
-            self.misses += 1
             return None
         if not isinstance(result, ExperimentResult):
             path.unlink(missing_ok=True)
-            self.misses += 1
             return None
-        self.hits += 1
         return result
 
     def put(self, content_hash: Optional[str],
@@ -107,5 +99,4 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
         return True

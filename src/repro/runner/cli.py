@@ -41,9 +41,9 @@ from repro.harness.report import format_series_table, series_from_results
 from repro.harness.scenarios import (SCENARIO_BUILDERS, ScenarioSpec,
                                      scenario_cli_kwargs)
 from repro.metrics.slowdown import bucket_stats
-from repro.runner.api import RunnerConfig, run_sweep
+from repro.runner.api import RunnerConfig, SweepFailure, run_sweep
 from repro.runner.cache import default_cache_dir
-from repro.runner.sink import JsonlSink, results_by_protocol_load
+from repro.runner.sink import PROFILE_SORT, JsonlSink, results_by_protocol_load
 from repro.runner.spec import SweepSpec
 from repro.utils.units import KB
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers (1 = serial in-process)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-run wall-clock budget in seconds "
-                             "(enforced when --jobs > 1)")
+                             "(needs --jobs > 1)")
     parser.add_argument("--retries", type=int, default=0,
                         help="extra attempts for a failed/timed-out point")
     parser.add_argument("--cache-dir", default=None,
@@ -185,11 +185,12 @@ def _dump_profile(profiler, path: Path) -> None:
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        pstats.Stats(profiler, stream=fh).sort_stats("cumulative").print_stats()
+        pstats.Stats(profiler, stream=fh).sort_stats(PROFILE_SORT).print_stats()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.profile is not None and args.jobs != 1:
         print("--profile forces --jobs 1 (cProfile needs the runs "
               "in-process)", file=sys.stderr)
@@ -207,14 +208,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         pase_config=build_pase_config(args),
         horizon=args.horizon,
     ).expand()
-    config = RunnerConfig(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        use_cache=not args.no_cache and args.profile is None,
-        cache_dir=args.cache_dir,
-        jsonl_path=args.output,
-    )
+    cache_dir = None
+    if not args.no_cache and args.profile is None:
+        cache_dir = args.cache_dir or default_cache_dir()
+    try:
+        config = RunnerConfig(jobs=args.jobs, timeout=args.timeout,
+                              retries=args.retries, cache_dir=cache_dir,
+                              jsonl_path=args.output)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     def progress(record) -> None:
         mark = "cached" if record.cached else record.status
@@ -225,17 +227,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             print_summary(record.result, args.buckets)
             print()
 
+    def sweep():
+        try:
+            return run_sweep(specs, config, on_record=progress)
+        except SweepFailure as exc:
+            return exc.outcome
+
     print(f"sweep: {len(specs)} points "
           f"({len(args.protocols)} protocol(s) x {len(args.loads)} load(s) "
           f"x {len(args.seeds)} seed(s)), jobs={args.jobs}")
     if args.profile is None:
-        outcome = run_sweep(specs, config, on_record=progress)
+        outcome = sweep()
     else:
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-        outcome = run_sweep(specs, config, on_record=progress)
+        outcome = sweep()
         profiler.disable()
         _dump_profile(profiler, args.profile)
         print(f"profile:    {args.profile} (sorted by cumulative time)")
@@ -256,7 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(outcome.summary_line())
     for line in outcome.stats.failures:
         print(f"  failed: {line}", file=sys.stderr)
-    return 0 if outcome.ok else 1
+    return 1 if outcome.stats.failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -91,8 +91,6 @@ class SweepStats:
     computed: int = 0
     cached: int = 0
     failed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     wall_time: float = 0.0
     failures: List[str] = field(default_factory=list)
 
@@ -103,11 +101,8 @@ class SweepStats:
         for rec in records:
             if rec.cached:
                 stats.cached += 1
-                stats.cache_hits += 1
-            else:
-                stats.cache_misses += 1
-                if rec.ok:
-                    stats.computed += 1
+            elif rec.ok:
+                stats.computed += 1
             if not rec.ok:
                 stats.failed += 1
                 stats.failures.append(f"{rec.spec.label}: {rec.status}")

@@ -18,6 +18,9 @@ from typing import Dict, List, Optional
 from repro.harness.experiment import ExperimentResult
 from repro.runner.records import RunRecord, SweepStats
 
+#: The key a ``--profile`` dump is sorted by, as its ledger row records it.
+PROFILE_SORT = "cumulative"
+
 
 class JsonlSink:
     """Append-mode JSONL writer, flushed per record so a killed sweep still
@@ -32,15 +35,14 @@ class JsonlSink:
         self._write({"type": "run", **record.to_json_dict()})
 
     def write_profile(self, profile_path: os.PathLike,
-                      run_hash: Optional[str] = None,
-                      sort: str = "cumulative") -> None:
+                      run_hash: Optional[str] = None) -> None:
         """Record where a cProfile dump for this ledger's run(s) landed, so
         a profile on disk is always discoverable from the ledger alone."""
         self._write({
             "type": "profile",
             "path": str(profile_path),
             "run": run_hash,
-            "sort": sort,
+            "sort": PROFILE_SORT,
         })
 
     def write_summary(self, stats: SweepStats) -> None:
@@ -50,8 +52,6 @@ class JsonlSink:
             "computed": stats.computed,
             "cached": stats.cached,
             "failed": stats.failed,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
             "wall_time_s": round(stats.wall_time, 6),
             "failures": stats.failures,
         })
@@ -83,15 +83,6 @@ def results_by_protocol_load(
             continue
         by_load = out.setdefault(rec.spec.protocol, {})
         by_load.setdefault(rec.spec.load, rec.result)
-    return out
-
-
-def results_by_load(records: List[RunRecord]) -> Dict[float, ExperimentResult]:
-    """Single-protocol view (the ``sweep_loads`` return shape)."""
-    out: Dict[float, ExperimentResult] = {}
-    for rec in records:
-        if rec.ok and rec.result is not None:
-            out.setdefault(rec.spec.load, rec.result)
     return out
 
 

@@ -30,7 +30,7 @@ class TestSpecConstruction:
 
     def test_replace_returns_modified_copy(self):
         spec = ExperimentSpec("dctcp", SCN, 0.4, seed=3)
-        hot = spec.replace(load=0.9)
+        hot = dataclasses.replace(spec, load=0.9)
         assert hot.load == 0.9
         assert hot.seed == 3
         assert spec.load == 0.4  # original untouched
@@ -67,7 +67,8 @@ class TestRunnerIntegration:
             "dctcp", ScenarioSpec("intra-rack", {"num_hosts": 5}), 0.4,
             num_flows=15, seed=2)
         via_spec = run_experiment(spec)
-        via_built = run_experiment(spec.replace(scenario=spec.scenario.build()))
+        via_built = run_experiment(
+            dataclasses.replace(spec, scenario=spec.scenario.build()))
         assert via_spec.scenario == via_built.scenario
         assert via_spec.events == via_built.events
         assert [f.fct for f in via_spec.flows] == [f.fct for f in via_built.flows]

@@ -23,13 +23,12 @@ from repro.runner import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
-    ProcessPoolRunner,
     ResultCache,
     RunnerConfig,
     ScenarioSpec,
     SweepFailure,
     SweepSpec,
-    results_by_load,
+    execute_spec,
     run_sweep,
 )
 from tests.test_regression_golden import _fingerprint
@@ -67,6 +66,23 @@ def _hard_crash(spec):
     os._exit(17)  # simulates a segfault: no exception, no report
 
 
+def _real_unless_half(spec):
+    if spec.load == 0.5:
+        raise ValueError("boom at 0.5")
+    return execute_spec(spec)
+
+
+def _failed_sweep_records(specs, config, work_fn):
+    """The records of a sweep that must raise ``SweepFailure``."""
+    with pytest.raises(SweepFailure) as caught:
+        run_sweep(specs, config, work_fn=work_fn)
+    return caught.value.outcome.records
+
+
+def _ledger(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestSpec:
     def test_expand_is_protocol_major_grid(self):
         spec = SweepSpec(protocols=("a", "b"), scenario=TINY,
@@ -91,10 +107,10 @@ class TestSpec:
             "b6d9fe367b3112b259563dc9d01c69372d1dd86f91aea9506b8f7120af8751ac")
 
     def test_built_scenarios_are_uncacheable(self):
-        built = tiny_spec().replace(scenario=intra_rack(num_hosts=5))
+        built = replace(tiny_spec(), scenario=intra_rack(num_hosts=5))
         bound = tiny_spec(binding=make_binding("dctcp", TINY.build()))
-        opaque = tiny_spec().replace(
-            scenario=ScenarioSpec("intra-rack", {"sizes": object()}))
+        opaque = replace(tiny_spec(), scenario=ScenarioSpec(
+            "intra-rack", {"sizes": object()}))
         for spec in (built, bound, opaque):
             assert spec.key_dict() is None
             assert spec.content_hash() is None
@@ -110,23 +126,23 @@ class TestSpec:
 
 class TestExecutorIsolation:
     def test_parallel_echo_preserves_order(self):
-        runner = ProcessPoolRunner(jobs=2, work_fn=_echo_work)
-        records = runner.run([tiny_spec(load=l) for l in (0.1, 0.3, 0.5, 0.7)])
+        records = run_sweep([tiny_spec(load=l) for l in (0.1, 0.3, 0.5, 0.7)],
+                            RunnerConfig(jobs=2), work_fn=_echo_work).records
         assert [r.status for r in records] == [STATUS_OK] * 4
         assert [r.result[1] for r in records] == [0.1, 0.3, 0.5, 0.7]
         assert all(r.peak_rss_kb and r.peak_rss_kb > 0 for r in records)
 
     def test_timeout_fires_and_sweep_completes(self):
-        runner = ProcessPoolRunner(jobs=2, timeout=0.5, work_fn=_slow_work)
-        records = runner.run([tiny_spec(load=0.1)])
+        records = _failed_sweep_records([tiny_spec(load=0.1)],
+                                        RunnerConfig(jobs=2, timeout=0.5),
+                                        _slow_work)
         assert records[0].status == STATUS_TIMEOUT
         assert "budget" in records[0].error
 
     def test_raising_worker_is_retried_then_failed_without_aborting(self):
-        runner = ProcessPoolRunner(jobs=2, retries=1, backoff=0.01,
-                                   work_fn=_raise_on_half)
-        records = runner.run([tiny_spec(load=l)
-                              for l in (0.1, 0.5, 0.9)])
+        records = _failed_sweep_records(
+            [tiny_spec(load=l) for l in (0.1, 0.5, 0.9)],
+            RunnerConfig(jobs=2, retries=1), _raise_on_half)
         by_load = {r.spec.load: r for r in records}
         assert by_load[0.5].status == STATUS_FAILED
         assert by_load[0.5].attempts == 2  # original + one retry
@@ -136,18 +152,33 @@ class TestExecutorIsolation:
         assert by_load[0.9].status == STATUS_OK
 
     def test_hard_crash_is_isolated(self):
-        runner = ProcessPoolRunner(jobs=2, work_fn=_hard_crash)
-        records = runner.run([tiny_spec(load=0.1),
-                              tiny_spec(load=0.3)])
+        records = _failed_sweep_records(
+            [tiny_spec(load=0.1), tiny_spec(load=0.3)],
+            RunnerConfig(jobs=2), _hard_crash)
         assert all(r.status == STATUS_CRASHED for r in records)
         assert "exit code 17" in records[0].error
 
     def test_serial_mode_retries_and_records(self):
-        runner = ProcessPoolRunner(jobs=1, retries=2, backoff=0.0,
-                                   work_fn=_always_raises)
-        records = runner.run([tiny_spec()])
+        records = _failed_sweep_records([tiny_spec()],
+                                        RunnerConfig(jobs=1, retries=2),
+                                        _always_raises)
         assert records[0].status == STATUS_FAILED
         assert records[0].attempts == 3
+
+
+class TestRunnerConfig:
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            RunnerConfig(jobs=0)
+
+    def test_rejects_negative_retries(self):
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            RunnerConfig(jobs=2, retries=-3)
+
+    def test_rejects_serial_timeout(self):
+        with pytest.raises(ValueError, match="timeout needs jobs > 1"):
+            RunnerConfig(jobs=1, timeout=1e-9)
+        assert RunnerConfig(jobs=2, timeout=1e-9).timeout == 1e-9
 
 
 class TestCache:
@@ -155,9 +186,9 @@ class TestCache:
         config = RunnerConfig(jobs=1, cache_dir=tmp_path)
         d = [tiny_spec(load=0.3)]
         first = run_sweep(d, config)
-        assert first.stats.cache_misses == 1 and first.stats.cached == 0
+        assert first.stats.computed == 1 and first.stats.cached == 0
         again = run_sweep(d, config)
-        assert again.stats.cached == 1 and again.stats.cache_hits == 1
+        assert again.stats.cached == 1 and again.stats.computed == 0
         assert (pickle.dumps(again.records[0].result.stats) ==
                 pickle.dumps(first.records[0].result.stats))
         # Any config change (here: flow count) must miss.
@@ -180,13 +211,15 @@ class TestCache:
         path.write_bytes(b"not a pickle")
         assert cache.get(h) is None
         assert not path.exists()
-        assert cache.misses == 1
 
-    def test_no_cache_mode_always_computes(self, tmp_path):
-        config = RunnerConfig(use_cache=False, cache_dir=tmp_path)
+    def test_no_cache_mode_always_computes(self, tmp_path, monkeypatch):
+        # cache_dir=None must neither read nor write the default root.
+        monkeypatch.setenv("PASE_CACHE_DIR", str(tmp_path))
+        config = RunnerConfig(cache_dir=None)
         run_sweep([tiny_spec()], config)
         out = run_sweep([tiny_spec()], config)
-        assert out.stats.cached == 0
+        assert out.stats.cached == 0 and out.stats.computed == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParity:
@@ -194,8 +227,7 @@ class TestParity:
     (``jobs=1``), on a worker (``jobs=2``) or comes from the cache."""
 
     def test_serial_runner_matches_direct_run(self):
-        outcome = run_sweep([tiny_spec(load=0.4)],
-                            RunnerConfig(jobs=1, use_cache=False))
+        outcome = run_sweep([tiny_spec(load=0.4)], RunnerConfig(jobs=1))
         direct = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=5), 0.4,
                                 num_flows=12, seed=1))
         got = outcome.records[0].result
@@ -216,7 +248,7 @@ class TestParity:
                      for r in outcome.records])
 
         serial = sweep(RunnerConfig(jobs=1, cache_dir=tmp_path))
-        parallel = sweep(RunnerConfig(jobs=2, use_cache=False))
+        parallel = sweep(RunnerConfig(jobs=2))
         cached = sweep(RunnerConfig(jobs=1, cache_dir=tmp_path))
         assert serial[0] == parallel[0] == [False, False]
         assert cached[0] == [True, True]
@@ -258,9 +290,9 @@ class TestDetach:
 class TestJsonlOutput:
     def test_records_and_summary_lines(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
-        config = RunnerConfig(jobs=1, use_cache=False, jsonl_path=out)
+        config = RunnerConfig(jobs=1, jsonl_path=out)
         run_sweep([tiny_spec(load=0.3)], config)
-        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        lines = _ledger(out)
         assert [l["type"] for l in lines] == ["run", "sweep_summary"]
         run_line, summary = lines
         assert run_line["status"] == "ok"
@@ -269,19 +301,38 @@ class TestJsonlOutput:
         assert run_line["metrics"]["afct_s"] > 0
         assert run_line["metrics"]["application_throughput"] is None  # NaN
         assert summary["total"] == 1 and summary["failed"] == 0
-        assert summary["cache_misses"] == 1
+        assert summary["computed"] == 1 and summary["cached"] == 0
 
-    def test_failed_point_lands_in_ledger_not_exception(self, tmp_path):
+    def test_failed_point_lands_in_ledger_then_raises(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
-        outcome = run_sweep(
-            [tiny_spec(load=0.1), tiny_spec(load=0.5)],
-            RunnerConfig(jobs=2, use_cache=False, jsonl_path=out),
-            work_fn=_raise_on_half,
-        )
-        assert outcome.stats.failed == 1
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        with pytest.raises(SweepFailure) as caught:
+            run_sweep([tiny_spec(load=0.1), tiny_spec(load=0.5)],
+                      RunnerConfig(jobs=2, jsonl_path=out),
+                      work_fn=_raise_on_half)
+        assert caught.value.outcome.stats.failed == 1
+        assert [r.spec.load for r in caught.value.failed] == [0.5]
+        rows = _ledger(out)
         statuses = {r["load"]: r["status"] for r in rows if r["type"] == "run"}
         assert statuses == {0.1: "ok", 0.5: "failed"}
+        assert rows[-1]["type"] == "sweep_summary"
+
+    def test_summary_tallies_match_run_rows(self, tmp_path):
+        cache_dir, out = tmp_path / "cache", tmp_path / "sweep.jsonl"
+        run_sweep([tiny_spec(load=0.3)], RunnerConfig(cache_dir=cache_dir))
+        _failed_sweep_records(
+            [tiny_spec(load=l) for l in (0.3, 0.4, 0.5)],
+            RunnerConfig(cache_dir=cache_dir, jsonl_path=out),
+            _real_unless_half)
+        rows = _ledger(out)
+        runs = [r for r in rows if r["type"] == "run"]
+        summary = rows[-1]
+        assert summary["type"] == "sweep_summary"
+        assert summary["total"] == len(runs) == 3
+        assert summary["cached"] == sum(r["cached"] for r in runs) == 1
+        assert summary["failed"] == sum(
+            r["status"] != "ok" for r in runs) == 1
+        assert summary["computed"] == sum(
+            r["status"] == "ok" and not r["cached"] for r in runs) == 1
 
 
 class TestRunnerCli:
@@ -317,3 +368,29 @@ class TestRunnerCli:
             main(["--protocols", "quic", "--scenario", "intra-rack",
                   "--loads", "0.3"])
         assert exc.value.code == 2
+
+    def test_serial_timeout_is_a_usage_error(self, capsys):
+        from repro.runner.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--protocols", "dctcp", "--scenario", "intra-rack",
+                  "--loads", "0.3", "--timeout", "1", "--no-cache"])
+        assert exc.value.code == 2
+        assert "timeout needs jobs > 1" in capsys.readouterr().err
+
+    def test_failed_points_exit_nonzero_with_ledger(self, tmp_path, capsys):
+        from repro.runner.cli import main
+
+        out = tmp_path / "out.jsonl"
+        rc = main(["--protocols", "dctcp", "--scenario", "intra-rack",
+                   "--hosts", "5", "--loads", "0.2,0.4", "--flows", "100",
+                   "--jobs", "2", "--timeout", "0.01", "--no-cache",
+                   "--output", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "2 failed" in captured.out
+        assert captured.err.count("failed: ") == 2
+        rows = _ledger(out)
+        assert [r["status"] for r in rows if r["type"] == "run"] == [
+            "timeout", "timeout"]
+        assert rows[-1]["type"] == "sweep_summary" and rows[-1]["failed"] == 2
