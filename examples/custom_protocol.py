@@ -14,8 +14,8 @@ Run:  python examples/custom_protocol.py
 
 from repro.sim import Simulator, StarTopology
 from repro.sim.packet import Packet
-from repro.transports import DctcpConfig, DctcpSender, Flow, ReceiverAgent
-from repro.transports.base import SenderAgent, TransportConfig
+from repro.transports import DctcpSender, Flow, ReceiverAgent
+from repro.transports.base import MAX_CWND, SenderAgent, TransportConfig
 from repro.utils.units import GBPS, KB, USEC
 
 
@@ -27,8 +27,7 @@ class HalfTcpSender(SenderAgent):
 
     def on_ack_window_update(self, pkt: Packet, newly_acked: bool) -> None:
         if newly_acked:
-            self.cwnd = min(self.cwnd + 0.5 / max(self.cwnd, 1.0),
-                            self.config.max_cwnd)
+            self.cwnd = min(self.cwnd + 0.5 / max(self.cwnd, 1.0), MAX_CWND)
 
     def on_fast_retransmit(self) -> None:
         self.cwnd = max(1.0, self.cwnd / 4)
@@ -43,13 +42,10 @@ def main() -> None:
                             rtt=100 * USEC)
 
     # Two equal flows into the same destination — one per protocol.
-    contenders = [
-        ("half-tcp", HalfTcpSender,
-         TransportConfig(initial_rtt=100 * USEC, slow_start=False)),
-        ("dctcp", DctcpSender, DctcpConfig(initial_rtt=100 * USEC)),
-    ]
+    config = TransportConfig(initial_rtt=100 * USEC)
+    contenders = [("half-tcp", HalfTcpSender), ("dctcp", DctcpSender)]
     flows = []
-    for i, (name, sender_cls, config) in enumerate(contenders):
+    for i, (name, sender_cls) in enumerate(contenders):
         flow = Flow(flow_id=i + 1, src=topology.hosts[i].node_id,
                     dst=topology.hosts[3].node_id, size_bytes=400 * KB,
                     start_time=0.0)

@@ -40,8 +40,6 @@ class PaseConfig:
     # -- end-host transport (Algorithm 2 / Table 3) --------------------
     min_rto_top: float = 10 * MSEC
     min_rto_low: float = 200 * MSEC
-    #: DCTCP gain for the alpha estimator.
-    g: float = 0.0625
     #: Use header-only probes (not data retransmissions) to disambiguate
     #: loss from low-priority queueing delay (§3.2).
     probing_enabled: bool = True

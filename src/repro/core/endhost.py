@@ -31,10 +31,10 @@ from repro.core.arbitration import ArbitrationResult
 from repro.core.config import PaseConfig
 from repro.core.control_plane import PaseControlPlane
 from repro.sim.engine import Handle
-from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
+from repro.sim.packet import Packet
 from repro.sim.trace import CAT_FALLBACK, CAT_QUEUE_CHANGE
-from repro.transports.base import ReceiverAgent
-from repro.transports.dctcp import DctcpConfig, DctcpSender
+from repro.transports.base import MAX_CWND, ReceiverAgent, TransportConfig
+from repro.transports.dctcp import DctcpSender
 from repro.utils.units import bytes_to_bits
 
 #: PASE receivers are plain receivers: probe replies are part of the shared
@@ -65,9 +65,8 @@ class PaseSender(DctcpSender):
         #: ignoring the reference rate.
         self.use_reference_rate = use_reference_rate
         self.pase = config or control_plane.config
-        dctcp = DctcpConfig(init_cwnd=1.0, min_rto=self.pase.min_rto_top,
-                            g=self.pase.g)
-        super().__init__(sim, host, flow, dctcp, on_done)
+        transport = TransportConfig(init_cwnd=1.0, min_rto=self.pase.min_rto_top)
+        super().__init__(sim, host, flow, transport, on_done)
         self.control_plane = control_plane
         self.nic_rate_bps = control_plane.topology.host_uplink(host).capacity_bps
 
@@ -261,7 +260,7 @@ class PaseSender(DctcpSender):
                 # is tamed by ECN marks inside its priority class.  Without
                 # this, intermediate flows crawl at +1 MSS/RTT and the gaps
                 # left by completing top-queue flows go unused.
-                self.ssthresh = self.config.max_cwnd
+                self.ssthresh = MAX_CWND
         else:
             self._is_intermediate = False
             self.cwnd = 1.0
@@ -298,7 +297,7 @@ class PaseSender(DctcpSender):
         self.queue_index = self.pase.num_data_queues - 1
         self._is_intermediate = True  # DCTCP control laws
         self.cwnd = max(self.cwnd, 2.0)
-        self.ssthresh = self.config.max_cwnd
+        self.ssthresh = MAX_CWND
         self._arbitrated = True  # sending no longer gated on arbitration
         if self.sim.tracer is not None:
             self.sim.tracer.record(self.sim.now, CAT_FALLBACK,
@@ -345,8 +344,7 @@ class PaseSender(DctcpSender):
         if self.flow.background or self._is_intermediate:
             super()._increase_window()
         elif self.queue_index == 0 and self.use_reference_rate:
-            self.cwnd = min(max(1.0, self._reference_window()),
-                            self.config.max_cwnd)
+            self.cwnd = min(max(1.0, self._reference_window()), MAX_CWND)
         else:
             self.cwnd = 1.0
 
@@ -364,20 +362,8 @@ class PaseSender(DctcpSender):
             super().handle_timeout()
             return
         # Low-priority timeout: probe instead of retransmitting data (§3.2).
-        self._send_probe()
+        self._probe_seq = self._send_probe().seq
         self._rearm_rto()
-
-    def _send_probe(self) -> None:
-        probe = Packet(
-            PacketKind.PROBE, self.host.node_id, self.flow.dst,
-            self.flow.flow_id, seq=min(self.cum_ack, self.total_pkts - 1),
-            size=HEADER_SIZE, queue_index=self.queue_index,
-        )
-        probe.priority = float(self.queue_index)
-        probe.sent_time = self.sim.now
-        self.flow.probes_sent += 1
-        self._probe_seq = probe.seq
-        self.host.send(probe)
 
     def handle_special_ack(self, ack: Packet) -> bool:
         sack = ack.ack_sacks
@@ -403,10 +389,7 @@ class PaseSender(DctcpSender):
             # the one-packet window shut forever).
             self._probe_seq = None
             seq = ack.seq
-            for lost in sorted(self._inflight):
-                if lost not in self._retx_queue and not self._acked[lost]:
-                    self._retx_queue.append(lost)
-            self._inflight.clear()
+            self._presume_inflight_lost()
             if seq not in self._retx_queue and not self._acked[seq]:
                 self._retx_queue.insert(0, seq)
             self._rto_backoff = 0

@@ -23,22 +23,17 @@ from repro.sim.network import QueueFactory
 from repro.sim.queues import PFabricQueue, REDQueue
 from repro.sim.topology import Topology, default_queue_factory
 from repro.transports import (
-    D3Config,
     D3Sender,
-    D2tcpConfig,
     D2tcpSender,
-    DctcpConfig,
     DctcpSender,
     Flow,
-    L2dctConfig,
     L2dctSender,
-    PdqConfig,
     PdqSender,
     PfabricConfig,
     PfabricSender,
     ReceiverAgent,
-    TcpConfig,
     TcpSender,
+    TransportConfig,
     install_d3_allocators,
     install_pdq_schedulers,
 )
@@ -50,14 +45,16 @@ from repro.harness.scenarios import Scenario
 
 class ProtocolBinding:
     """Per-protocol wiring.  Subclasses fill in the four hooks (the default
-    sender is ``sender_cls`` over ``self.config``); only the PASE bindings
-    read ``pase_config``."""
+    sender is ``sender_cls`` over ``self.config``, a :class:`TransportConfig`
+    seeded with the scenario's RTT); only the PASE bindings read
+    ``pase_config``."""
 
     sender_cls: type
 
     def __init__(self, scenario: Scenario,
                  pase_config: Optional[PaseConfig] = None) -> None:
         self.scenario = scenario
+        self.config = TransportConfig(initial_rtt=scenario.base_rtt)
 
     # -- hooks -----------------------------------------------------------
     def queue_factory(self) -> QueueFactory:
@@ -91,20 +88,13 @@ def _two_bdp_capacity(scenario: Scenario) -> int:
 
 class DctcpBinding(ProtocolBinding):
     """DCTCP, and the chassis of the window-based family below (each
-    subclass swaps in its own sender and config)."""
+    subclass swaps in its own sender)."""
 
     sender_cls = DctcpSender
-    config_cls = DctcpConfig
-
-    def __init__(self, scenario: Scenario,
-                 pase_config: Optional[PaseConfig] = None) -> None:
-        super().__init__(scenario)
-        self.config = self.config_cls(initial_rtt=scenario.base_rtt)
 
 
 class TcpBinding(DctcpBinding):
     sender_cls = TcpSender
-    config_cls = TcpConfig
 
     def queue_factory(self) -> QueueFactory:
         return _unmarked_red
@@ -112,26 +102,15 @@ class TcpBinding(DctcpBinding):
 
 class D2tcpBinding(DctcpBinding):
     sender_cls = D2tcpSender
-    config_cls = D2tcpConfig
 
 
 class L2dctBinding(DctcpBinding):
     sender_cls = L2dctSender
-    config_cls = L2dctConfig
 
 
 class PdqBinding(ProtocolBinding):
     sender_cls = PdqSender
-    config_cls = PdqConfig
     install = staticmethod(install_pdq_schedulers)
-
-    def __init__(self, scenario: Scenario,
-                 pase_config: Optional[PaseConfig] = None) -> None:
-        super().__init__(scenario)
-        rtt = scenario.base_rtt
-        self.config = self.config_cls(
-            initial_rtt=rtt, probe_interval=rtt, base_rtt=rtt,
-            entry_timeout=10 * rtt)
 
     def queue_factory(self) -> QueueFactory:
         # Explicit rates keep queues near-empty; the small buffer is what
@@ -147,7 +126,6 @@ class D3Binding(PdqBinding):
     """PDQ's chassis with D3's first-come-first-served rate allocators."""
 
     sender_cls = D3Sender
-    config_cls = D3Config
     install = staticmethod(install_d3_allocators)
 
     def queue_factory(self) -> QueueFactory:

@@ -11,6 +11,12 @@ chassis in :mod:`repro.transports.base`):
 * :mod:`~repro.transports.pfabric` — in-network prioritization.
 
 PASE itself lives in :mod:`repro.core`.
+
+Every sender takes one :class:`~repro.transports.base.TransportConfig`
+(four values: ``init_cwnd``, ``min_rto``, ``max_rto``, ``initial_rtt``);
+pFabric's Table 3 defaults are :class:`~repro.transports.pfabric.PfabricConfig`.
+The remaining Table 3 parameters are constants beside the code that reads
+them.
 """
 
 from repro.transports.base import (
@@ -19,18 +25,16 @@ from repro.transports.base import (
     TransportConfig,
 )
 from repro.transports.d3 import (
-    D3Config,
     D3LinkAllocator,
     D3Receiver,
     D3Sender,
     install_d3_allocators,
 )
-from repro.transports.dctcp import DctcpConfig, DctcpSender
-from repro.transports.d2tcp import D2tcpConfig, D2tcpSender
+from repro.transports.dctcp import DctcpSender
+from repro.transports.d2tcp import D2tcpSender
 from repro.transports.flow import Flow
-from repro.transports.l2dct import L2dctConfig, L2dctSender
+from repro.transports.l2dct import L2dctSender
 from repro.transports.pdq import (
-    PdqConfig,
     PdqLinkScheduler,
     PdqReceiver,
     PdqSender,
@@ -41,27 +45,21 @@ from repro.transports.pfabric import (
     PfabricSender,
     pfabric_queue_factory,
 )
-from repro.transports.tcp import TcpConfig, TcpSender
+from repro.transports.tcp import TcpSender
 
 __all__ = [
     "Flow",
     "ReceiverAgent",
     "SenderAgent",
     "TransportConfig",
-    "TcpConfig",
     "TcpSender",
-    "D3Config",
     "D3LinkAllocator",
     "D3Receiver",
     "D3Sender",
     "install_d3_allocators",
-    "DctcpConfig",
     "DctcpSender",
-    "D2tcpConfig",
     "D2tcpSender",
-    "L2dctConfig",
     "L2dctSender",
-    "PdqConfig",
     "PdqLinkScheduler",
     "PdqReceiver",
     "PdqSender",

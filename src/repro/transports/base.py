@@ -6,16 +6,18 @@ how the window reacts to ACKs, ECN marks, losses, and timeouts.  This module
 implements the shared machinery once:
 
 * selective per-packet ACKs with a cumulative ack number,
-* fast retransmit after ``dupack_threshold`` duplicate cumulative ACKs
+* fast retransmit after ``DUPACK_THRESHOLD`` duplicate cumulative ACKs
   (one recovery episode per window, NewReno-style),
 * a single retransmission timer with exponential backoff,
 * EWMA RTT estimation from non-retransmitted packets,
+* header-only probes (PASE, pFabric, PDQ), stamped like data,
 * completion detection on both ends.
 
 Subclasses override the small hook surface at the bottom of
 :class:`SenderAgent` (``decorate_packet``, ``on_ack_window_update``,
-``on_fast_retransmit``, ``on_timeout_window_update``).  PDQ replaces the
-window engine with pacing but reuses the receiver and reliability state.
+``increase_gain``, ``on_fast_retransmit``, ``on_timeout_window_update``).
+PDQ replaces the window engine with pacing but reuses the receiver and
+reliability state.
 """
 
 from __future__ import annotations
@@ -43,20 +45,23 @@ if TYPE_CHECKING:  # pragma: no cover
 CompletionCallback = Callable[[Flow], None]
 
 
+#: Window ceiling, packets (also the initial slow-start threshold).
+MAX_CWND = 1_000.0
+#: Duplicate cumulative ACKs that trigger a fast retransmit.
+DUPACK_THRESHOLD = 3
+
+
 @dataclass
 class TransportConfig:
-    """Knobs shared by all window-based transports (Table 3 defaults are in
-    each protocol's own config subclass)."""
+    """The four values a protocol binding sets per sender.  Every other
+    Table 3 parameter is a constant in the module that reads it."""
 
     init_cwnd: float = 2.0
-    max_cwnd: float = 1_000.0
     min_rto: float = 10 * MSEC
     max_rto: float = 2.0
-    dupack_threshold: int = 3
-    #: Initial smoothed-RTT guess before any sample arrives.
+    #: Initial smoothed-RTT guess before any sample arrives; PDQ and D3
+    #: also take it as their base RTT.
     initial_rtt: float = 300 * USEC
-    #: Enable classic slow start below ``ssthresh``.
-    slow_start: bool = True
 
     def __post_init__(self) -> None:
         check_positive("init_cwnd", self.init_cwnd)
@@ -139,7 +144,7 @@ class SenderAgent:
 
         # -- window state ------------------------------------------------
         self.cwnd: float = self.config.init_cwnd
-        self.ssthresh: float = self.config.max_cwnd
+        self.ssthresh: float = MAX_CWND
         self.next_new: int = 0
         self._acked: List[bool] = [False] * self.total_pkts
         self.pkts_acked: int = 0
@@ -249,6 +254,23 @@ class SenderAgent:
         self.host.send(pkt)
         self._arm_rto()
 
+    def _send_probe(self) -> Packet:
+        """Send a header-only probe for the first unacked packet, stamped
+        like data so it rides the same queue and carries the same
+        scheduling headers.  Returns the probe."""
+        probe = Packet(
+            PacketKind.PROBE, self.host.node_id, self.flow.dst,
+            self.flow.flow_id, seq=min(self.cum_ack, self.total_pkts - 1),
+            size=HEADER_SIZE,
+        )
+        probe.sent_time = self.sim.now
+        probe.deadline = self.flow.absolute_deadline
+        probe.remaining_bytes = self.remaining_bytes
+        self.decorate_packet(probe)
+        self.flow.probes_sent += 1
+        self.host.send(probe)
+        return probe
+
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
@@ -287,7 +309,7 @@ class SenderAgent:
 
     def _maybe_fast_retransmit(self) -> None:
         self._dupacks += 1
-        if self._dupacks < self.config.dupack_threshold:
+        if self._dupacks < DUPACK_THRESHOLD:
             return
         if self.cum_ack <= self._recovery_until:
             return  # already in recovery for this hole
@@ -363,15 +385,20 @@ class SenderAgent:
         """Default timeout reaction: everything in flight is presumed lost,
         the window collapses (hook), and retransmission restarts from the
         first hole.  PASE overrides this for low-priority queues (probing)."""
-        for seq in sorted(self._inflight):
-            if seq not in self._retx_queue:
-                self._retx_queue.append(seq)
-        self._inflight.clear()
+        self._presume_inflight_lost()
         self._dupacks = 0
         self._recovery_until = -1
         self.on_timeout_window_update()
         self._rearm_rto()
         self.send_window()
+
+    def _presume_inflight_lost(self) -> None:
+        """Queue every in-flight packet for retransmission, in seq order.
+        No in-flight seq is acked: an ACK removes its seq from the set."""
+        for seq in sorted(self._inflight):
+            if seq not in self._retx_queue:
+                self._retx_queue.append(seq)
+        self._inflight.clear()
 
     # ------------------------------------------------------------------
     # Protocol hooks (override in subclasses)
@@ -381,15 +408,23 @@ class SenderAgent:
         data packet.  Default: best-effort queue 0, priority 0."""
 
     def on_ack_window_update(self, ack: Packet, newly_acked: bool) -> None:
-        """Adjust ``cwnd`` on an ACK.  Default: TCP Reno (slow start then
-        1/cwnd per ACK), halving handled by loss hooks."""
-        if not newly_acked:
-            return
-        if self.config.slow_start and self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + 1, self.config.max_cwnd)
+        """Adjust ``cwnd`` on an ACK.  Default: TCP Reno growth, halving
+        handled by loss hooks."""
+        if newly_acked:
+            self._increase_window()
+
+    def _increase_window(self) -> None:
+        """Slow start below ``ssthresh``, then ``increase_gain()`` MSS per
+        RTT (``gain / cwnd`` per ACK)."""
+        if self.cwnd < self.ssthresh:
+            self.cwnd = min(self.cwnd + 1, MAX_CWND)
         else:
-            self.cwnd = min(self.cwnd + 1.0 / max(self.cwnd, 1.0),
-                            self.config.max_cwnd)
+            self.cwnd = min(self.cwnd + self.increase_gain() / max(self.cwnd, 1.0),
+                            MAX_CWND)
+
+    def increase_gain(self) -> float:
+        """Additive-increase numerator: Reno and DCTCP grow 1 MSS per RTT."""
+        return 1.0
 
     def on_fast_retransmit(self) -> None:
         """Window reaction to a dup-ACK-detected loss.  Default: Reno halving."""

@@ -5,50 +5,35 @@ the penalty applied on congestion is ``p = alpha ** d`` so that far-deadline
 flows (``d < 1``) back off more than alpha would dictate and near-deadline
 flows (``d > 1``) back off less.  ``d = Tc / D`` where ``Tc`` is the time the
 flow needs to finish at its current rate and ``D`` is the time left until its
-deadline, clamped to [0.5, 2.0] per the D2TCP paper.  Deadline-less flows use
+deadline, clamped to [``D_MIN``, ``D_MAX``] = [0.5, 2.0] per the D2TCP paper.  Deadline-less flows use
 ``d = 1`` and degenerate to DCTCP exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.transports.dctcp import DctcpSender
 
-from repro.transports.dctcp import DctcpConfig, DctcpSender
-
-
-@dataclass
-class D2tcpConfig(DctcpConfig):
-    d_min: float = 0.5
-    d_max: float = 2.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 < self.d_min <= self.d_max:
-            raise ValueError(
-                f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]"
-            )
+#: Clamp on the deadline imminence factor ``d``.
+D_MIN = 0.5
+D_MAX = 2.0
 
 
 class D2tcpSender(DctcpSender):
     """DCTCP with gamma-corrected (deadline-aware) backoff."""
 
-    def __init__(self, sim, host, flow, config: D2tcpConfig = None, on_done=None):
-        super().__init__(sim, host, flow, config or D2tcpConfig(), on_done)
-
     def deadline_imminence(self) -> float:
-        """``d = Tc / D`` clamped to [d_min, d_max]; 1.0 without a deadline."""
-        cfg: D2tcpConfig = self.config
+        """``d = Tc / D`` clamped to [D_MIN, D_MAX]; 1.0 without a deadline."""
         deadline_at = self.flow.absolute_deadline
         if deadline_at is None:
             return 1.0
         time_left = deadline_at - self.sim.now
         if time_left <= 0:
-            return cfg.d_max  # deadline missed or imminent: most aggressive
+            return D_MAX  # deadline missed or imminent: most aggressive
         remaining_pkts = self.total_pkts - self.cum_ack
         rate_pkts = max(self.cwnd, 1.0) / max(self.srtt, 1e-9)
         time_needed = remaining_pkts / rate_pkts
         d = time_needed / time_left
-        return min(cfg.d_max, max(cfg.d_min, d))
+        return min(D_MAX, max(D_MIN, d))
 
     def backoff_factor(self) -> float:
         """p = alpha ** d.  alpha in [0,1] so d > 1 shrinks the penalty."""

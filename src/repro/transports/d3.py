@@ -23,24 +23,14 @@ from typing import Dict, Optional
 
 from repro.sim.link import Link
 from repro.sim.packet import Packet, PacketKind
-from repro.transports.base import ReceiverAgent
-from repro.transports.pdq import PdqConfig, PdqSender
+from repro.transports.base import ReceiverAgent, TransportConfig
+from repro.transports.pdq import ENTRY_TIMEOUT_RTTS, PdqSender
 from repro.utils.units import bytes_to_bits
-from repro.utils.validation import check_positive
 
-
-@dataclass
-class D3Config(PdqConfig):
-    """D3 senders reuse the paced-transport chassis; the base rate keeps
-    best-effort flows trickling one packet per RTT."""
-
-    #: Rate granted to every flow on top of reservations (the fair share of
-    #: leftover capacity is computed per link; this floors it).
-    base_rate_bps: float = 40e6
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_positive("base_rate_bps", self.base_rate_bps)
+#: Floor on every flow's grant (the fair share of leftover capacity is
+#: computed per link; this floors it), keeping best-effort flows trickling
+#: about one packet per RTT.
+BASE_RATE_BPS = 40e6
 
 
 @dataclass
@@ -54,13 +44,14 @@ class D3LinkAllocator:
     """Per-link greedy rate allocator (switch side).
 
     Reservations are renewed by each passing request and expire when a
-    flow goes silent.  Greedy FCFS: a renewal keeps whatever it already
+    flow goes silent for ``ENTRY_TIMEOUT_RTTS`` base RTTs
+    (``config.initial_rtt``).  Greedy FCFS: a renewal keeps whatever it already
     holds if capacity allows; new requests get what is left.
     """
 
-    def __init__(self, link: Link, config: Optional[D3Config] = None) -> None:
+    def __init__(self, link: Link, config: Optional[TransportConfig] = None) -> None:
         self.link = link
-        self.config = config or D3Config()
+        self.config = config or TransportConfig()
         self.reservations: Dict[int, _Reservation] = {}
 
     # -- LinkProcessor interface -----------------------------------------
@@ -92,19 +83,18 @@ class D3LinkAllocator:
         # by the base rate so nobody fully stalls.
         num_flows = max(1, len(self.reservations))
         leftover = max(0.0, capacity - others - reserved)
-        grant = reserved + max(self.config.base_rate_bps,
-                               leftover / num_flows)
+        grant = reserved + max(BASE_RATE_BPS, leftover / num_flows)
         return min(grant, capacity)
 
     def _expire(self, now: float) -> None:
-        timeout = self.config.entry_timeout
+        timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
         dead = [fid for fid, r in self.reservations.items()
                 if now - r.last_seen > timeout]
         for fid in dead:
             del self.reservations[fid]
 
 
-def install_d3_allocators(network, config: Optional[D3Config] = None) -> Dict[str, D3LinkAllocator]:
+def install_d3_allocators(network, config: Optional[TransportConfig] = None) -> Dict[str, D3LinkAllocator]:
     """Attach a :class:`D3LinkAllocator` to every link in ``network``."""
     allocators: Dict[str, D3LinkAllocator] = {}
     for link in network.links.values():
@@ -125,10 +115,6 @@ class D3Sender(PdqSender):
     floor), so the pause/probe machinery effectively idles and the flow
     simply tracks its granted rate each RTT.
     """
-
-    def __init__(self, sim, host, flow, config: Optional[D3Config] = None,
-                 on_done=None):
-        super().__init__(sim, host, flow, config or D3Config(), on_done)
 
     def _apply_grant(self, rate: float, paused_flag: bool) -> None:
         # D3 has no pause semantics; a grant is always positive.

@@ -12,23 +12,14 @@ because D2TCP, L2DCT, and PASE's end-host transport all reuse it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from repro.sim.packet import Packet
 from repro.transports.base import SenderAgent, TransportConfig
-from repro.utils.validation import check_probability
 
-
-@dataclass
-class DctcpConfig(TransportConfig):
-    """Table 3 defaults: 225-packet queues (set on the topology), g = 1/16."""
-
-    #: EWMA gain for the marked fraction.
-    g: float = 0.0625
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_probability("g", self.g)
+#: EWMA gain for the marked fraction (Table 3: g = 1/16).  PASE's end-host
+#: transport uses it too.
+DCTCP_G = 1 / 16
 
 
 class DctcpAlphaEstimator:
@@ -38,7 +29,7 @@ class DctcpAlphaEstimator:
     window's worth of ACKs (``window_pkts`` at rollover time) has been seen.
     """
 
-    def __init__(self, g: float = 0.0625) -> None:
+    def __init__(self, g: float = DCTCP_G) -> None:
         self.g = g
         self.alpha = 0.0
         self._acked = 0
@@ -67,9 +58,10 @@ class DctcpAlphaEstimator:
 class DctcpSender(SenderAgent):
     """DCTCP congestion control on the shared reliable-sender chassis."""
 
-    def __init__(self, sim, host, flow, config: DctcpConfig = None, on_done=None):
-        super().__init__(sim, host, flow, config or DctcpConfig(), on_done)
-        self.estimator = DctcpAlphaEstimator(self.config.g)
+    def __init__(self, sim, host, flow,
+                 config: Optional[TransportConfig] = None, on_done=None):
+        super().__init__(sim, host, flow, config, on_done)
+        self.estimator = DctcpAlphaEstimator()
         self.estimator.begin_window(self.cwnd)
         #: Window may shrink at most once per RTT (per window of data).
         self._last_reduction_seq = -1
@@ -99,20 +91,7 @@ class DctcpSender(SenderAgent):
         self.cwnd = max(1.0, self.cwnd * (1 - self.backoff_factor() / 2))
         self.ssthresh = max(self.cwnd, 2.0)
 
-    def _increase_window(self) -> None:
-        if self.config.slow_start and self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + 1, self.config.max_cwnd)
-        else:
-            self.cwnd = min(
-                self.cwnd + self.increase_gain() / max(self.cwnd, 1.0),
-                self.config.max_cwnd,
-            )
-
-    # -- subclass surface (D2TCP / L2DCT override these) ------------------
+    # -- subclass surface (D2TCP / L2DCT override this and increase_gain) --
     def backoff_factor(self) -> float:
         """Multiplied by 1/2 on a marked window: DCTCP uses plain alpha."""
         return self.estimator.alpha
-
-    def increase_gain(self) -> float:
-        """Additive-increase numerator: DCTCP grows 1 MSS per RTT."""
-        return 1.0

@@ -4,12 +4,12 @@ L2DCT approximates least-attained-service scheduling with endpoint control
 laws alone: a flow's additive-increase gain shrinks and its multiplicative
 backoff grows as the flow sends more data, so short flows ramp fast and long
 flows yield.  Following the L2DCT paper, the weight ``w_c`` decays from
-``w_max`` to ``w_min`` as attained service grows from ``ramp_low_bytes`` to
-``ramp_high_bytes`` (we interpolate in log-space over that band, matching the
+``W_MAX`` to ``W_MIN`` as attained service grows from ``RAMP_LOW_BYTES`` to
+``RAMP_HIGH_BYTES`` (we interpolate in log-space over that band, matching the
 bucketed weights in the original):
 
 * increase: ``cwnd += w_c / cwnd`` per ACK (i.e. ``w_c`` MSS per RTT),
-* decrease: ``cwnd *= 1 - (alpha/2) * (w_max / (w_c + w_max))`` — long flows
+* decrease: ``cwnd *= 1 - (alpha/2) * (W_MAX / (w_c + W_MAX))`` — long flows
   (small ``w_c``) back off by up to ``alpha/2 * 1``, short flows by roughly
   half that, preserving L2DCT's size-differentiated penalty ordering.
 """
@@ -17,36 +17,21 @@ bucketed weights in the original):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.transports.dctcp import DctcpConfig, DctcpSender
+from repro.transports.dctcp import DctcpSender
 from repro.utils.units import KB, MB
-from repro.utils.validation import check_positive
 
-
-@dataclass
-class L2dctConfig(DctcpConfig):
-    """Table 3: minRTO = 10 ms; weight band per the L2DCT paper."""
-
-    w_max: float = 2.5
-    w_min: float = 0.125
-    ramp_low_bytes: float = 10 * KB
-    ramp_high_bytes: float = 1 * MB
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_positive("w_min", self.w_min)
-        if self.w_max < self.w_min:
-            raise ValueError("w_max must be >= w_min")
-        if self.ramp_high_bytes <= self.ramp_low_bytes:
-            raise ValueError("ramp_high_bytes must exceed ramp_low_bytes")
+#: Weight band, per the L2DCT paper (Table 3's minRTO = 10 ms is the
+#: shared default).
+W_MAX = 2.5
+W_MIN = 0.125
+#: Attained service over which the weight decays from W_MAX to W_MIN.
+RAMP_LOW_BYTES = 10 * KB
+RAMP_HIGH_BYTES = 1 * MB
 
 
 class L2dctSender(DctcpSender):
     """DCTCP with attained-service-dependent gains."""
-
-    def __init__(self, sim, host, flow, config: L2dctConfig = None, on_done=None):
-        super().__init__(sim, host, flow, config or L2dctConfig(), on_done)
 
     @property
     def attained_bytes(self) -> int:
@@ -55,23 +40,21 @@ class L2dctSender(DctcpSender):
 
     def weight(self) -> float:
         """Current flow weight ``w_c`` (log-interpolated between buckets)."""
-        cfg: L2dctConfig = self.config
         sent = self.attained_bytes
-        if sent <= cfg.ramp_low_bytes:
-            return cfg.w_max
-        if sent >= cfg.ramp_high_bytes:
-            return cfg.w_min
-        span = math.log(cfg.ramp_high_bytes / cfg.ramp_low_bytes)
-        progress = math.log(sent / cfg.ramp_low_bytes) / span
-        return cfg.w_max - progress * (cfg.w_max - cfg.w_min)
+        if sent <= RAMP_LOW_BYTES:
+            return W_MAX
+        if sent >= RAMP_HIGH_BYTES:
+            return W_MIN
+        span = math.log(RAMP_HIGH_BYTES / RAMP_LOW_BYTES)
+        progress = math.log(sent / RAMP_LOW_BYTES) / span
+        return W_MAX - progress * (W_MAX - W_MIN)
 
     def increase_gain(self) -> float:
         return self.weight()
 
     def backoff_factor(self) -> float:
-        cfg: L2dctConfig = self.config
         alpha = self.estimator.alpha
-        # size_penalty spans [0.5, ~0.95]: short flows (w_c = w_max) halve
-        # the DCTCP penalty, long flows (w_c = w_min) take nearly all of it.
-        size_penalty = cfg.w_max / (self.weight() + cfg.w_max)
+        # size_penalty spans [0.5, ~0.95]: short flows (w_c = W_MAX) halve
+        # the DCTCP penalty, long flows (w_c = W_MIN) take nearly all of it.
+        size_penalty = W_MAX / (self.weight() + W_MAX)
         return alpha * size_penalty

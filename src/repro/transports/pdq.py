@@ -14,10 +14,15 @@ bottleneck hands over from one flow to the next — emerges naturally: the
 grant travels in-band, so a newly unpaused flow cannot send data until a
 probe has sampled the new allocation and its ACK has returned.
 
-Optimizations from the PDQ paper that matter at our scales are included:
-*Early Start* (grant the next flow in line when the current one is within
-``early_start_rtts`` of finishing) and *Early Termination* (drop flows whose
-deadline is provably unreachable; only when deadlines are in use).
+Two optimizations from the PDQ paper are included: *Early Start* (grant
+the next flow in line when the current one is within ``EARLY_START_RTTS``
+of finishing) and *Suppressed Probing* (a paused flow probes less often the
+further it sits from the head of the line).  PDQ's Early Termination is
+not modelled here; PASE's own version lives in :mod:`repro.core.endhost`.
+
+Every timescale derives from one base RTT, ``config.initial_rtt``: paused
+flows probe once per base RTT, and a scheduler entry not refreshed within
+``ENTRY_TIMEOUT_RTTS`` base RTTs is presumed dead.
 """
 
 from __future__ import annotations
@@ -29,36 +34,20 @@ from repro.sim.engine import Handle
 from repro.sim.link import Link
 from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
-from repro.utils.units import MSEC, USEC, bytes_to_bits
-from repro.utils.validation import check_positive
+from repro.utils.units import bytes_to_bits
 
-
-@dataclass
-class PdqConfig(TransportConfig):
-    min_rto: float = 10 * MSEC
-    #: Paused flows probe once per this interval.
-    probe_interval: float = 300 * USEC
-    #: Scheduler entries not refreshed within this window are presumed dead.
-    entry_timeout: float = 3 * MSEC
-    #: Early Start: also grant the flow behind the head when the head will
-    #: finish within this many RTTs.  PDQ proposes ~K RTTs of overlap; too
-    #: large a value hides the flow-switching overhead entirely.
-    early_start_rtts: float = 0.5
-    #: Base RTT used by schedulers to convert early_start_rtts to seconds.
-    base_rtt: float = 300 * USEC
-    #: When True, flows that provably cannot meet their deadline are
-    #: terminated (PDQ's Early Termination).
-    early_termination: bool = False
-    #: Suppressed probing: a paused flow at rank ``r`` in the scheduler's
-    #: priority order probes every ``min(r, cap) * probe_interval`` — far
-    #: flows probe rarely, trading unpause latency for probe overhead (this
-    #: is the flow-switching cost §2.1 dwells on).  1 disables suppression.
-    probe_rank_cap: int = 8
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_positive("probe_interval", self.probe_interval)
-        check_positive("entry_timeout", self.entry_timeout)
+#: Scheduler entries not refreshed within this many base RTTs are presumed
+#: dead (D3's allocators use the same rule).
+ENTRY_TIMEOUT_RTTS = 10
+#: Early Start: also grant the flow behind the head when the head will
+#: finish within this many base RTTs.  PDQ proposes ~K RTTs of overlap; too
+#: large a value hides the flow-switching overhead entirely.
+EARLY_START_RTTS = 0.5
+#: Suppressed probing: a paused flow at rank ``r`` in the scheduler's
+#: priority order probes every ``min(r, cap)`` base RTTs — far flows probe
+#: rarely, trading unpause latency for probe overhead (this is the
+#: flow-switching cost §2.1 dwells on).
+PROBE_RANK_CAP = 8
 
 
 @dataclass
@@ -79,9 +68,9 @@ class _FlowEntry:
 class PdqLinkScheduler:
     """Per-link flow table + preemptive rate allocator (switch side)."""
 
-    def __init__(self, link: Link, config: Optional[PdqConfig] = None) -> None:
+    def __init__(self, link: Link, config: Optional[TransportConfig] = None) -> None:
         self.link = link
-        self.config = config or PdqConfig()
+        self.config = config or TransportConfig()
         self.flows: Dict[int, _FlowEntry] = {}
 
     # -- LinkProcessor interface -----------------------------------------
@@ -116,7 +105,7 @@ class PdqLinkScheduler:
 
     # -- internals ---------------------------------------------------------
     def _expire(self, now: float) -> None:
-        timeout = self.config.entry_timeout
+        timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
         dead = [fid for fid, e in self.flows.items() if now - e.last_seen > timeout]
         for fid in dead:
             del self.flows[fid]
@@ -134,7 +123,7 @@ class PdqLinkScheduler:
         Early Start lets the runner-up stream while the head drains."""
         capacity = self.link.capacity_bps
         residual = capacity
-        early_window = self.config.early_start_rtts * self.config.base_rtt
+        early_window = EARLY_START_RTTS * self.config.initial_rtt
         ordered = sorted(self.flows.values(), key=_FlowEntry.priority_key)
         for entry in ordered:
             if residual <= 0:
@@ -150,7 +139,7 @@ class PdqLinkScheduler:
             residual -= grant
 
 
-def install_pdq_schedulers(network, config: Optional[PdqConfig] = None) -> Dict[str, PdqLinkScheduler]:
+def install_pdq_schedulers(network, config: Optional[TransportConfig] = None) -> Dict[str, PdqLinkScheduler]:
     """Attach a :class:`PdqLinkScheduler` to every link in ``network``.
 
     Returns the schedulers keyed by link name (useful in tests)."""
@@ -170,9 +159,9 @@ PdqReceiver = ReceiverAgent
 class PdqSender(SenderAgent):
     """Rate-paced sender driven by in-band grants."""
 
-    def __init__(self, sim, host, flow, config: PdqConfig = None, on_done=None):
-        cfg = config or PdqConfig()
-        super().__init__(sim, host, flow, cfg, on_done)
+    def __init__(self, sim, host, flow,
+                 config: Optional[TransportConfig] = None, on_done=None):
+        super().__init__(sim, host, flow, config, on_done)
         self.rate_bps: float = 0.0
         self.paused: bool = True
         self.rank: int = 0
@@ -220,27 +209,19 @@ class PdqSender(SenderAgent):
             self._pace_event = None
 
     # -- probing -------------------------------------------------------------
-    def _send_probe(self) -> None:
+    def _send_probe(self) -> Optional[Packet]:
         if self.finished:
-            return
-        probe = Packet(
-            PacketKind.PROBE, self.host.node_id, self.flow.dst,
-            self.flow.flow_id, seq=max(0, self.cum_ack), size=HEADER_SIZE,
-        )
-        probe.deadline = self.flow.absolute_deadline
-        probe.remaining_bytes = self.remaining_bytes
-        probe.sent_time = self.sim.now
-        self.flow.probes_sent += 1
-        self.host.send(probe)
+            return None
+        probe = super()._send_probe()
         self._schedule_probe()
+        return probe
 
     def _schedule_probe(self) -> None:
-        cfg: PdqConfig = self.config
         # Suppressed probing: back off with priority rank when paused.
         multiplier = 1
-        if self.paused and cfg.probe_rank_cap > 1:
-            multiplier = max(1, min(self.rank, cfg.probe_rank_cap))
-        delay = cfg.probe_interval * multiplier
+        if self.paused:
+            multiplier = max(1, min(self.rank, PROBE_RANK_CAP))
+        delay = self.config.initial_rtt * multiplier
         if self._probe_event is None:
             self._probe_event = self.sim.post(delay, self._maybe_probe)
         else:
@@ -282,10 +263,7 @@ class PdqSender(SenderAgent):
 
     # -- overrides ---------------------------------------------------------
     def handle_timeout(self) -> None:
-        for seq in sorted(self._inflight):
-            if seq not in self._retx_queue:
-                self._retx_queue.append(seq)
-        self._inflight.clear()
+        self._presume_inflight_lost()
         self._rearm_rto()
         if self.paused or self.rate_bps <= 0:
             self._send_probe()

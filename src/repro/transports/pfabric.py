@@ -18,11 +18,21 @@ built with pFabric switches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
+from repro.sim.packet import Packet
 from repro.sim.queues import PFabricQueue
 from repro.transports.base import SenderAgent, TransportConfig
 from repro.utils.units import MSEC
+
+#: Consecutive timeouts before the window is considered under persistent
+#: loss and halved.
+PERSISTENCE_THRESHOLD = 2
+#: Consecutive timeouts before the flow enters *probe mode* (pFabric §4.3):
+#: it stops retransmitting data and sends one header-only probe per RTO
+#: until a response arrives, avoiding retransmission storms from
+#: chronically starved low-priority flows.
+PROBE_MODE_THRESHOLD = 5
 
 
 @dataclass
@@ -33,23 +43,6 @@ class PfabricConfig(TransportConfig):
     init_cwnd: float = 38.0
     min_rto: float = 1 * MSEC
     max_rto: float = 0.1
-    #: Consecutive timeouts before the window is considered under persistent
-    #: loss and halved.
-    persistence_threshold: int = 2
-    #: Consecutive timeouts before the flow enters *probe mode* (pFabric
-    #: §4.3): it stops retransmitting data and sends one header-only probe
-    #: per RTO until a response arrives, avoiding retransmission storms
-    #: from chronically starved low-priority flows.
-    probe_mode_threshold: int = 5
-    slow_start: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.persistence_threshold < 1:
-            raise ValueError("persistence_threshold must be >= 1")
-        if self.probe_mode_threshold < self.persistence_threshold:
-            raise ValueError(
-                "probe_mode_threshold must be >= persistence_threshold")
 
 
 def pfabric_queue_factory(capacity_pkts: int = 76):
@@ -62,11 +55,11 @@ def pfabric_queue_factory(capacity_pkts: int = 76):
 class PfabricSender(SenderAgent):
     """Line-rate sender; priority = remaining flow size."""
 
-    def __init__(self, sim, host, flow, config: PfabricConfig = None, on_done=None):
-        cfg = config or PfabricConfig()
-        super().__init__(sim, host, flow, cfg, on_done)
+    def __init__(self, sim, host, flow,
+                 config: Optional[TransportConfig] = None, on_done=None):
+        super().__init__(sim, host, flow, config or PfabricConfig(), on_done)
         # Never open the window beyond what the flow actually needs.
-        self.cwnd = min(cfg.init_cwnd, float(self.total_pkts))
+        self.cwnd = min(self.config.init_cwnd, float(self.total_pkts))
         self._line_rate_cwnd = self.cwnd
         self._consecutive_timeouts = 0
         self.probe_mode = False
@@ -94,10 +87,9 @@ class PfabricSender(SenderAgent):
 
     def on_timeout_window_update(self) -> None:
         self._consecutive_timeouts += 1
-        cfg: PfabricConfig = self.config
-        if self._consecutive_timeouts >= cfg.probe_mode_threshold:
+        if self._consecutive_timeouts >= PROBE_MODE_THRESHOLD:
             self.probe_mode = True
-        if self._consecutive_timeouts >= cfg.persistence_threshold:
+        if self._consecutive_timeouts >= PERSISTENCE_THRESHOLD:
             # Persistent loss: this flow is being starved by higher-priority
             # traffic; fall back to probing with a tiny window.
             self.cwnd = max(1.0, self.cwnd / 2)
@@ -109,18 +101,9 @@ class PfabricSender(SenderAgent):
         # Probe mode (pFabric §4.3): a chronically starved flow stops
         # retransmitting data and sends one header-only probe per RTO;
         # the first probe reply (or any ACK) drops it back to normal
-        # operation.  on_timeout_window_update already ran via _on_rto.
+        # operation.  The window hook runs here, as the base path runs it.
         self.on_timeout_window_update()
-        probe = Packet(
-            PacketKind.PROBE, self.host.node_id, self.flow.dst,
-            self.flow.flow_id, seq=min(self.cum_ack, self.total_pkts - 1),
-            size=HEADER_SIZE,
-        )
-        probe.priority = float(self.remaining_bytes)
-        probe.ecn_capable = False
-        probe.sent_time = self.sim.now
-        self.flow.probes_sent += 1
-        self.host.send(probe)
+        self._send_probe()
         self._rearm_rto()
 
     def handle_special_ack(self, ack: Packet) -> bool:
@@ -129,10 +112,7 @@ class PfabricSender(SenderAgent):
             # normal timeout path retransmit.
             self.probe_mode = False
             self._consecutive_timeouts = 0
-            for lost in sorted(self._inflight):
-                if lost not in self._retx_queue and not self._acked[lost]:
-                    self._retx_queue.append(lost)
-            self._inflight.clear()
+            self._presume_inflight_lost()
             self._rearm_rto()
             self.send_window()
             return True

@@ -3,27 +3,17 @@
 Not evaluated in the paper's figures but included as the simplest
 self-adjusting endpoint: slow start, AIMD, fast retransmit, RTO.  The base
 :class:`~repro.transports.base.SenderAgent` already implements exactly these
-defaults, so this is a named alias plus a config with classic settings.
+defaults, so this is a named alias that switches ECN off.
 It doubles as the reference protocol in the simulator's own tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.transports.base import SenderAgent, TransportConfig
-
-
-@dataclass
-class TcpConfig(TransportConfig):
-    init_cwnd: float = 2.0
+from repro.transports.base import SenderAgent
 
 
 class TcpSender(SenderAgent):
     """Reno semantics straight from the base class."""
-
-    def __init__(self, sim, host, flow, config: TcpConfig = None, on_done=None):
-        super().__init__(sim, host, flow, config or TcpConfig(), on_done)
 
     def decorate_packet(self, pkt) -> None:
         pkt.ecn_capable = False  # classic TCP ignores ECN

@@ -8,11 +8,11 @@ from repro.sim.node import Node
 from repro.sim.packet import make_data_packet
 from repro.sim.queues import DropTailQueue
 from repro.transports import (
-    D3Config,
     D3LinkAllocator,
     D3Sender,
     Flow,
     ReceiverAgent,
+    TransportConfig,
     install_d3_allocators,
 )
 from repro.harness import ExperimentSpec, intra_rack, run_experiment
@@ -23,7 +23,7 @@ def make_allocator(capacity=1 * GBPS, config=None):
     sim = Simulator()
     a, b = Node(sim, 0, "a"), Node(sim, 1, "b")
     link = Link(sim, "a->b", a, b, capacity, 10 * USEC, DropTailQueue(100))
-    cfg = config or D3Config(initial_rtt=100 * USEC)
+    cfg = config or TransportConfig(initial_rtt=100 * USEC)
     return sim, link, D3LinkAllocator(link, cfg)
 
 
@@ -77,8 +77,7 @@ class TestAllocator:
         assert 1 not in alloc.reservations
 
     def test_expiry(self):
-        cfg = D3Config(initial_rtt=100 * USEC, entry_timeout=1 * MSEC)
-        sim, link, alloc = make_allocator(config=cfg)
+        sim, link, alloc = make_allocator()  # expires after 10 RTTs = 1 ms
         alloc.process(request(1, 500 * KB, deadline=0.01), link)
         sim.schedule(0.01, lambda: None)
         sim.run()
@@ -96,8 +95,7 @@ class TestD3EndToEnd:
     def test_single_deadline_flow_meets_it(self):
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, rtt=100 * USEC)
-        cfg = D3Config(initial_rtt=100 * USEC, probe_interval=100 * USEC,
-                       base_rtt=100 * USEC, entry_timeout=1 * MSEC)
+        cfg = TransportConfig(initial_rtt=100 * USEC)
         install_d3_allocators(topo.network, cfg)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=200 * KB,
@@ -110,8 +108,7 @@ class TestD3EndToEnd:
     def test_never_pauses(self):
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=4, rtt=100 * USEC)
-        cfg = D3Config(initial_rtt=100 * USEC, probe_interval=100 * USEC,
-                       base_rtt=100 * USEC, entry_timeout=1 * MSEC)
+        cfg = TransportConfig(initial_rtt=100 * USEC)
         install_d3_allocators(topo.network, cfg)
         flows = []
         for i in range(3):

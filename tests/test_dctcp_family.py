@@ -5,14 +5,12 @@ import pytest
 from repro.sim import Simulator, StarTopology
 from repro.sim.packet import Packet, PacketKind
 from repro.transports import (
-    D2tcpConfig,
     D2tcpSender,
-    DctcpConfig,
     DctcpSender,
     Flow,
-    L2dctConfig,
     L2dctSender,
     ReceiverAgent,
+    TransportConfig,
 )
 from repro.transports.dctcp import DctcpAlphaEstimator
 from repro.utils.units import GBPS, KB, MB, USEC
@@ -52,6 +50,9 @@ class TestAlphaEstimator:
         assert est.alpha == pytest.approx(0.25)
 
 
+CONFIG = TransportConfig(initial_rtt=100 * USEC)
+
+
 def build(sender_cls, config, size=200 * KB, deadline=None):
     sim = Simulator()
     topo = StarTopology(sim, num_hosts=3, link_bps=1 * GBPS, rtt=100 * USEC)
@@ -65,17 +66,17 @@ def build(sender_cls, config, size=200 * KB, deadline=None):
 
 class TestDctcp:
     def test_completes_clean(self):
-        sim, _, flow, _ = build(DctcpSender, DctcpConfig(initial_rtt=100 * USEC))
+        sim, _, flow, _ = build(DctcpSender, CONFIG)
         sim.schedule(0.0, lambda: None)
         sim.run(until=0.0)
         # start manually
-        sim2, _, flow2, sender2 = build(DctcpSender, DctcpConfig(initial_rtt=100 * USEC))
+        sim2, _, flow2, sender2 = build(DctcpSender, CONFIG)
         sender2.start()
         sim2.run(until=1.0)
         assert flow2.completed
 
     def test_mark_reduces_window(self):
-        _, _, _, sender = build(DctcpSender, DctcpConfig(initial_rtt=100 * USEC))
+        _, _, _, sender = build(DctcpSender, CONFIG)
         sender.start()
         sender.cwnd = 10.0
         sender.estimator.alpha = 0.5
@@ -90,7 +91,7 @@ class TestDctcp:
         assert sender.cwnd == pytest.approx(before * (1 - sender.alpha / 2), rel=0.2)
 
     def test_one_reduction_per_window(self):
-        _, _, _, sender = build(DctcpSender, DctcpConfig(initial_rtt=100 * USEC))
+        _, _, _, sender = build(DctcpSender, CONFIG)
         sender.start()
         sender.cwnd = 16.0
         sender.next_new = 20
@@ -106,8 +107,7 @@ class TestDctcp:
         assert sender.cwnd >= first
 
     def test_unmarked_acks_grow_window(self):
-        _, _, _, sender = build(DctcpSender, DctcpConfig(
-            initial_rtt=100 * USEC, slow_start=False))
+        _, _, _, sender = build(DctcpSender, CONFIG)
         sender.start()
         sender.cwnd = 4.0
         sender.ssthresh = 1.0
@@ -120,51 +120,47 @@ class TestDctcp:
 
 class TestD2tcp:
     def test_no_deadline_degenerates_to_dctcp(self):
-        _, _, _, sender = build(D2tcpSender, D2tcpConfig(initial_rtt=100 * USEC))
+        _, _, _, sender = build(D2tcpSender, CONFIG)
         assert sender.deadline_imminence() == 1.0
         sender.estimator.alpha = 0.4
         assert sender.backoff_factor() == pytest.approx(0.4)
 
     def test_imminence_clamped(self):
         _, _, _, sender = build(
-            D2tcpSender, D2tcpConfig(initial_rtt=100 * USEC),
+            D2tcpSender, CONFIG,
             deadline=100.0)  # very far deadline
         sender.start()
         assert sender.deadline_imminence() == pytest.approx(0.5)
 
     def test_expired_deadline_most_aggressive(self):
         sim, _, _, sender = build(
-            D2tcpSender, D2tcpConfig(initial_rtt=100 * USEC),
+            D2tcpSender, CONFIG,
             deadline=1e-9)
         sender.start()
         sim.run(until=0.01)
         assert sender.deadline_imminence() == pytest.approx(2.0)
 
     def test_near_deadline_backs_off_less(self):
-        _, _, _, far = build(D2tcpSender, D2tcpConfig(initial_rtt=100 * USEC),
+        _, _, _, far = build(D2tcpSender, CONFIG,
                              deadline=100.0)
         far.start()
         far.estimator.alpha = 0.5
         # d = 0.5 -> p = alpha^0.5 > alpha; far flows back off MORE.
         assert far.backoff_factor() > 0.5
-        _, _, _, near = build(D2tcpSender, D2tcpConfig(initial_rtt=100 * USEC))
+        _, _, _, near = build(D2tcpSender, CONFIG)
         near.estimator.alpha = 0.5
         near_p = near.backoff_factor()  # d = 1
         assert near_p == pytest.approx(0.5)
         assert far.backoff_factor() > near_p
 
-    def test_invalid_clamp_config(self):
-        with pytest.raises(ValueError):
-            D2tcpConfig(d_min=2.0, d_max=0.5)
-
 
 class TestL2dct:
     def test_weight_starts_at_max(self):
-        _, _, _, sender = build(L2dctSender, L2dctConfig(initial_rtt=100 * USEC))
+        _, _, _, sender = build(L2dctSender, CONFIG)
         assert sender.weight() == pytest.approx(2.5)
 
     def test_weight_decreases_with_attained_service(self):
-        _, _, _, sender = build(L2dctSender, L2dctConfig(initial_rtt=100 * USEC),
+        _, _, _, sender = build(L2dctSender, CONFIG,
                                 size=2 * MB)
         w0 = sender.weight()
         sender.pkts_acked = 100  # 150 KB attained
@@ -174,13 +170,13 @@ class TestL2dct:
         assert w0 > w1 > w2
 
     def test_weight_floors_at_min(self):
-        _, _, _, sender = build(L2dctSender, L2dctConfig(initial_rtt=100 * USEC),
+        _, _, _, sender = build(L2dctSender, CONFIG,
                                 size=10 * MB)
         sender.pkts_acked = 10_000  # 15 MB >> ramp_high
         assert sender.weight() == pytest.approx(0.125)
 
     def test_long_flows_back_off_more(self):
-        _, _, _, sender = build(L2dctSender, L2dctConfig(initial_rtt=100 * USEC),
+        _, _, _, sender = build(L2dctSender, CONFIG,
                                 size=10 * MB)
         sender.estimator.alpha = 0.5
         short_backoff = sender.backoff_factor()
@@ -190,7 +186,7 @@ class TestL2dct:
 
     def test_completes(self):
         sim, _, flow, sender = build(L2dctSender,
-                                     L2dctConfig(initial_rtt=100 * USEC))
+                                     CONFIG)
         sender.start()
         sim.run(until=1.0)
         assert flow.completed

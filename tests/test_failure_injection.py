@@ -19,12 +19,11 @@ from repro.faults import LossyQueue, lossy_queue_factory
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import REDQueue
 from repro.transports import (
-    DctcpConfig,
     DctcpSender,
     Flow,
-    PdqConfig,
     PdqSender,
     ReceiverAgent,
+    TransportConfig,
     install_pdq_schedulers,
 )
 from repro.utils.units import GBPS, KB, MSEC, USEC
@@ -64,7 +63,7 @@ class TestTcpFamilyUnderLoss:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         DctcpSender(sim, topo.hosts[0], flow,
-                    DctcpConfig(initial_rtt=100 * USEC)).start()
+                    TransportConfig(initial_rtt=100 * USEC)).start()
         sim.run(until=30.0)
         assert flow.completed
         assert flow.retransmissions > 0
@@ -77,7 +76,7 @@ class TestTcpFamilyUnderLoss:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         DctcpSender(sim, topo.hosts[0], flow,
-                    DctcpConfig(initial_rtt=100 * USEC)).start()
+                    TransportConfig(initial_rtt=100 * USEC)).start()
         sim.run(until=120.0)
         assert flow.completed  # eventually, through many RTOs
 
@@ -127,8 +126,7 @@ class TestPdqUnderLoss:
     def test_pdq_completes_despite_loss(self):
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, queue_factory=lossy_factory(0.02))
-        cfg = PdqConfig(initial_rtt=100 * USEC, probe_interval=100 * USEC,
-                        base_rtt=100 * USEC, entry_timeout=1 * MSEC)
+        cfg = TransportConfig(initial_rtt=100 * USEC)
         install_pdq_schedulers(topo.network, cfg)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=100 * KB,

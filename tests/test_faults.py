@@ -34,7 +34,7 @@ from repro.harness.scenarios import build_scenario
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import REDQueue
 from repro.sim.trace import Tracer
-from repro.transports import DctcpConfig, DctcpSender, Flow, ReceiverAgent
+from repro.transports import DctcpSender, Flow, ReceiverAgent, TransportConfig
 from repro.utils.units import KB, MSEC, USEC
 
 
@@ -124,7 +124,7 @@ class TestLinkOutage:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         DctcpSender(sim, topo.hosts[0], flow,
-                    DctcpConfig(initial_rtt=100 * USEC)).start()
+                    TransportConfig(initial_rtt=100 * USEC)).start()
         return flow
 
     def test_sender_rides_out_flap_via_rto(self):
@@ -205,7 +205,7 @@ class TestInjector:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         DctcpSender(sim, topo.hosts[0], flow,
-                    DctcpConfig(initial_rtt=100 * USEC)).start()
+                    TransportConfig(initial_rtt=100 * USEC)).start()
         link = topo.host_uplink(topo.hosts[0])
         inj = FaultInjector(sim, topo.network, FaultSchedule(events=(
             DataLoss(at=0.0, links=(link.name,), duration=3 * MSEC,

@@ -9,10 +9,10 @@ from repro.sim.packet import Packet, PacketKind, make_data_packet
 from repro.sim.queues import DropTailQueue
 from repro.transports import (
     Flow,
-    PdqConfig,
     PdqLinkScheduler,
     PdqSender,
     ReceiverAgent,
+    TransportConfig,
     install_pdq_schedulers,
 )
 from repro.utils.units import GBPS, KB, USEC
@@ -23,7 +23,7 @@ def make_scheduler(capacity=1 * GBPS, config=None):
     a = Node(sim, 0, "a")
     b = Node(sim, 1, "b")
     link = Link(sim, "a->b", a, b, capacity, 10 * USEC, DropTailQueue(100))
-    sched = PdqLinkScheduler(link, config or PdqConfig(initial_rtt=100 * USEC))
+    sched = PdqLinkScheduler(link, config or TransportConfig())
     return sim, link, sched
 
 
@@ -85,7 +85,7 @@ class TestScheduler:
 
     def test_entry_expiry(self):
         sim, link, sched = make_scheduler(
-            config=PdqConfig(initial_rtt=100 * USEC, entry_timeout=1e-3))
+            config=TransportConfig(initial_rtt=100 * USEC))  # 1 ms expiry
         sched.process(data(1, 100 * KB), link)
         sim.schedule(0.01, lambda: None)
         sim.run()
@@ -113,8 +113,7 @@ def run_pdq_flows(specs, until=5.0, num_hosts=4):
     topo = StarTopology(sim, num_hosts=num_hosts, link_bps=1 * GBPS,
                         rtt=100 * USEC,
                         queue_factory=lambda: DropTailQueue(100))
-    cfg = PdqConfig(initial_rtt=100 * USEC, probe_interval=100 * USEC,
-                    base_rtt=100 * USEC, entry_timeout=1e-3)
+    cfg = TransportConfig(initial_rtt=100 * USEC)
     install_pdq_schedulers(topo.network, cfg)
     flows = []
     for i, (s, d, size, start) in enumerate(specs):

@@ -11,6 +11,7 @@ from repro.transports import (
     ReceiverAgent,
     pfabric_queue_factory,
 )
+from repro.transports.pfabric import PROBE_MODE_THRESHOLD
 from repro.utils.units import GBPS, KB, USEC
 
 
@@ -112,26 +113,22 @@ def test_loss_rate_grows_with_fanin():
     assert big.loss_rate >= small.loss_rate
 
 
-def test_persistence_threshold_validation():
-    with pytest.raises(ValueError):
-        PfabricConfig(persistence_threshold=0)
-
-
 def test_probe_mode_engages_after_persistent_timeouts():
-    """pFabric 4.3: after probe_mode_threshold consecutive timeouts the
+    """pFabric 4.3: after PROBE_MODE_THRESHOLD consecutive timeouts the
     sender stops retransmitting payloads and emits header-only probes."""
     sim = Simulator()
     topo = StarTopology(sim, num_hosts=2,
                         queue_factory=pfabric_queue_factory())
     f = Flow(flow_id=1, src=topo.hosts[0].node_id,
              dst=topo.hosts[1].node_id, size_bytes=100 * KB, start_time=0.0)
-    cfg = PfabricConfig(initial_rtt=100 * USEC, probe_mode_threshold=3)
+    cfg = PfabricConfig(initial_rtt=100 * USEC)
     sender = PfabricSender(sim, topo.hosts[0], f, cfg)
     sender.start()
     sim.run(until=0.2e-3)
-    sent_before = f.pkts_sent
-    for _ in range(3):
+    for _ in range(PROBE_MODE_THRESHOLD - 1):
         sender.on_timeout_window_update()
+    assert not sender.probe_mode
+    sender.on_timeout_window_update()
     assert sender.probe_mode
     sender._inflight.add(sender.cum_ack)
     sender.handle_timeout()
@@ -142,8 +139,3 @@ def test_probe_mode_engages_after_persistent_timeouts():
     reply.ack_sacks = -1
     assert sender.handle_special_ack(reply)
     assert not sender.probe_mode
-
-
-def test_probe_mode_threshold_validation():
-    with pytest.raises(ValueError):
-        PfabricConfig(persistence_threshold=3, probe_mode_threshold=2)

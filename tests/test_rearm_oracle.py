@@ -13,7 +13,7 @@ import pytest
 from repro.harness import PROTOCOL_NAMES, ExperimentSpec, run_experiment
 from repro.harness.scenarios import build_scenario
 from repro.transports.base import SenderAgent
-from repro.transports.pdq import PdqConfig, PdqSender
+from repro.transports.pdq import PROBE_RANK_CAP, PdqSender
 from repro.utils.units import MSEC
 from tests.test_regression_golden import PIN_POINTS, _fingerprint
 
@@ -25,14 +25,13 @@ def eager_rearm_rto(self):
 
 
 def eager_schedule_probe(self):
-    cfg: PdqConfig = self.config
     if self._probe_event is not None:
         self.sim.cancel(self._probe_event)
     multiplier = 1
-    if self.paused and cfg.probe_rank_cap > 1:
-        multiplier = max(1, min(self.rank, cfg.probe_rank_cap))
+    if self.paused and PROBE_RANK_CAP > 1:
+        multiplier = max(1, min(self.rank, PROBE_RANK_CAP))
     self._probe_event = self.sim.post(
-        cfg.probe_interval * multiplier, self._maybe_probe)
+        self.config.initial_rtt * multiplier, self._maybe_probe)
 
 
 def _run(monkeypatch, eager, protocol, scenario, load, num_flows, seed):

@@ -6,7 +6,7 @@ from repro.core import PaseConfig, PaseControlPlane, PaseReceiver, PaseSender, p
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import DropTailQueue
 from repro.sim.trace import TraceEvent, Tracer
-from repro.transports import Flow, ReceiverAgent, TcpConfig, TcpSender
+from repro.transports import Flow, ReceiverAgent, TcpSender, TransportConfig
 from repro.utils.units import GBPS, KB, USEC
 
 
@@ -63,7 +63,7 @@ class TestInstrumentation:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         TcpSender(sim, topo.hosts[0], flow,
-                  TcpConfig(initial_rtt=100 * USEC, init_cwnd=20)).start()
+                  TransportConfig(initial_rtt=100 * USEC, init_cwnd=20)).start()
         sim.run(until=1.0)
         assert sim.tracer.count("drop") > 0
         drop = sim.tracer.of("drop")[0]
@@ -80,7 +80,7 @@ class TestInstrumentation:
                     start_time=0.0)
         ReceiverAgent(sim, topo.hosts[1], flow)
         TcpSender(sim, topo.hosts[0], flow,
-                  TcpConfig(initial_rtt=100 * USEC, init_cwnd=30)).start()
+                  TransportConfig(initial_rtt=100 * USEC, init_cwnd=30)).start()
         sim.run(until=2.0)
         assert flow.completed
         assert sim.tracer.count("retransmit") == flow.retransmissions

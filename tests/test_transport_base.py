@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Simulator, StarTopology
 from repro.sim.packet import PacketKind
 from repro.sim.queues import DropTailQueue
-from repro.transports import Flow, ReceiverAgent, TcpConfig, TcpSender
+from repro.transports import Flow, ReceiverAgent, TcpSender
 from repro.transports.base import SenderAgent, TransportConfig
 from repro.utils.units import GBPS, KB, USEC
 
@@ -22,7 +22,7 @@ def run_flow(size_bytes=30 * KB, queue_factory=None, sender_cls=TcpSender,
     ReceiverAgent(sim, topo.hosts[1], flow, on_complete=completions.append)
     done = []
     sender = sender_cls(sim, topo.hosts[0], flow,
-                        config or TcpConfig(initial_rtt=100 * USEC),
+                        config or TransportConfig(initial_rtt=100 * USEC),
                         on_done=done.append)
     sim.schedule(0.0, sender.start)
     sim.run(until=until)
@@ -97,7 +97,7 @@ def test_remaining_bytes_decreases_to_zero():
 
 
 def test_cwnd_grows_during_transfer():
-    cfg = TcpConfig(initial_rtt=100 * USEC, init_cwnd=2.0)
+    cfg = TransportConfig(initial_rtt=100 * USEC, init_cwnd=2.0)
     _, flow, sender, _, _ = run_flow(size_bytes=150 * KB, config=cfg)
     assert sender.cwnd > 2.0
 
@@ -115,7 +115,7 @@ def test_two_flows_both_complete_through_shared_bottleneck():
                  dst=topo.hosts[2].node_id, size_bytes=400 * KB, start_time=0.0)
         ReceiverAgent(sim, topo.hosts[2], f)
         TcpSender(sim, topo.hosts[src], f,
-                  TcpConfig(initial_rtt=100 * USEC)).start()
+                  TransportConfig(initial_rtt=100 * USEC)).start()
         flows.append(f)
     sim.run(until=5.0)
     assert all(f.completed for f in flows)
