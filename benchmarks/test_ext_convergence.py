@@ -13,7 +13,7 @@ from repro.harness.protocols import make_binding
 from repro.harness.scenarios import intra_rack
 from repro.metrics import TimeSeriesProbe
 from repro.sim import Simulator
-from repro.transports import Flow
+from repro.transports import Flow, ReceiverAgent
 from repro.utils.units import KB
 
 PROTOCOLS = ("pase", "pfabric", "pdq", "d3", "dctcp", "l2dct", "tcp")
@@ -32,7 +32,7 @@ def convergence_time(protocol: str) -> float:
     probe = TimeSeriesProbe(sim, period=50e-6)
     busy = probe.watch_busy(downlink)
     probe.start()
-    binding.make_receiver(sim, topo.hosts[1], flow, None)
+    ReceiverAgent(sim, topo.hosts[1], flow)
     binding.make_sender(sim, topo.hosts[0], flow).start()
     sim.run(until=0.05)
     # First time a 10-sample (500 us) sliding window is >= 90% busy.

@@ -18,8 +18,6 @@ timeouts land within the experiment's ~50 ms horizon; at 200 ms a single
 stall dominates every other effect and both variants measure identically.
 """
 
-from dataclasses import replace
-
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
 from repro.harness import all_to_all_intra_rack, format_series_table
@@ -31,13 +29,9 @@ BASE = PaseConfig(shared_queue_capacity=True, queue_capacity_pkts=150,
 
 
 def run_figure():
-    results = {
-        label: sweep(
-            ("pase",), all_to_all_intra_rack(num_hosts=20, fanin=16),
-            loads=LOADS, num_flows=250,
-            pase_config=replace(BASE, probing_enabled=probing))["pase"]
-        for label, probing in (("pase", True), ("pase-noprobe", False))
-    }
+    results = sweep(("pase", "pase-noprobe"),
+                    all_to_all_intra_rack(num_hosts=20, fanin=16),
+                    loads=LOADS, num_flows=250, pase_config=BASE)
     series = {name: {l: r.afct * 1e3 for l, r in by_load.items()}
               for name, by_load in results.items()}
     text = format_series_table(

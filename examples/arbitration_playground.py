@@ -12,9 +12,8 @@ with and without early pruning + delegation.
 Run:  python examples/arbitration_playground.py
 """
 
-from dataclasses import replace
-
 from repro.core import LinkArbitrator, PaseConfig, PaseControlPlane
+from repro.core.control_plane import DELEGATION_UPDATE_INTERVAL
 from repro.sim import Simulator, TreeTopology, TreeTopologyConfig
 from repro.transports import Flow
 from repro.utils.units import GBPS, KB, MBPS
@@ -70,14 +69,15 @@ def part2_control_plane() -> None:
     for label, config in variants.items():
         sim = Simulator()
         topo = TreeTopology(sim, TreeTopologyConfig(hosts_per_rack=2))
-        cp = PaseControlPlane(sim, topo, replace(
-            config, delegation_update_interval=10.0))
+        cp = PaseControlPlane(sim, topo, config)
         src = topo.rack_hosts(0)[0]
         dst = topo.rack_hosts(2)[0]  # other side of the core
         flow = Flow(flow_id=1, src=src.node_id, dst=dst.node_id,
                     size_bytes=100 * KB, start_time=0.0)
         cp.request(flow, 100 * KB, 1 * GBPS, lambda half, result: None)
-        sim.run(until=0.01)
+        # Stop before the first delegation rebalance, whose share reports
+        # are messages too: only the request's own cost is counted.
+        sim.run(until=0.5 * DELEGATION_UPDATE_INTERVAL)
         print(f"  {label:<40} {cp.messages_sent:>3} messages")
 
     print("\n  -> delegation keeps arbitration at the ToR (no aggregation/")

@@ -1,6 +1,6 @@
 """PASE: the paper's primary contribution.
 
-* :mod:`~repro.core.config` — every framework knob (:class:`PaseConfig`),
+* :mod:`~repro.core.config` — the one description of a run (:class:`PaseConfig`),
 * :mod:`~repro.core.arbitration` — Algorithm 1 per-link arbitration,
 * :mod:`~repro.core.control_plane` — the bottom-up hierarchy with early
   pruning and delegation,

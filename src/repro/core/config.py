@@ -1,10 +1,16 @@
 """PASE configuration.
 
-Defaults follow Table 3 of the paper (8 priority queues, 10 ms RTO for
-top-queue flows, 200 ms for the rest, 500-packet switch buffers) plus the
+Defaults follow Table 3 of the paper (8 priority queues, 200 ms RTO for
+flows below the top queue, 500-packet switch buffers) plus the
 control-plane settings described in §3.1 (bottom-up arbitration with early
 pruning propagating the top two queues, and delegation of aggregation–core
-capacity to ToR arbitrators).
+capacity to ToR arbitrators).  Each of the paper's ablations switches one
+mechanism off through a field here; the protocol registry names them as
+presets (``repro.harness.protocols.PASE_PRESETS``).  Values no experiment
+varies are constants beside their reader: the top-queue RTO floor and the
+arbitration retry budget in :mod:`repro.core.endhost`, the delegation
+rebalance period and the arbitrator entry timeout in
+:mod:`repro.core.control_plane`.
 """
 
 from __future__ import annotations
@@ -12,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.utils.units import MSEC, USEC
+from repro.utils.units import MSEC
 from repro.utils.validation import check_positive
 
 
 @dataclass
 class PaseConfig:
-    """All knobs for the PASE framework (control plane + end-host)."""
+    """Every settable value of a PASE run (control plane + end-host); the
+    control plane and all its senders share one instance."""
 
     # -- in-network prioritization ------------------------------------
     #: Priority queues per switch port (Table 2: commodity gear has 3-10).
@@ -38,8 +45,11 @@ class PaseConfig:
     mark_threshold_pkts: int = 65
 
     # -- end-host transport (Algorithm 2 / Table 3) --------------------
-    min_rto_top: float = 10 * MSEC
+    #: RTO floor below the top queue (the top queue's is ``MIN_RTO_TOP``).
     min_rto_low: float = 200 * MSEC
+    #: Seed top-queue windows from the arbitrator's reference rate.  False
+    #: is Fig. 13a's PASE-DCTCP: arbitrated queues, DCTCP laws everywhere.
+    reference_rate: bool = True
     #: Use header-only probes (not data retransmissions) to disambiguate
     #: loss from low-priority queueing delay (§3.2).
     probing_enabled: bool = True
@@ -62,16 +72,11 @@ class PaseConfig:
     #: unreachable at NIC line rate, freeing their capacity for flows that
     #: can still make it (PDQ's Early Termination, applied to PASE).
     early_termination: bool = False
-    #: How often a source refreshes its arbitration (s).  One network RTT by
-    #: default so promotions lag at most an RTT behind flow completions.
-    arbitration_interval: float = 300 * USEC
-
-    # -- fault tolerance (§3.1's soft-state argument, exercised by
-    # -- repro.faults).  Every sender runs this retry/fallback logic; a
-    # -- clean run never misses a reply, so it never triggers. ------------
-    #: Consecutive unanswered/refused arbitration requests tolerated before
-    #: the sender falls back to pure DCTCP behavior.
-    arbitration_max_retries: int = 3
+    #: How often a source refreshes its arbitration (s).  None (default)
+    #: means one RTT of the scenario, so promotions lag at most an RTT
+    #: behind flow completions; a control plane built without a binding
+    #: uses its ``ARBITRATION_INTERVAL``.
+    arbitration_interval: Optional[float] = None
 
     # -- control-plane optimizations (§3.1.2) ----------------------------
     #: Early pruning: only flows mapped within the top ``pruning_queues``
@@ -81,8 +86,6 @@ class PaseConfig:
     #: Delegate aggregation-core capacity to ToR arbitrators as virtual
     #: links (§3.1.2 "Delegation").
     delegation_enabled: bool = True
-    #: Period between virtual-link capacity rebalances (s).
-    delegation_update_interval: float = 1 * MSEC
 
     # -- end-to-end vs local arbitration (Fig. 12a ablation) -------------
     #: When False, only the source/destination access links are arbitrated
@@ -93,10 +96,9 @@ class PaseConfig:
         check_positive("num_queues", self.num_queues)
         check_positive("queue_capacity_pkts", self.queue_capacity_pkts)
         check_positive("mark_threshold_pkts", self.mark_threshold_pkts)
-        check_positive("min_rto_top", self.min_rto_top)
         check_positive("min_rto_low", self.min_rto_low)
-        check_positive("arbitration_interval", self.arbitration_interval)
-        check_positive("delegation_update_interval", self.delegation_update_interval)
+        if self.arbitration_interval is not None:
+            check_positive("arbitration_interval", self.arbitration_interval)
         valid_criteria = ("size", "deadline", "las", "task")
         if self.criterion is not None and self.criterion not in valid_criteria:
             raise ValueError(
@@ -105,8 +107,6 @@ class PaseConfig:
             raise ValueError("pruning_queues must be >= 0 (0 disables pruning)")
         if self.num_queues < 2:
             raise ValueError("need >= 2 queues: one is reserved for background")
-        if self.arbitration_max_retries < 0:
-            raise ValueError("arbitration_max_retries must be >= 0")
 
     @property
     def num_data_queues(self) -> int:
@@ -117,12 +117,6 @@ class PaseConfig:
     def background_queue(self) -> int:
         """Queue index used by long-lived background flows."""
         return self.num_queues - 1
-
-    @property
-    def entry_timeout(self) -> float:
-        """Arbitrator entries not refreshed in four intervals are dropped
-        (safety net; normal removal is the explicit completion message)."""
-        return 4.0 * self.arbitration_interval
 
     @property
     def pruning_enabled(self) -> bool:

@@ -32,7 +32,7 @@ data-plane bandwidth; see DESIGN.md for why this substitution is sound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.arbitration import (
@@ -46,7 +46,7 @@ from repro.sim.link import Link
 from repro.sim.packet import DEFAULT_MTU
 from repro.sim.topology import Topology, TreeTopology
 from repro.transports.flow import Flow
-from repro.utils.units import USEC, bytes_to_bits
+from repro.utils.units import MSEC, USEC, bytes_to_bits
 
 #: Invoked as ``callback(half, result)`` — ``half`` is "src" or "dst" —
 #: whenever one half-path's arbitration outcome reaches the source.  The
@@ -62,6 +62,15 @@ LEVEL_AGG = 2
 
 #: Per-arbitrator processing delay for one control message (s).
 PROCESSING_DELAY = 10 * USEC
+#: Arbitration interval of a control plane built without a protocol
+#: binding (whose config leaves ``arbitration_interval`` unset); a binding
+#: sets the scenario's RTT instead.
+ARBITRATION_INTERVAL = 300 * USEC
+#: Arbitrator entries not refreshed within this many arbitration intervals
+#: are dropped (safety net; normal removal is the completion message).
+ENTRY_TIMEOUT_INTERVALS = 4.0
+#: Period between virtual-link capacity rebalances (s).
+DELEGATION_UPDATE_INTERVAL = 1 * MSEC
 #: Minimum fraction of a delegated link any child retains, so a burst at a
 #: quiet child is never completely locked out while waiting for the next
 #: rebalance.
@@ -99,7 +108,13 @@ class PaseControlPlane:
     def __init__(self, sim: Simulator, topology: Topology, config: Optional[PaseConfig] = None) -> None:
         self.sim = sim
         self.topology = topology
-        self.config = config or PaseConfig()
+        cfg = config or PaseConfig()
+        if cfg.arbitration_interval is None:
+            cfg = replace(cfg, arbitration_interval=ARBITRATION_INTERVAL)
+        #: The run's config, read by every sender of the run; its
+        #: ``arbitration_interval`` is always set.
+        self.config = cfg
+        self.entry_timeout = ENTRY_TIMEOUT_INTERVALS * cfg.arbitration_interval
         self.arbitrators: Dict[str, LinkArbitrator] = {}
         #: (parent link name, child ToR node id) -> virtual arbitrator.
         self.virtual: Dict[Tuple[str, int], VirtualLinkArbitrator] = {}
@@ -140,11 +155,11 @@ class PaseControlPlane:
         #: parks itself (clears this) when nothing else is pending.
         self._rebalance_armed = bool(self._delegation_groups)
         if self._rebalance_armed:
-            self.sim.post(self.config.delegation_update_interval, self._rebalance_delegation)
+            self.sim.post(DELEGATION_UPDATE_INTERVAL, self._rebalance_delegation)
         #: True while an expiry sweep is pending; the sweep parks itself
         #: (clears this) when every table is empty.
         self._expire_armed = True
-        self.sim.post(self.config.entry_timeout, self._expire_sweep)
+        self.sim.post(self.entry_timeout, self._expire_sweep)
 
     # ------------------------------------------------------------------
     # Construction
@@ -303,11 +318,10 @@ class PaseControlPlane:
         # state.
         if not self._expire_armed:
             self._expire_armed = True
-            self.sim.post(self.config.entry_timeout, self._expire_sweep)
+            self.sim.post(self.entry_timeout, self._expire_sweep)
         if not self._rebalance_armed and self._delegation_groups:
             self._rebalance_armed = True
-            self.sim.post(self.config.delegation_update_interval,
-                          self._rebalance_delegation)
+            self.sim.post(DELEGATION_UPDATE_INTERVAL, self._rebalance_delegation)
         self._walk(flow, chains.src_hops, 1, local, state, "src",
                    return_extra=0.0)
         dst_start = chains.transfer_latency
@@ -453,7 +467,7 @@ class PaseControlPlane:
                     self.messages_by_level[hop.level] += 1
 
     def _expire_sweep(self) -> None:
-        timeout = self.config.entry_timeout
+        timeout = self.entry_timeout
         now = self.sim.now
         occupied = False
         for tables in (self.arbitrators, self.virtual):
@@ -494,8 +508,7 @@ class PaseControlPlane:
             # drain.  request() re-arms the rebalancer.
             self._rebalance_armed = False
         else:
-            self.sim.post(self.config.delegation_update_interval,
-                          self._rebalance_delegation)
+            self.sim.post(DELEGATION_UPDATE_INTERVAL, self._rebalance_delegation)
 
 
 class _RequestState:

@@ -7,6 +7,8 @@ arbitration outputs:
 * **Reference rate** — a top-queue flow pins its window to ``Rref * RTT``
   instead of slow-starting; a marked ACK still applies the DCTCP decrease,
   so endpoints remain self-adjusting when the arbitrator's estimate is off.
+  ``PaseConfig.reference_rate=False`` (Fig. 13a's PASE-DCTCP) runs DCTCP
+  laws in the top queue too.
 * **Priority queue** — intermediate-queue and background flows run DCTCP's
   increase law from a cold window; bottom-queue flows stay at one packet
   per RTT.
@@ -35,12 +37,19 @@ from repro.sim.packet import Packet
 from repro.sim.trace import CAT_FALLBACK, CAT_QUEUE_CHANGE
 from repro.transports.base import MAX_CWND, ReceiverAgent, TransportConfig
 from repro.transports.dctcp import DctcpSender
-from repro.utils.units import bytes_to_bits
+from repro.utils.units import MSEC, bytes_to_bits
 
 #: PASE receivers are plain receivers: probe replies are part of the shared
 #: chassis (the PASE paper introduced them; see ReceiverAgent._ack_probe).
 PaseReceiver = ReceiverAgent
 
+#: RTO floor of a top-queue flow (Table 3); lower queues use
+#: ``PaseConfig.min_rto_low``.
+MIN_RTO_TOP = 10 * MSEC
+#: Consecutive unanswered or refused arbitration requests tolerated before
+#: the sender falls back to pure DCTCP (§3.1's soft-state argument; a clean
+#: run never misses a reply, so it never triggers).
+ARBITRATION_MAX_RETRIES = 3
 #: Cap on the exponential backoff multiplier applied to the re-request
 #: interval while requests keep failing (also the fallback re-probe cadence,
 #: so recovery is detected within cap x interval).
@@ -50,22 +59,11 @@ ARBITRATION_BACKOFF_CAP = 8.0
 class PaseSender(DctcpSender):
     """Algorithm 2 rate control driven by (PrioQue, Rref) from arbitration."""
 
-    def __init__(
-        self,
-        sim,
-        host,
-        flow,
-        control_plane: PaseControlPlane,
-        config: Optional[PaseConfig] = None,
-        on_done=None,
-        use_reference_rate: bool = True,
-    ) -> None:
-        #: Fig. 13a ablation ("PASE-DCTCP"): when False the flow still gets
-        #: arbitrated queues but runs DCTCP control laws in every queue,
-        #: ignoring the reference rate.
-        self.use_reference_rate = use_reference_rate
-        self.pase = config or control_plane.config
-        transport = TransportConfig(init_cwnd=1.0, min_rto=self.pase.min_rto_top)
+    def __init__(self, sim, host, flow, control_plane: PaseControlPlane,
+                 on_done=None) -> None:
+        #: The run's config: every sender shares its control plane's.
+        self.pase: PaseConfig = control_plane.config
+        transport = TransportConfig(init_cwnd=1.0, min_rto=MIN_RTO_TOP)
         super().__init__(sim, host, flow, transport, on_done)
         self.control_plane = control_plane
         self.nic_rate_bps = control_plane.topology.host_uplink(host).capacity_bps
@@ -142,7 +140,7 @@ class PaseSender(DctcpSender):
         if local is None:
             self._request_pending = False
             self._arb_failures += 1
-        if self._arb_failures > self.pase.arbitration_max_retries:
+        if self._arb_failures > ARBITRATION_MAX_RETRIES:
             self._enter_fallback()
         interval = self.pase.arbitration_interval
         if self._arb_failures:
@@ -243,7 +241,7 @@ class PaseSender(DctcpSender):
                                    old=self.queue_index, new=queue)
         self.queue_index = queue
         if queue == 0:
-            if not self.use_reference_rate:
+            if not self.pase.reference_rate:
                 # PASE-DCTCP ablation: DCTCP laws even in the top queue.
                 if not self._is_intermediate:
                     self._is_intermediate = True
@@ -343,7 +341,7 @@ class PaseSender(DctcpSender):
     def _increase_window(self) -> None:
         if self.flow.background or self._is_intermediate:
             super()._increase_window()
-        elif self.queue_index == 0 and self.use_reference_rate:
+        elif self.queue_index == 0 and self.pase.reference_rate:
             self.cwnd = min(max(1.0, self._reference_window()), MAX_CWND)
         else:
             self.cwnd = 1.0
@@ -352,8 +350,7 @@ class PaseSender(DctcpSender):
     # Loss recovery: queue-dependent RTO + probing
     # ------------------------------------------------------------------
     def rto_value(self) -> float:
-        floor = (self.pase.min_rto_top if self.queue_index == 0
-                 else self.pase.min_rto_low)
+        floor = MIN_RTO_TOP if self.queue_index == 0 else self.pase.min_rto_low
         base = max(floor, self.srtt + 4 * self.rttvar)
         return min(self.config.max_rto, base * (2 ** self._rto_backoff))
 

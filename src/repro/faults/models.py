@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Protocol
 
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_non_negative, check_probability
 
 
 class LossModel(Protocol):
@@ -30,19 +30,13 @@ class LossModel(Protocol):
     def drop(self) -> bool: ...
 
 
-def _check_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
 class BernoulliLoss:
     """Drop each packet independently with probability ``p``."""
 
     kind = "bernoulli"
 
     def __init__(self, p: float, seed: int = 0) -> None:
-        self.p = _check_probability("p", p)
+        self.p = check_probability("p", p)
         self.rng = random.Random(seed)
 
     def drop(self) -> bool:
@@ -68,10 +62,10 @@ class GilbertElliottLoss:
         loss_bad: float = 1.0,
         seed: int = 0,
     ) -> None:
-        self.p_enter_bad = _check_probability("p_enter_bad", p_enter_bad)
-        self.p_exit_bad = _check_probability("p_exit_bad", p_exit_bad)
-        self.loss_good = _check_probability("loss_good", loss_good)
-        self.loss_bad = _check_probability("loss_bad", loss_bad)
+        self.p_enter_bad = check_probability("p_enter_bad", p_enter_bad)
+        self.p_exit_bad = check_probability("p_exit_bad", p_exit_bad)
+        self.loss_good = check_probability("loss_good", loss_good)
+        self.loss_bad = check_probability("loss_bad", loss_bad)
         self.rng = random.Random(seed)
         self.in_bad_state = False
 

@@ -28,6 +28,7 @@ from repro.metrics.faults import FaultCounters
 from repro.metrics.overhead import ControlPlaneCounters, NetworkCounters
 from repro.metrics.stats import FlowStats
 from repro.sim.engine import Simulator
+from repro.transports.base import ReceiverAgent
 from repro.transports.flow import Flow
 from repro.workloads.generator import WorkloadConfig, generate_workload
 
@@ -217,7 +218,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         dst_host = topology.network.nodes[flow.dst]
         src_host = topology.network.nodes[flow.src]
         done = None if flow.background else on_complete
-        binding.make_receiver(sim, dst_host, flow, done)
+        ReceiverAgent(sim, dst_host, flow, done)
         sender = binding.make_sender(sim, src_host, flow, on_done=on_sender_done)
         sender.start()
 

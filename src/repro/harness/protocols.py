@@ -1,14 +1,18 @@
 """Protocol bindings: everything the experiment runner needs to run one
 protocol on one scenario — the switch queue discipline, any network-side
 machinery (PDQ's link schedulers, PASE's control plane), and the per-flow
-agent constructors.
+sender constructor.  Every flow's receiver is a plain
+:class:`~repro.transports.base.ReceiverAgent`.
 
 Registered names (the keys of :data:`PROTOCOLS`):
 
 ``tcp, dctcp, d2tcp, l2dct, pdq, d3, pfabric, pase`` plus the paper's ablation
 variants ``pase-dctcp`` (no reference rate, Fig. 13a), ``pase-local``
 (access-link-only arbitration, Fig. 12a), ``pase-noopt`` (pruning and
-delegation disabled, Fig. 11), and ``pase-noprobe`` (§4.3.2).
+delegation disabled, Fig. 11), and ``pase-noprobe`` (§4.3.2).  A variant is
+not a class: it is a row of :data:`PASE_PRESETS`, the :class:`PaseConfig`
+fields it pins over the run's config, so ``"pase"`` with
+``PaseConfig(**PASE_PRESETS[name])`` runs exactly the variant.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from dataclasses import replace
 from typing import Any, Dict, Optional, Type
 
-from repro.core import PaseConfig, PaseControlPlane, PaseReceiver, PaseSender, pase_queue_factory
+from repro.core import PaseConfig, PaseControlPlane, PaseSender, pase_queue_factory
 from repro.sim.engine import Simulator
 from repro.sim.network import QueueFactory
 from repro.sim.queues import PFabricQueue, REDQueue
@@ -31,22 +35,20 @@ from repro.transports import (
     PdqSender,
     PfabricConfig,
     PfabricSender,
-    ReceiverAgent,
     TcpSender,
     TransportConfig,
     install_d3_allocators,
     install_pdq_schedulers,
 )
-from repro.transports.base import CompletionCallback
 from repro.utils.units import bytes_to_bits
 
 from repro.harness.scenarios import Scenario
 
 
 class ProtocolBinding:
-    """Per-protocol wiring.  Subclasses fill in the four hooks (the default
+    """Per-protocol wiring.  Subclasses fill in the three hooks (the default
     sender is ``sender_cls`` over ``self.config``, a :class:`TransportConfig`
-    seeded with the scenario's RTT); only the PASE bindings read
+    seeded with the scenario's RTT); only :class:`PaseBinding` reads
     ``pase_config``."""
 
     sender_cls: type
@@ -63,9 +65,6 @@ class ProtocolBinding:
 
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
         """Install network-side machinery (schedulers, control plane)."""
-
-    def make_receiver(self, sim, host, flow: Flow, on_complete: CompletionCallback):
-        return ReceiverAgent(sim, host, flow, on_complete)
 
     def make_sender(self, sim, host, flow: Flow, on_done=None):
         return self.sender_cls(sim, host, flow, self.config, on_done)
@@ -148,24 +147,19 @@ class PfabricBinding(ProtocolBinding):
 
 
 class PaseBinding(ProtocolBinding):
-    #: Fig. 13a ablation: queues via arbitration but DCTCP rate control.
-    use_reference_rate = True
-    #: :class:`PaseConfig` fields an ablation pins over ``pase_config``.
-    ablation: Dict[str, Any] = {}
+    """PASE over the run's :class:`PaseConfig` (:func:`make_binding` has
+    already pinned a variant's preset over it)."""
 
     def __init__(self, scenario: Scenario,
                  pase_config: Optional[PaseConfig] = None) -> None:
         super().__init__(scenario)
         cfg = pase_config or PaseConfig()
-        changes = dict(self.ablation)
-        # criterion=None means "the scenario's": EDF on deadline scenarios.
+        # None means "the scenario's": its criterion (EDF on deadline
+        # scenarios) and one of its RTTs between arbitrations.
+        changes: Dict[str, Any] = {}
         if cfg.criterion is None:
             changes["criterion"] = scenario.criterion
-        # Track the scenario's RTT only when the interval was left at the
-        # class default — an explicitly chosen interval (e.g. the ablation
-        # benchmark) is respected as-is.
-        default_interval = PaseConfig.__dataclass_fields__["arbitration_interval"].default
-        if cfg.arbitration_interval == default_interval:
+        if cfg.arbitration_interval is None:
             changes["arbitration_interval"] = scenario.base_rtt
         self.config = replace(cfg, **changes)
         self.control_plane: Optional[PaseControlPlane] = None
@@ -176,40 +170,25 @@ class PaseBinding(ProtocolBinding):
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
         self.control_plane = PaseControlPlane(sim, topology, self.config)
 
-    def make_receiver(self, sim, host, flow, on_complete):
-        return PaseReceiver(sim, host, flow, on_complete)
-
     def make_sender(self, sim, host, flow, on_done=None):
-        return PaseSender(sim, host, flow, self.control_plane, self.config,
-                          on_done, use_reference_rate=self.use_reference_rate)
+        return PaseSender(sim, host, flow, self.control_plane, on_done)
 
 
-class PaseDctcpBinding(PaseBinding):
-    """PASE-DCTCP (Fig. 13a): arbitrated queues, no reference-rate seeding —
-    every flow runs DCTCP control laws regardless of its queue."""
+#: PASE and its ablations: the :class:`PaseConfig` fields each pins over
+#: the run's ``pase_config``.
+PASE_PRESETS: Dict[str, Dict[str, Any]] = {
+    "pase": {},
+    # Fig. 13a: arbitrated queues, DCTCP control laws in every queue.
+    "pase-dctcp": {"reference_rate": False},
+    # Fig. 12a: only the access links are arbitrated.
+    "pase-local": {"end_to_end_arbitration": False},
+    # Fig. 11: no early pruning, no delegation.
+    "pase-noopt": {"pruning_queues": 0, "delegation_enabled": False},
+    # §4.3.2: low-priority flows retransmit instead of probing.
+    "pase-noprobe": {"probing_enabled": False},
+}
 
-    use_reference_rate = False
-
-
-class PaseLocalBinding(PaseBinding):
-    """Fig. 12a: only the access links are arbitrated."""
-
-    ablation = {"end_to_end_arbitration": False}
-
-
-class PaseNoOptBinding(PaseBinding):
-    """Fig. 11: no early pruning, no delegation."""
-
-    ablation = {"pruning_queues": 0, "delegation_enabled": False}
-
-
-class PaseNoProbeBinding(PaseBinding):
-    """§4.3.2: low-priority flows retransmit instead of probing."""
-
-    ablation = {"probing_enabled": False}
-
-
-#: The registered protocols, each built as ``cls(scenario, pase_config)``.
+#: The registered protocols, each built by :func:`make_binding`.
 PROTOCOLS: Dict[str, Type[ProtocolBinding]] = {
     "tcp": TcpBinding,
     "dctcp": DctcpBinding,
@@ -218,11 +197,7 @@ PROTOCOLS: Dict[str, Type[ProtocolBinding]] = {
     "pdq": PdqBinding,
     "d3": D3Binding,
     "pfabric": PfabricBinding,
-    "pase": PaseBinding,
-    "pase-dctcp": PaseDctcpBinding,
-    "pase-local": PaseLocalBinding,
-    "pase-noopt": PaseNoOptBinding,
-    "pase-noprobe": PaseNoProbeBinding,
+    **{name: PaseBinding for name in PASE_PRESETS},
 }
 
 PROTOCOL_NAMES = tuple(PROTOCOLS)
@@ -233,9 +208,13 @@ def make_binding(
     scenario: Scenario,
     pase_config: Optional[PaseConfig] = None,
 ) -> ProtocolBinding:
-    """Build the binding for ``protocol`` (one of :data:`PROTOCOL_NAMES`)."""
+    """Build the binding for ``protocol`` (one of :data:`PROTOCOL_NAMES`);
+    a PASE variant's preset is pinned over ``pase_config``."""
     try:
         cls = PROTOCOLS[protocol]
     except KeyError:
         raise ValueError(f"unknown protocol {protocol!r}") from None
+    preset = PASE_PRESETS.get(protocol)
+    if preset:
+        pase_config = replace(pase_config or PaseConfig(), **preset)
     return cls(scenario, pase_config)

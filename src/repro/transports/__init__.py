@@ -26,7 +26,6 @@ from repro.transports.base import (
 )
 from repro.transports.d3 import (
     D3LinkAllocator,
-    D3Receiver,
     D3Sender,
     install_d3_allocators,
 )
@@ -36,7 +35,6 @@ from repro.transports.flow import Flow
 from repro.transports.l2dct import L2dctSender
 from repro.transports.pdq import (
     PdqLinkScheduler,
-    PdqReceiver,
     PdqSender,
     install_pdq_schedulers,
 )
@@ -54,14 +52,12 @@ __all__ = [
     "TransportConfig",
     "TcpSender",
     "D3LinkAllocator",
-    "D3Receiver",
     "D3Sender",
     "install_d3_allocators",
     "DctcpSender",
     "D2tcpSender",
     "L2dctSender",
     "PdqLinkScheduler",
-    "PdqReceiver",
     "PdqSender",
     "install_pdq_schedulers",
     "PfabricConfig",

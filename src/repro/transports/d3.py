@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.sim.link import Link
 from repro.sim.packet import Packet, PacketKind
-from repro.transports.base import ReceiverAgent, TransportConfig
+from repro.transports.base import TransportConfig
 from repro.transports.pdq import ENTRY_TIMEOUT_RTTS, PdqSender
 from repro.utils.units import bytes_to_bits
 
@@ -102,10 +102,6 @@ def install_d3_allocators(network, config: Optional[TransportConfig] = None) -> 
         link.processors.append(alloc)
         allocators[link.name] = alloc
     return allocators
-
-
-#: D3 receivers are plain receivers (the grant rides the shared ACK echo).
-D3Receiver = ReceiverAgent
 
 
 class D3Sender(PdqSender):

@@ -33,7 +33,7 @@ from typing import Dict, Optional
 from repro.sim.engine import Handle
 from repro.sim.link import Link
 from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
-from repro.transports.base import ReceiverAgent, SenderAgent, TransportConfig
+from repro.transports.base import SenderAgent, TransportConfig
 from repro.utils.units import bytes_to_bits
 
 #: Scheduler entries not refreshed within this many base RTTs are presumed
@@ -92,14 +92,13 @@ class PdqLinkScheduler:
             entry.deadline = pkt.deadline
             entry.last_seen = now
         self._expire(now)
-        self._allocate(now)
-        grant = self.flows[pkt.flow_id].granted
+        rank = self._allocate(entry)
+        grant = entry.granted
         if grant <= 0:
             pkt.pdq_pause = True
             pkt.pdq_rate = 0.0
         else:
             pkt.pdq_rate = min(pkt.pdq_rate, grant)
-        rank = self._rank_of(pkt.flow_id)
         if rank > pkt.pdq_rank:
             pkt.pdq_rank = rank
 
@@ -110,22 +109,17 @@ class PdqLinkScheduler:
         for fid in dead:
             del self.flows[fid]
 
-    def _rank_of(self, flow_id: int) -> int:
-        """The flow's position in this link's priority order (0 = head)."""
-        ordered = sorted(self.flows.values(), key=_FlowEntry.priority_key)
-        for i, entry in enumerate(ordered):
-            if entry.flow_id == flow_id:
-                return i
-        return len(ordered)
-
-    def _allocate(self, now: float) -> None:
+    def _allocate(self, current: _FlowEntry) -> int:
         """Preemptive allocation: capacity goes to flows in priority order;
-        Early Start lets the runner-up stream while the head drains."""
-        capacity = self.link.capacity_bps
-        residual = capacity
+        Early Start lets the runner-up stream while the head drains.
+        Returns ``current``'s position in that order (0 = head)."""
+        residual = self.link.capacity_bps
         early_window = EARLY_START_RTTS * self.config.initial_rtt
         ordered = sorted(self.flows.values(), key=_FlowEntry.priority_key)
-        for entry in ordered:
+        rank = len(ordered)
+        for i, entry in enumerate(ordered):
+            if entry is current:
+                rank = i
             if residual <= 0:
                 entry.granted = 0.0
                 continue
@@ -137,6 +131,7 @@ class PdqLinkScheduler:
                 # begin now rather than paying a pause/unpause round trip.
                 continue
             residual -= grant
+        return rank
 
 
 def install_pdq_schedulers(network, config: Optional[TransportConfig] = None) -> Dict[str, PdqLinkScheduler]:
@@ -149,11 +144,6 @@ def install_pdq_schedulers(network, config: Optional[TransportConfig] = None) ->
         link.processors.append(sched)
         schedulers[link.name] = sched
     return schedulers
-
-
-#: PDQ needs no receiver specialization: ``make_ack_packet`` echoes the
-#: in-band grant (``pdq_rate`` / ``pdq_pause``) on every ACK.
-PdqReceiver = ReceiverAgent
 
 
 class PdqSender(SenderAgent):
@@ -209,9 +199,7 @@ class PdqSender(SenderAgent):
             self._pace_event = None
 
     # -- probing -------------------------------------------------------------
-    def _send_probe(self) -> Optional[Packet]:
-        if self.finished:
-            return None
+    def _send_probe(self) -> Packet:
         probe = super()._send_probe()
         self._schedule_probe()
         return probe

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import PaseConfig, PaseControlPlane
+from repro.core import control_plane
 from repro.core.control_plane import (
     DELEGATION_MIN_SHARE,
+    DELEGATION_UPDATE_INTERVAL,
     LEVEL_AGG,
     LEVEL_HOST,
     LEVEL_TOR,
@@ -111,13 +113,13 @@ class TestInterRack:
         # Both halves consult a ToR (2 msgs) and an Agg (2 msgs) each.
         assert cp.messages_sent == 8
 
-    def test_delegation_reduces_messages(self):
+    def test_delegation_reduces_messages(self, monkeypatch):
         flows_args = (100 * KB, 1 * GBPS)
+        # No rebalance (whose reports are messages too) within the run.
+        monkeypatch.setattr(control_plane, "DELEGATION_UPDATE_INTERVAL", 1.0)
 
         def messages(delegation):
-            cfg = PaseConfig(delegation_enabled=delegation,
-                             pruning_queues=0,
-                             delegation_update_interval=1.0)
+            cfg = PaseConfig(delegation_enabled=delegation, pruning_queues=0)
             sim, topo, cp = tree_cp(cfg)
             src = topo.rack_hosts(0)[0]
             dst = topo.rack_hosts(2)[0]
@@ -156,9 +158,9 @@ class TestInterRack:
 
 
 class TestDelegationRebalance:
-    def test_shares_follow_demand(self):
-        cfg = PaseConfig(delegation_enabled=True,
-                         delegation_update_interval=1e-3)
+    def test_shares_follow_demand(self, monkeypatch):
+        monkeypatch.setattr(control_plane, "DELEGATION_UPDATE_INTERVAL", 1e-3)
+        cfg = PaseConfig(delegation_enabled=True)
         sim, topo, cp = tree_cp(cfg)
         agg_up = topo.network.link_between(topo.aggs[0], topo.core)
         busy_tor = topo.tors[0]
@@ -186,12 +188,12 @@ class TestDelegationRebalance:
         dst = topo.rack_hosts(2)[0]
         cp.request(flow_between(topo, src, dst), 100 * KB, 1 * GBPS,
                    lambda h, r: None)
-        sim.run(until=sim.now + 1.5 * cp.config.delegation_update_interval)
+        sim.run(until=sim.now + 1.5 * DELEGATION_UPDATE_INTERVAL)
         assert busy.share > idle.share
 
-    def test_rebalance_messages_counted(self):
-        cfg = PaseConfig(delegation_enabled=True,
-                         delegation_update_interval=1e-3)
+    def test_rebalance_messages_counted(self, monkeypatch):
+        monkeypatch.setattr(control_plane, "DELEGATION_UPDATE_INTERVAL", 1e-3)
+        cfg = PaseConfig(delegation_enabled=True)
         sim, topo, cp = tree_cp(cfg)
         before = cp.messages_sent
         sim.run(until=2.5e-3)

@@ -118,7 +118,7 @@ class TestPaseUnderLoss:
         uplink = topo.host_uplink(topo.hosts[0])
         cp.arbitrators[uplink.name].arbitrate(1, 500 * KB, 1 * GBPS, 0.0)
         assert cp.arbitrators[uplink.name].active_flows == 1
-        sim.run(until=10 * cfg.entry_timeout)
+        sim.run(until=10 * cp.entry_timeout)
         assert cp.arbitrators[uplink.name].active_flows == 0
 
 

@@ -19,6 +19,7 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
+from repro.core import endhost
 from repro.faults import (
     ArbitratorCrash,
     BernoulliLoss,
@@ -112,6 +113,12 @@ class TestLossModels:
                   loss_bad=0.6, seed=11)
         a, b = GilbertElliottLoss(**kw), GilbertElliottLoss(**kw)
         assert [a.drop() for _ in range(2000)] == [b.drop() for _ in range(2000)]
+
+    def test_probabilities_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"p must be in \[0.0, 1.0\]"):
+            BernoulliLoss(1.5)
+        with pytest.raises(ValueError, match="loss_bad must be in"):
+            GilbertElliottLoss(p_enter_bad=0.1, p_exit_bad=0.1, loss_bad=-0.1)
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +264,9 @@ class TestPaseDegradation:
         # Nobody recovered — the crash was permanent.
         assert result.faults.injected == {"arbitrator-crash": 1}
 
-    def test_single_arbitrator_crash_only_hits_its_flows(self):
-        cfg = PaseConfig(arbitration_max_retries=1)  # fall back quickly
+    def test_single_arbitrator_crash_only_hits_its_flows(self, monkeypatch):
+        monkeypatch.setattr(endhost, "ARBITRATION_MAX_RETRIES", 1)  # fall back quickly
+        cfg = PaseConfig()
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=4,
                             queue_factory=pase_queue_factory(cfg))
@@ -313,8 +321,9 @@ class TestPaseDegradation:
         assert result.faults.control_messages_lost > 0
         assert result.control_plane.messages_lost > 0
 
-    def test_fallback_trace_events(self):
-        cfg = PaseConfig(arbitration_max_retries=1)  # fall back quickly
+    def test_fallback_trace_events(self, monkeypatch):
+        monkeypatch.setattr(endhost, "ARBITRATION_MAX_RETRIES", 1)  # fall back quickly
+        cfg = PaseConfig()
         sim = Simulator()
         sim.tracer = Tracer()
         topo = StarTopology(sim, num_hosts=3,

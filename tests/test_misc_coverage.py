@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.core import ArbitrationResult, PaseConfig
+from repro.core import ArbitrationResult, PaseConfig, PaseControlPlane
 from repro.harness import format_series_table, improvement_row, series_from_results
-from repro.sim import Simulator
+from repro.sim import Simulator, StarTopology
 from repro.sim.queues import PFabricQueue, PriorityQueueBank
 from repro.transports import TransportConfig
 from repro.transports.base import SenderAgent
@@ -68,8 +68,16 @@ class TestPaseConfigProperties:
         assert cfg.background_queue == 7
 
     def test_entry_timeout_scales_with_interval(self):
-        cfg = PaseConfig(arbitration_interval=1 * MSEC)
-        assert cfg.entry_timeout == pytest.approx(4 * MSEC)
+        sim = Simulator()
+        cp = PaseControlPlane(sim, StarTopology(sim, num_hosts=2),
+                              PaseConfig(arbitration_interval=1 * MSEC))
+        assert cp.entry_timeout == pytest.approx(4 * MSEC)
+
+    def test_unset_interval_without_a_binding_is_300us(self):
+        sim = Simulator()
+        cp = PaseControlPlane(sim, StarTopology(sim, num_hosts=2))
+        assert cp.config.arbitration_interval == 300 * USEC
+        assert cp.entry_timeout == pytest.approx(1200 * USEC)
 
     def test_pruning_disabled_at_zero(self):
         assert not PaseConfig(pruning_queues=0).pruning_enabled

@@ -9,6 +9,7 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
+from repro.core.endhost import MIN_RTO_TOP
 from repro.sim import Simulator, StarTopology
 from repro.transports import Flow
 from repro.utils.units import GBPS, KB, MSEC, USEC, bytes_to_bits
@@ -24,7 +25,7 @@ def build(num_hosts=6, config=None, rtt=100 * USEC):
 
 
 def launch(sim, topo, cp, fid, src, dst, size, start=0.0, deadline=None,
-           background=False, config=None):
+           background=False):
     flow = Flow(flow_id=fid, src=topo.hosts[src].node_id,
                 dst=topo.hosts[dst].node_id, size_bytes=size,
                 start_time=start, deadline=deadline, background=background)
@@ -32,7 +33,7 @@ def launch(sim, topo, cp, fid, src, dst, size, start=0.0, deadline=None,
 
     def go():
         PaseReceiver(sim, topo.hosts[dst], flow)
-        s = PaseSender(sim, topo.hosts[src], flow, cp, config)
+        s = PaseSender(sim, topo.hosts[src], flow, cp)
         sender_box.append(s)
         s.start()
 
@@ -134,7 +135,7 @@ class TestLossRecovery:
         sim.run(until=0.2e-3)
         sender = box[0]
         sender.queue_index = 0
-        assert sender.rto_value() >= cfg.min_rto_top
+        assert sender.rto_value() >= MIN_RTO_TOP
         sender.queue_index = 2
         assert sender.rto_value() >= cfg.min_rto_low
 

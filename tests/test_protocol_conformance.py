@@ -10,7 +10,7 @@ import pytest
 from repro.harness.protocols import PROTOCOL_NAMES, make_binding
 from repro.harness.scenarios import intra_rack
 from repro.sim import Simulator
-from repro.transports import Flow
+from repro.transports import Flow, ReceiverAgent
 from repro.utils.units import KB, MB
 
 #: Protocols exercised by the matrix (the ablation variants share code
@@ -30,7 +30,7 @@ def run_one_flow(protocol, size_bytes, deadline=None, until=30.0):
     flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                 dst=topo.hosts[1].node_id, size_bytes=size_bytes,
                 start_time=0.0, deadline=deadline)
-    binding.make_receiver(sim, topo.hosts[1], flow, None)
+    ReceiverAgent(sim, topo.hosts[1], flow)
     binding.make_sender(sim, topo.hosts[0], flow).start()
     sim.run(until=until)
     return flow

@@ -37,7 +37,7 @@ class TestSingleFlowFloors:
     def test_lone_flow_fct(self, protocol, limit_ms):
         from repro.sim import Simulator, StarTopology
         from repro.harness.protocols import make_binding
-        from repro.transports import Flow
+        from repro.transports import Flow, ReceiverAgent
         from repro.utils.units import GBPS, KB, USEC
 
         scn = intra_rack(num_hosts=4, num_background_flows=0)
@@ -48,7 +48,7 @@ class TestSingleFlowFloors:
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=100 * KB,
                     start_time=0.0)
-        binding.make_receiver(sim, topo.hosts[1], flow, None)
+        ReceiverAgent(sim, topo.hosts[1], flow)
         binding.make_sender(sim, topo.hosts[0], flow).start()
         sim.run(until=1.0)
         assert flow.completed
