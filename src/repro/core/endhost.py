@@ -370,10 +370,10 @@ class PaseSender(DctcpSender):
             # a whole window of them); without it each later probe would
             # free one packet.  The chassis books the probed seq itself.
             self._probe_seq = None
-            acked = self._acked
+            sacked = self._sacked
             for seq in range(self.cum_ack, ack.ack_seq):
-                if seq != sack and not acked[seq]:
-                    acked[seq] = True
+                if seq != sack and seq not in sacked:
+                    sacked.add(seq)
                     self.pkts_acked += 1
                     self._inflight.discard(seq)
             return False
@@ -387,7 +387,7 @@ class PaseSender(DctcpSender):
             self._probe_seq = None
             seq = ack.seq
             self._presume_inflight_lost()
-            if seq not in self._retx_queue and not self._acked[seq]:
+            if seq not in self._retx_queue and not self.is_acked(seq):
                 self._retx_queue.insert(0, seq)
             self._rto_backoff = 0
             self._rearm_rto()

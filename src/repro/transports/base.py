@@ -6,6 +6,9 @@ how the window reacts to ACKs, ECN marks, losses, and timeouts.  This module
 implements the shared machinery once:
 
 * selective per-packet ACKs with a cumulative ack number,
+* reliability state in O(window): each end keeps its cumulative ack and
+  the set of seqs acked (or received) above it, never a per-packet list,
+  so a 1,000 MB background flow costs no more than a short one,
 * fast retransmit after ``DUPACK_THRESHOLD`` duplicate cumulative ACKs
   (one recovery episode per window, NewReno-style),
 * a single retransmission timer with exponential backoff,
@@ -23,7 +26,7 @@ reliability state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from repro.sim.engine import Handle, Simulator
 from repro.sim.packet import (
@@ -84,9 +87,10 @@ class ReceiverAgent:
         self.flow = flow
         self.on_complete = on_complete
         self.total_pkts = flow.total_pkts
-        self._received: List[bool] = [False] * self.total_pkts
-        self._num_received = 0
+        #: Every seq below ``_cum_ack`` has arrived; ``_beyond`` holds the
+        #: arrived seqs above it, so the state is O(window), not O(flow).
         self._cum_ack = 0
+        self._beyond: Set[int] = set()
         host.attach_receiver(flow.flow_id, self)
 
     @property
@@ -98,16 +102,22 @@ class ReceiverAgent:
             self._ack_probe(pkt)
             return
         seq = pkt.seq
-        if 0 <= seq < self.total_pkts and not self._received[seq]:
-            self._received[seq] = True
-            self._num_received += 1
-            while self._cum_ack < self.total_pkts and self._received[self._cum_ack]:
-                self._cum_ack += 1
-            if self._num_received == self.total_pkts and not self.flow.completed:
+        cum_ack = self._cum_ack
+        if seq == cum_ack and seq < self.total_pkts:
+            # In order: advance, then drain what arrived ahead of it.
+            cum_ack += 1
+            beyond = self._beyond
+            while cum_ack in beyond:
+                beyond.remove(cum_ack)
+                cum_ack += 1
+            self._cum_ack = cum_ack
+            if cum_ack == self.total_pkts and not self.flow.completed:
                 self.flow.completion_time = self.sim.now
                 if self.on_complete is not None:
                     self.on_complete(self.flow)
-        ack = make_ack_packet(pkt, self._cum_ack, queue_index=pkt.queue_index)
+        elif cum_ack < seq < self.total_pkts:
+            self._beyond.add(seq)
+        ack = make_ack_packet(pkt, cum_ack, queue_index=pkt.queue_index)
         self.host.send(ack)
 
     def _ack_probe(self, probe: Packet) -> None:
@@ -118,7 +128,7 @@ class ReceiverAgent:
         "still queued behind higher priorities" (paper §3.2).
         """
         ack = make_ack_packet(probe, self._cum_ack, queue_index=probe.queue_index)
-        got_it = 0 <= probe.seq < self.total_pkts and self._received[probe.seq]
+        got_it = 0 <= probe.seq < self._cum_ack or probe.seq in self._beyond
         ack.ack_sacks = probe.seq if got_it else -1
         self.host.send(ack)
 
@@ -146,9 +156,11 @@ class SenderAgent:
         self.cwnd: float = self.config.init_cwnd
         self.ssthresh: float = MAX_CWND
         self.next_new: int = 0
-        self._acked: List[bool] = [False] * self.total_pkts
         self.pkts_acked: int = 0
+        #: Every seq below ``cum_ack`` is acked; ``_sacked`` holds the
+        #: acked seqs above it (see :meth:`is_acked`).
         self.cum_ack: int = 0
+        self._sacked: Set[int] = set()
         self._inflight: set = set()
         self._retx_queue: List[int] = []
         self._dupacks: int = 0
@@ -218,7 +230,7 @@ class SenderAgent:
     def _next_seq_to_send(self) -> Optional[tuple]:
         while self._retx_queue:
             seq = self._retx_queue.pop(0)
-            if self._acked[seq] or seq in self._inflight:
+            if self.is_acked(seq) or seq in self._inflight:
                 continue
             return seq, True
         if self.next_new < self.total_pkts:
@@ -226,6 +238,10 @@ class SenderAgent:
             self.next_new += 1
             return seq, False
         return None
+
+    def is_acked(self, seq: int) -> bool:
+        """Whether packet ``seq`` (``0 <= seq < total_pkts``) is acked."""
+        return seq < self.cum_ack or seq in self._sacked
 
     def _packet_size(self, seq: int) -> int:
         """Last packet carries the flow's tail bytes; others are full MTU."""
@@ -280,20 +296,26 @@ class SenderAgent:
         if self.handle_special_ack(ack):
             return
         sack = ack.ack_sacks
+        sacked = self._sacked
+        old_cum = cum_ack = self.cum_ack
         newly_acked = False
-        if 0 <= sack < self.total_pkts and not self._acked[sack]:
-            self._acked[sack] = True
+        if cum_ack <= sack < self.total_pkts and sack not in sacked:
+            if sack == cum_ack:
+                cum_ack += 1
+            else:
+                sacked.add(sack)
             self.pkts_acked += 1
             newly_acked = True
             if not ack.is_retransmit:
                 self._update_rtt(ack)
         self._inflight.discard(sack)
 
-        old_cum = self.cum_ack
-        while self.cum_ack < self.total_pkts and self._acked[self.cum_ack]:
-            self.cum_ack += 1
+        while cum_ack in sacked:
+            sacked.remove(cum_ack)
+            cum_ack += 1
+        self.cum_ack = cum_ack
 
-        if self.cum_ack > old_cum:
+        if cum_ack > old_cum:
             self._dupacks = 0
             self._rto_backoff = 0
             self._rearm_rto()

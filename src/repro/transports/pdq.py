@@ -72,6 +72,9 @@ class PdqLinkScheduler:
         self.link = link
         self.config = config or TransportConfig()
         self.flows: Dict[int, _FlowEntry] = {}
+        #: Lower bound on every entry's ``last_seen``: no entry can have
+        #: timed out while ``now - _oldest`` is within the timeout.
+        self._oldest = float("inf")
 
     # -- LinkProcessor interface -----------------------------------------
     def process(self, pkt: Packet, link: Link) -> None:
@@ -87,6 +90,8 @@ class PdqLinkScheduler:
         if entry is None:
             entry = _FlowEntry(pkt.flow_id, pkt.remaining_bytes, pkt.deadline, now)
             self.flows[pkt.flow_id] = entry
+            if now < self._oldest:
+                self._oldest = now
         else:
             entry.remaining_bytes = pkt.remaining_bytes
             entry.deadline = pkt.deadline
@@ -105,9 +110,13 @@ class PdqLinkScheduler:
     # -- internals ---------------------------------------------------------
     def _expire(self, now: float) -> None:
         timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
+        if now - self._oldest <= timeout:
+            return
         dead = [fid for fid, e in self.flows.items() if now - e.last_seen > timeout]
         for fid in dead:
             del self.flows[fid]
+        self._oldest = min((e.last_seen for e in self.flows.values()),
+                           default=float("inf"))
 
     def _allocate(self, current: _FlowEntry) -> int:
         """Preemptive allocation: capacity goes to flows in priority order;

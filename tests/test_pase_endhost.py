@@ -180,7 +180,7 @@ class TestLossRecovery:
         # ACK raced in) acknowledged.
         assert (probed in sender._inflight
                 or probed in sender._retx_queue
-                or sender._acked[probed])
+                or sender.is_acked(probed))
 
 
 class TestPromotionGuard:

@@ -1,6 +1,8 @@
 """Tests for the PDQ rebuild: link schedulers, pause/resume, preemption."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator, StarTopology
 from repro.sim.link import Link
@@ -15,6 +17,7 @@ from repro.transports import (
     TransportConfig,
     install_pdq_schedulers,
 )
+from repro.transports.pdq import ENTRY_TIMEOUT_RTTS
 from repro.utils.units import GBPS, KB, USEC
 
 
@@ -91,6 +94,34 @@ class TestScheduler:
         sim.run()
         sched.process(data(2, 50 * KB), link)
         assert 1 not in sched.flows  # expired; only flow 2 remains
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 1500),
+                              st.integers(0, 3)), max_size=60))
+    def test_expiry_matches_full_scan(self, steps):
+        """Skipping the scan while no entry can have timed out expires the
+        same entries, at the same packets, as scanning on every packet."""
+        sim, link, sched = make_scheduler(
+            config=TransportConfig(initial_rtt=100 * USEC))  # 1 ms expiry
+        ref = PdqLinkScheduler(link, sched.config)
+
+        def full_scan(now):
+            timeout = ENTRY_TIMEOUT_RTTS * ref.config.initial_rtt
+            for fid in [fid for fid, e in ref.flows.items()
+                        if now - e.last_seen > timeout]:
+                del ref.flows[fid]
+
+        ref._expire = full_scan
+        for flow_id, gap_us, size in steps:
+            sim.schedule(gap_us * USEC, lambda: None)
+            sim.run()
+            stamps = []
+            for scheduler in (sched, ref):
+                p = data(flow_id, size * 100 * KB)  # size 0 is a FIN
+                scheduler.process(p, link)
+                stamps.append((p.pdq_rate, p.pdq_pause, p.pdq_rank))
+            assert stamps[0] == stamps[1]
+            assert list(sched.flows) == list(ref.flows)
 
     def test_rank_stamped(self):
         _, link, sched = make_scheduler()
