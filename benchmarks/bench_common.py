@@ -14,19 +14,27 @@ Parallelism: every figure's points go through :func:`run`, hence
 ``PASE_BENCH_JOBS`` (default 1, in-process) fans them out over worker
 processes, with identical results; ``PASE_BENCH_TIMEOUT`` (which needs
 ``PASE_BENCH_JOBS`` > 1) and ``PASE_BENCH_RETRIES`` bound sick points.
+
+Deduplication: every point is an :class:`ExperimentSpec` over a
+``ScenarioSpec``, so it has a content hash.  All figures share one result
+store for the session, in a temporary directory, so a point several
+figures plot runs once.  At exit the session prints ``figure suite:
+computed N of M points`` and removes the store.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
+import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core import PaseConfig
 from repro.harness import (
     ExperimentResult,
     ExperimentSpec,
-    Scenario,
     ScenarioSpec,
     format_series_table,
     series_from_results,
@@ -45,6 +53,35 @@ TIMEOUT = (float(os.environ["PASE_BENCH_TIMEOUT"])
            if "PASE_BENCH_TIMEOUT" in os.environ else None)
 RETRIES = int(os.environ.get("PASE_BENCH_RETRIES", "0"))
 
+class _Session:
+    """The session's result store, keyed by content hash, and a tally of
+    the points asked for and computed; it reports and removes itself when
+    the process exits."""
+
+    def __init__(self) -> None:
+        self.store = tempfile.mkdtemp(prefix="pase-figures-")
+        self.requested = self.computed = 0
+        self.seconds = 0.0
+        atexit.register(self.close)
+
+    def records(self, specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
+        records = run_sweep(specs, RunnerConfig(
+            jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,
+            cache_dir=self.store)).records
+        fresh = [r for r in records if not r.cached]
+        self.requested += len(records)
+        self.computed += len(fresh)
+        self.seconds += sum(r.wallclock for r in fresh)
+        return records
+
+    def close(self) -> None:
+        print(f"figure suite: computed {self.computed} of {self.requested} "
+              f"points ({self.seconds:.1f} worker-seconds)")
+        shutil.rmtree(self.store, ignore_errors=True)
+
+
+_session: Optional[_Session] = None
+
 
 def flows(n: int) -> int:
     """Scale a per-point flow budget by PASE_BENCH_SCALE."""
@@ -52,20 +89,22 @@ def flows(n: int) -> int:
 
 
 def _records(specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
-    """Run the points uncached; a failed point raises ``SweepFailure``,
-    which fails the figure."""
-    return run_sweep(specs, RunnerConfig(
-        jobs=JOBS, timeout=TIMEOUT, retries=RETRIES)).records
+    """Run the points through the session store (made on first use); a
+    failed point raises ``SweepFailure``, which fails the figure."""
+    global _session
+    if _session is None:
+        _session = _Session()
+    return _session.records(specs)
 
 
 def run(specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
-    """Run the points (uncached) and return their results in spec order."""
+    """Run the points and return their results in spec order."""
     return [record.result for record in _records(specs)]
 
 
 def sweep(
     protocols: Sequence[str],
-    scenario: Union[Scenario, ScenarioSpec],
+    scenario: ScenarioSpec,
     loads: Iterable[float] = PAPER_LOADS,
     num_flows: int = 200,
     seed: int = 42,

@@ -17,17 +17,33 @@ The end-to-end figure sweep is timed by ``sweepbench/``.
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 
-def best_of(fn: Callable[[], float], repeats: int = 3) -> float:
+class BestOf(float):
+    """A leg's gated value, the best of its repeats, which it carries in
+    ``repeats`` so the report can show their spread."""
+
+    repeats: List[float]
+
+    def spread(self) -> Dict[str, object]:
+        return {"repeats": self.repeats, "min": min(self.repeats),
+                "median": statistics.median(self.repeats),
+                "max": max(self.repeats)}
+
+
+def best_of(fn: Callable[[], float], repeats: int = 3) -> BestOf:
     """Run a throughput measurement ``repeats`` times, keep the best.
 
     Microbenchmarks on shared machines are noisy in one direction only
     (interference slows them down), so max is the low-variance estimator.
     """
-    return max(fn() for _ in range(repeats))
+    samples = [fn() for _ in range(repeats)]
+    best = BestOf(max(samples))
+    best.repeats = samples
+    return best
 
 
 def timed(fn: Callable[[], int]) -> float:

@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 
 from benchmarks.perf import (BASELINE_ARBITRATIONS_PER_SEC,
-                             BASELINE_EVENTS_PER_SEC, bench_arbitration,
-                             bench_engine, bench_switch)
+                             BASELINE_EVENTS_PER_SEC, BestOf,
+                             bench_arbitration, bench_engine, bench_switch)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FLOOR_PATH = Path(__file__).resolve().parent / "floor.json"
@@ -48,6 +48,7 @@ def build_report(scale: str) -> dict:
         else arbitration[f"{key}_calls_per_sec"] / base
         for key, base in BASELINE_ARBITRATIONS_PER_SEC.items()
     }
+    results = {"engine": engine, "arbitration": arbitration, "switch": switch}
     return {
         "schema": "bench_sim/v4",
         "suite": "benchmarks/perf",
@@ -61,10 +62,13 @@ def build_report(scale: str) -> dict:
                     "arbitration: O(F log F) sort-per-decide arbitrator at "
                     "the PR 4 commit, same workloads",
         },
-        "results": {
-            "engine": engine,
-            "arbitration": arbitration,
-            "switch": switch,
+        "results": results,
+        # Every repeat of each best-of leg, so a reader can see the noise
+        # the gated value was picked from.
+        "spread": {
+            section: {metric: value.spread() for metric, value in block.items()
+                      if isinstance(value, BestOf)}
+            for section, block in results.items()
         },
         "speedup_vs_baseline": speedup,
         "arbitration_speedup_vs_baseline": arb_speedup,

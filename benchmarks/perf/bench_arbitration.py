@@ -92,10 +92,11 @@ def cp_heavy_point(num_flows: int, hosts_per_rack: int,
     """A control-plane-heavy full-stack point: high-load left-right PASE,
     where every inter-rack flow consults host, ToR, and (delegated) core
     arbitrators each interval."""
-    from repro.harness import ExperimentSpec, left_right, run_experiment
+    from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 
-    spec = ExperimentSpec("pase", left_right(hosts_per_rack=hosts_per_rack),
-                          0.8, num_flows=num_flows, seed=seed)
+    spec = ExperimentSpec(
+        "pase", ScenarioSpec("left-right", {"hosts_per_rack": hosts_per_rack}),
+        0.8, num_flows=num_flows, seed=seed)
     t0 = time.perf_counter()
     result = run_experiment(spec)
     wallclock = time.perf_counter() - t0

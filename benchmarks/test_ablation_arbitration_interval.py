@@ -8,7 +8,7 @@ ones multiply messages with little AFCT gain.
 
 from benchmarks.bench_common import emit, flows, run, run_once
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, left_right
+from repro.harness import ExperimentSpec, ScenarioSpec
 from repro.utils.units import USEC
 
 LOAD = 0.7
@@ -16,7 +16,7 @@ INTERVALS = (150 * USEC, 300 * USEC, 600 * USEC, 1200 * USEC)
 
 
 def run_figure():
-    scn = left_right()
+    scn = ScenarioSpec("left-right")
     rows = dict(zip(INTERVALS, run([
         ExperimentSpec("pase", scn, LOAD, num_flows=flows(250), seed=42,
                        pase_config=PaseConfig(arbitration_interval=interval))

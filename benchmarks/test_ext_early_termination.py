@@ -9,7 +9,7 @@ steals capacity from flows that still can.
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import format_series_table, intra_rack
+from repro.harness import ScenarioSpec, format_series_table
 
 LOADS = (0.5, 0.7, 0.9)
 
@@ -17,7 +17,7 @@ LOADS = (0.5, 0.7, 0.9)
 def run_figure():
     results = {
         label: sweep(
-            ("pase",), intra_rack(num_hosts=20, with_deadlines=True),
+            ("pase",), ScenarioSpec("intra-rack-deadlines", {"num_hosts": 20}),
             loads=LOADS, num_flows=200,
             pase_config=PaseConfig(criterion="deadline",
                                    early_termination=et))["pase"]

@@ -8,7 +8,7 @@ and fall back to loss-based control.
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_series_table, intra_rack
+from repro.harness import ScenarioSpec, format_series_table
 from repro.sim.switch_models import TABLE2, pase_config_for
 
 LOADS = (0.5, 0.8)
@@ -19,7 +19,7 @@ def run_figure():
     for name, model in sorted(TABLE2.items()):
         label = f"{name}({model.num_queues}q{'' if model.ecn else ',noECN'})"
         results[label] = sweep(
-            ("pase",), intra_rack(num_hosts=20), loads=LOADS, num_flows=200,
+            ("pase",), ScenarioSpec("intra-rack", {"num_hosts": 20}), loads=LOADS, num_flows=200,
             pase_config=pase_config_for(model))["pase"]
     series = {label: {l: r.afct * 1e3 for l, r in by_load.items()}
               for label, by_load in results.items()}

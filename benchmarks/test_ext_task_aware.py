@@ -12,7 +12,7 @@ from collections import defaultdict
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import all_to_all_intra_rack, format_series_table
+from repro.harness import ScenarioSpec, format_series_table
 
 LOADS = (0.5, 0.7, 0.9)
 
@@ -38,7 +38,7 @@ def task_completion_times(result):
 
 def run_figure():
     results = {
-        label: sweep(("pase",), all_to_all_intra_rack(num_hosts=20, fanin=8),
+        label: sweep(("pase",), ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 8}),
                      LOADS, num_flows=320,
                      pase_config=PaseConfig(criterion=criterion))["pase"]
         for label, criterion in (("srpt", "size"), ("task-aware", "task"))

@@ -10,17 +10,16 @@ SRPT benefit without knowing flow sizes.
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import format_series_table, intra_rack
+from repro.harness import ScenarioSpec, format_series_table
 from repro.metrics import bucket_stats
 from repro.utils.units import KB, MB
-from repro.workloads import web_search_sizes
 
 LOADS = (0.3, 0.6)
 
 
 def scenario():
-    return intra_rack(num_hosts=20, sizes=web_search_sizes(),
-                      num_background_flows=0)
+    return ScenarioSpec("intra-rack", {"num_hosts": 20, "sizes": "web-search",
+                                       "num_background_flows": 0})
 
 
 def run_figure():

@@ -10,7 +10,7 @@ load — the motivation for in-network prioritization.
 """
 
 from benchmarks.bench_common import PAPER_LOADS, emit, run_once, sweep
-from repro.harness import format_series_table, intra_rack, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 PROTOCOLS = ("pfabric", "d2tcp", "dctcp")
 
@@ -18,7 +18,7 @@ PROTOCOLS = ("pfabric", "d2tcp", "dctcp")
 def run_figure():
     results = sweep(
         PROTOCOLS,
-        intra_rack(num_hosts=20, with_deadlines=True),
+        ScenarioSpec("intra-rack-deadlines", {"num_hosts": 20}),
         loads=PAPER_LOADS,
         num_flows=200,
     )

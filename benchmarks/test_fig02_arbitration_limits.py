@@ -11,7 +11,7 @@ budget here.
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_series_table, intra_rack, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -19,7 +19,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 def run_figure():
     results = sweep(
         ("pdq", "dctcp"),
-        intra_rack(num_hosts=20),
+        ScenarioSpec("intra-rack", {"num_hosts": 20}),
         loads=LOADS,
         num_flows=450,
     )

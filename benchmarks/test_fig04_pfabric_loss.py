@@ -8,7 +8,7 @@ claim under test at our fan-in).
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import all_to_all_intra_rack, format_series_table, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
 
@@ -16,7 +16,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
 def run_figure():
     results = sweep(
         ("pfabric", "pase"),
-        all_to_all_intra_rack(num_hosts=20, fanin=4),
+        ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 4}),
         loads=LOADS,
         num_flows=300,
     )

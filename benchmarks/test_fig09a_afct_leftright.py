@@ -6,13 +6,13 @@ least 50% over L2DCT and 70% over DCTCP across loads.
 """
 
 from benchmarks.bench_common import PAPER_LOADS, afct_table, emit, run_once, sweep
-from repro.harness import left_right
+from repro.harness import ScenarioSpec
 
 
 def run_figure():
     results = sweep(
         ("pase", "l2dct", "dctcp"),
-        left_right(),
+        ScenarioSpec("left-right"),
         loads=PAPER_LOADS,
         num_flows=250,
     )

@@ -5,14 +5,14 @@ almost everywhere (their CDFs sit to the right of PASE's).
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_cdf, left_right
+from repro.harness import ScenarioSpec, format_cdf
 
 LOAD = 0.7
 
 
 def run_figure():
     results = {protocol: by_load[LOAD] for protocol, by_load in sweep(
-        ("pase", "l2dct", "dctcp"), left_right(), (LOAD,),
+        ("pase", "l2dct", "dctcp"), ScenarioSpec("left-right"), (LOAD,),
         num_flows=250).items()}
     cdfs = {name: r.stats.fct_cdf() for name, r in results.items()}
     emit("fig09b_fct_cdf", format_cdf(

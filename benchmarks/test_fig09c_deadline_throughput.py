@@ -7,13 +7,13 @@ every D2TCP/DCTCP flow keeps sending at least one packet per RTT.
 """
 
 from benchmarks.bench_common import PAPER_LOADS, emit, run_once, sweep
-from repro.harness import format_series_table, intra_rack, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 
 def run_figure():
     results = sweep(
         ("pase", "d2tcp", "dctcp"),
-        intra_rack(num_hosts=20, with_deadlines=True),
+        ScenarioSpec("intra-rack-deadlines", {"num_hosts": 20}),
         loads=PAPER_LOADS,
         num_flows=200,
     )

@@ -6,13 +6,13 @@ and PASE wins (by >85% at 90% load in the paper).
 """
 
 from benchmarks.bench_common import PAPER_LOADS, emit, run_once, sweep
-from repro.harness import format_series_table, left_right, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 
 def run_figure():
     results = sweep(
         ("pase", "pfabric"),
-        left_right(),
+        ScenarioSpec("left-right"),
         loads=PAPER_LOADS,
         num_flows=250,
     )

@@ -6,14 +6,14 @@ longer.
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_cdf, left_right
+from repro.harness import ScenarioSpec, format_cdf
 
 LOAD = 0.7
 
 
 def run_figure():
     results = {protocol: by_load[LOAD] for protocol, by_load in sweep(
-        ("pase", "pfabric"), left_right(), (LOAD,), num_flows=250).items()}
+        ("pase", "pfabric"), ScenarioSpec("left-right"), (LOAD,), num_flows=250).items()}
     cdfs = {name: r.stats.fct_cdf() for name, r in results.items()}
     emit("fig10b_fct_cdf_pfabric", format_cdf(
         "Figure 10b: FCT CDF at 70% load — PASE vs pFabric", cdfs))

@@ -8,9 +8,9 @@ paper annotates each load with the percent improvement — reproduced here.
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.harness import (
+    ScenarioSpec,
     format_series_table,
     improvement_row,
-    all_to_all_intra_rack,
     series_from_results,
 )
 
@@ -20,7 +20,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
 def run_figure():
     results = sweep(
         ("pase", "pfabric"),
-        all_to_all_intra_rack(num_hosts=20, fanin=16),
+        ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 16}),
         loads=LOADS,
         num_flows=320,
     )

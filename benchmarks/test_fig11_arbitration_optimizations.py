@@ -8,7 +8,7 @@ stops low-priority flows from climbing) while AFCT *improves* slightly
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_series_table, left_right, series_from_results
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 from repro.metrics import overhead_reduction
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -17,7 +17,7 @@ LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 def run_figure():
     results = sweep(
         ("pase", "pase-noopt"),
-        left_right(),
+        ScenarioSpec("left-right"),
         loads=LOADS,
         num_flows=250,
     )

@@ -19,13 +19,13 @@ Our reproduction separates two regimes (see EXPERIMENTS.md):
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import format_series_table, left_right
+from repro.harness import ScenarioSpec, format_series_table
 
 LOADS = (0.3, 0.5, 0.7, 0.9)
 
 
 def _sweep(shared: bool):
-    return sweep(("pase", "pase-local"), left_right(), loads=LOADS,
+    return sweep(("pase", "pase-local"), ScenarioSpec("left-right"), loads=LOADS,
                  num_flows=250,
                  pase_config=PaseConfig(shared_queue_capacity=shared))
 

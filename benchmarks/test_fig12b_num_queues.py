@@ -7,7 +7,7 @@ switches (Table 2: 3-10 queues per port).
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import format_series_table, left_right
+from repro.harness import ScenarioSpec, format_series_table
 
 LOADS = (0.5, 0.7, 0.9)
 QUEUE_COUNTS = (3, 4, 6, 8)
@@ -16,7 +16,7 @@ QUEUE_COUNTS = (3, 4, 6, 8)
 def run_figure():
     results = {
         f"{num_queues}q": sweep(
-            ("pase",), left_right(), loads=LOADS, num_flows=250,
+            ("pase",), ScenarioSpec("left-right"), loads=LOADS, num_flows=250,
             pase_config=PaseConfig(num_queues=num_queues))["pase"]
         for num_queues in QUEUE_COUNTS
     }

@@ -6,18 +6,13 @@ seeding the window from the reference rate halves AFCT in the paper.
 """
 
 from benchmarks.bench_common import emit, run_once, sweep
-from repro.harness import format_series_table, intra_rack, series_from_results
-from repro.utils.units import KB
-from repro.workloads import UniformSizeDistribution
+from repro.harness import ScenarioSpec, format_series_table, series_from_results
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def scenario():
-    return intra_rack(
-        num_hosts=20,
-        sizes=UniformSizeDistribution(100 * KB, 500 * KB),
-    )
+    return ScenarioSpec("intra-rack", {"num_hosts": 20})
 
 
 def run_figure():

@@ -7,34 +7,16 @@ AFCT than DCTCP across loads.  We replace the Linux hosts with the
 simulator (see DESIGN.md), keeping every testbed parameter.
 """
 
-from benchmarks.bench_common import emit, flows, run, run_once, sweep
-from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, format_series_table
-from repro.harness import testbed as scn_testbed
-from repro.harness.protocols import DctcpBinding
-from repro.sim.queues import REDQueue
+from benchmarks.bench_common import emit, run_once, sweep
+from repro.harness import ScenarioSpec, format_series_table
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-#: Testbed switch settings: 100-packet queues, K = 20.
-PASE_CFG = PaseConfig(queue_capacity_pkts=100, mark_threshold_pkts=20)
-
-
-class DctcpTestbedBinding(DctcpBinding):
-    """DCTCP with the testbed's queue geometry."""
-
-    def queue_factory(self):
-        return lambda: REDQueue(capacity_pkts=100, mark_threshold_pkts=20)
-
 
 def run_figure():
-    scn = scn_testbed()
-    results = sweep(("pase",), scn, LOADS, num_flows=200,
-                    pase_config=PASE_CFG)
-    results["dctcp"] = dict(zip(LOADS, run([
-        ExperimentSpec("dctcp", scn, load, num_flows=flows(200), seed=42,
-                       binding=DctcpTestbedBinding(scn))
-        for load in LOADS])))
+    # The testbed scenario carries the switch's 100-packet queues, K = 20.
+    results = sweep(("pase", "dctcp"), ScenarioSpec("testbed"), LOADS,
+                    num_flows=200)
     series = {name: {load: r.afct * 1e3 for load, r in by_load.items()}
               for name, by_load in results.items()}
     emit("fig13b_testbed", format_series_table(

@@ -20,7 +20,7 @@ stall dominates every other effect and both variants measure identically.
 
 from benchmarks.bench_common import emit, run_once, sweep
 from repro.core import PaseConfig
-from repro.harness import all_to_all_intra_rack, format_series_table
+from repro.harness import ScenarioSpec, format_series_table
 from repro.utils.units import MSEC
 
 LOADS = (0.5, 0.8, 0.9)
@@ -30,7 +30,7 @@ BASE = PaseConfig(shared_queue_capacity=True, queue_capacity_pkts=150,
 
 def run_figure():
     results = sweep(("pase", "pase-noprobe"),
-                    all_to_all_intra_rack(num_hosts=20, fanin=16),
+                    ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 16}),
                     loads=LOADS, num_flows=250, pase_config=BASE)
     series = {name: {l: r.afct * 1e3 for l, r in by_load.items()}
               for name, by_load in results.items()}

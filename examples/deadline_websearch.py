@@ -18,7 +18,7 @@ Watch for the paper's two observations:
 Run:  python examples/deadline_websearch.py
 """
 
-from repro.harness import ExperimentSpec, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 
 PROTOCOLS = ("pase", "d2tcp", "dctcp", "pfabric")
 LOADS = (0.3, 0.6, 0.9)
@@ -34,7 +34,7 @@ def main() -> None:
     for load in LOADS:
         row = f"{load:<8.0%}"
         for protocol in PROTOCOLS:
-            scenario = intra_rack(num_hosts=20, with_deadlines=True)
+            scenario = ScenarioSpec("intra-rack-deadlines", {"num_hosts": 20})
             result = run_experiment(ExperimentSpec(protocol, scenario, load=load,
                                     num_flows=150, seed=3))
             row += f"{result.application_throughput:<10.2f}"

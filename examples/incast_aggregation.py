@@ -12,7 +12,7 @@ near-zero loss and a much shorter tail (Fig. 10c).
 Run:  python examples/incast_aggregation.py
 """
 
-from repro.harness import ExperimentSpec, all_to_all_intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 
 LOADS = (0.5, 0.8)
 
@@ -24,7 +24,7 @@ def main() -> None:
     print("-" * 65)
     for load in LOADS:
         for protocol in ("pase", "pfabric", "dctcp"):
-            scenario = all_to_all_intra_rack(num_hosts=20, fanin=16)
+            scenario = ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 16})
             result = run_experiment(ExperimentSpec(protocol, scenario, load=load,
                                     num_flows=320, seed=5))
             retx = sum(f.retransmissions for f in result.flows)

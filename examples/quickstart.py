@@ -16,7 +16,7 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
-from repro.harness import ExperimentSpec, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim import Simulator, StarTopology
 from repro.transports import Flow
 from repro.utils.units import GBPS, KB, USEC
@@ -65,11 +65,10 @@ def part2_harness() -> None:
     print("Part 2: the same idea with the experiment harness")
     print("=" * 64)
 
-    scenario = intra_rack(num_hosts=10)
+    scenario = ScenarioSpec("intra-rack", {"num_hosts": 10})
     for protocol in ("pase", "dctcp"):
         result = run_experiment(ExperimentSpec(protocol, scenario, load=0.6,
                                 num_flows=100, seed=7))
-        scenario = intra_rack(num_hosts=10)  # fresh scenario per run
         print(f"{protocol:>6}: AFCT = {result.afct * 1e3:6.2f} ms   "
               f"99th = {result.p99_fct * 1e3:6.2f} ms   "
               f"completed = {result.stats.completion_fraction:.0%}")

@@ -14,9 +14,10 @@ The package provides:
 
 Quickstart::
 
-    from repro.harness import ExperimentSpec, intra_rack, run_experiment
+    from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
     result = run_experiment(ExperimentSpec(
-        "pase", intra_rack(num_hosts=10), load=0.6, num_flows=200))
+        "pase", ScenarioSpec("intra-rack", {"num_hosts": 10}), load=0.6,
+        num_flows=200))
     print(result.afct, result.stats.p99_fct)
 """
 

@@ -9,14 +9,7 @@ from repro.harness.report import (
     improvement_row,
     series_from_results,
 )
-from repro.harness.scenarios import (
-    Scenario,
-    ScenarioSpec,
-    all_to_all_intra_rack,
-    intra_rack,
-    left_right,
-    testbed,
-)
+from repro.harness.scenarios import Scenario, ScenarioSpec
 
 __all__ = [
     "ExperimentResult",
@@ -32,10 +25,6 @@ __all__ = [
     "series_from_results",
     "Scenario",
     "ScenarioSpec",
-    "all_to_all_intra_rack",
-    "intra_rack",
-    "left_right",
-    "testbed",
 ]
 
 from repro.harness.replication import (

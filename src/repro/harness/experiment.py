@@ -19,7 +19,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.core import PaseConfig
 from repro.core.control_plane import PaseControlPlane
@@ -32,78 +32,68 @@ from repro.transports.base import ReceiverAgent
 from repro.transports.flow import Flow
 from repro.workloads.generator import WorkloadConfig, generate_workload
 
-from repro.harness.protocols import ProtocolBinding, make_binding
-from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.harness.protocols import PASE_PRESETS, make_binding
+from repro.harness.scenarios import ScenarioSpec
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything that determines one run, as immutable plain data.
-
-    ``scenario`` is either a built :class:`Scenario` or a
-    :class:`ScenarioSpec`, which is built when the run starts.  A built
-    scenario can be shared by any number of specs: each run builds its own
-    topology and traffic from it.  Only a ``ScenarioSpec`` run has a
-    :meth:`content_hash`, so only those are served from the result cache.
-
-    ``binding`` replaces the registered protocol's wiring with an explicit
-    :class:`~repro.harness.protocols.ProtocolBinding` (such a run is never
-    cached).
+    """Everything that determines one run, as immutable plain data; the
+    scenario is a :class:`ScenarioSpec`, built when the run starts.  Every
+    run has a :meth:`content_hash`, equal for equal runs (:meth:`key_dict`).
     """
 
     protocol: str
-    scenario: Union[Scenario, ScenarioSpec]
+    scenario: ScenarioSpec
     load: float
     num_flows: int = 300
     seed: int = 1
     pase_config: Optional[PaseConfig] = None
     horizon: Optional[float] = None
-    binding: Optional[ProtocolBinding] = None
 
-    @property
-    def scenario_label(self) -> str:
-        if isinstance(self.scenario, ScenarioSpec):
-            return self.scenario.label()
-        return self.scenario.name
+    def __post_init__(self) -> None:
+        if not isinstance(self.scenario, ScenarioSpec):
+            raise TypeError(
+                "ExperimentSpec.scenario must be a ScenarioSpec (a registered "
+                f"name and plain-data kwargs), not {type(self.scenario).__name__}")
 
     @property
     def label(self) -> str:
-        return (f"{self.protocol}/{self.scenario_label}"
+        return (f"{self.protocol}/{self.scenario.label()}"
                 f"/load={self.load:g}/seed={self.seed}")
 
-    def key_dict(self) -> Optional[Dict[str, Any]]:
-        """The canonical content of this run, or None when a component (a
-        built scenario, an explicit binding, a non-JSON scenario argument)
-        has no stable content identity."""
-        if (not isinstance(self.scenario, ScenarioSpec)
-                or self.binding is not None):
-            return None
-        key = {
+    def key_dict(self) -> Dict[str, Any]:
+        """The canonical content of this run, in its minimal form: no
+        scenario kwarg equal to its default, and only the ``PaseConfig``
+        fields a PASE run resolves differently from its protocol's default
+        (None when there are none, and always for other protocols)."""
+        return {
             "protocol": self.protocol,
             "scenario": self.scenario.name,
-            "scenario_kwargs": dict(self.scenario.kwargs),
+            "scenario_kwargs": self.scenario.minimal_kwargs(),
             "load": self.load,
             "seed": self.seed,
             "num_flows": self.num_flows,
-            "pase_config": (None if self.pase_config is None
-                            else asdict(self.pase_config)),
+            "pase_config": self._pase_changes(),
             "horizon": self.horizon,
             # Always empty; the slot keeps content hashes (ledger rows,
             # cache entries) comparable across versions of the spec.
             "overrides": {},
         }
-        try:
-            json.dumps(key, sort_keys=True)
-        except TypeError:
-            return None
-        return key
 
-    def content_hash(self) -> Optional[str]:
-        """sha256 over the canonical key, or None when uncacheable."""
-        key = self.key_dict()
-        if key is None:
+    def _pase_changes(self) -> Optional[Dict[str, Any]]:
+        if self.pase_config is None or self.protocol not in PASE_PRESETS:
             return None
-        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
+        scenario = self.scenario.build()
+        default = asdict(make_binding(self.protocol, scenario).config)
+        run = make_binding(self.protocol, scenario, self.pase_config).config
+        return {name: value for name, value in asdict(run).items()
+                if value != default[name]} or None
+
+    def content_hash(self) -> str:
+        """sha256 over the canonical key: equal for equal runs."""
+        blob = json.dumps(self.key_dict(), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -166,19 +156,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     nothing fault-related executes and results are byte-identical to a
     fault-free build.
     """
-    protocol = spec.protocol
-    scenario = spec.scenario
-    if isinstance(scenario, ScenarioSpec):
-        scenario = scenario.build()
-    load = spec.load
-    num_flows = spec.num_flows
-    seed = spec.seed
-    horizon = spec.horizon
+    scenario = spec.scenario.build()
 
     sim = Simulator()
-    binding = spec.binding
-    if binding is None:
-        binding = make_binding(protocol, scenario, spec.pase_config)
+    binding = make_binding(spec.protocol, scenario, spec.pase_config)
     topology = scenario.build_topology(sim, binding.queue_factory())
     binding.setup_network(sim, topology)
 
@@ -192,9 +173,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     workload = WorkloadConfig(
         pattern=pattern,
         size_dist=scenario.size_dist,
-        load=load,
-        num_flows=num_flows,
-        seed=seed,
+        load=spec.load,
+        num_flows=spec.num_flows,
+        seed=spec.seed,
         deadline_dist=scenario.deadline_dist,
         num_background_flows=scenario.num_background_flows,
     )
@@ -226,7 +207,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         sim.post_at(flow.start_time, launch, flow)
 
     last_arrival = max(f.start_time for f in flows)
-    cap = last_arrival + (2.0 if horizon is None else horizon)
+    cap = last_arrival + (2.0 if spec.horizon is None else spec.horizon)
     start_wall = time.perf_counter()
     sim.run(until=cap)
     wallclock = time.perf_counter() - start_wall
@@ -257,9 +238,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # would keep this run's packets and agents alive until a later GC pass.
     sim.discard_pending()
     return ExperimentResult(
-        protocol=protocol,
+        protocol=spec.protocol,
         scenario=scenario.name,
-        load=load,
+        load=spec.load,
         flows=flows,
         stats=FlowStats.from_flows(flows),
         network=NetworkCounters.from_network(topology.network, duration),
@@ -273,14 +254,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def sweep_loads(
     protocol: str,
-    scenario: Union[Scenario, ScenarioSpec],
+    scenario: ScenarioSpec,
     loads,
     num_flows: int = 300,
     seed: int = 1,
     pase_config: Optional[PaseConfig] = None,
     jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     cache_dir=None,
     horizon: Optional[float] = None,
 ) -> Dict[float, ExperimentResult]:
@@ -288,26 +267,16 @@ def sweep_loads(
 
     The points go through :func:`repro.runner.run_sweep`: ``jobs=1`` runs
     them in order in this process, ``jobs > 1`` on worker processes, with
-    identical results.  ``cache_dir`` opts into the on-disk result cache,
-    which serves only points whose scenario is a :class:`ScenarioSpec`.
-    A failed point raises :class:`repro.runner.SweepFailure`.
+    identical results.  ``cache_dir`` opts into the on-disk result cache.
+    A failed point raises :class:`repro.runner.SweepFailure`; for a
+    timeout or retries, call ``run_sweep`` with a ``RunnerConfig``.
     """
-    from repro.runner import SweepSpec, results_by_protocol_load
+    from repro.runner import (RunnerConfig, SweepSpec,
+                              results_by_protocol_load, run_sweep)
 
-    grid = SweepSpec((protocol,), scenario, loads, seeds=(seed,),
-                     num_flows=num_flows, pase_config=pase_config,
-                     horizon=horizon)
-    records = _run_grid(grid, jobs, timeout, retries, cache_dir)
+    specs = SweepSpec((protocol,), scenario, loads, seeds=(seed,),
+                      num_flows=num_flows, pase_config=pase_config,
+                      horizon=horizon).expand()
+    records = run_sweep(specs, RunnerConfig(jobs=jobs,
+                                            cache_dir=cache_dir)).records
     return results_by_protocol_load(records).get(protocol, {})
-
-
-def _run_grid(grid, jobs: int, timeout: Optional[float], retries: int,
-              cache_dir) -> list:
-    """The records of a :class:`~repro.runner.SweepSpec` run through
-    :func:`~repro.runner.run_sweep` (in grid order, cached only when
-    ``cache_dir`` is given); any failed point raises."""
-    from repro.runner import RunnerConfig, run_sweep
-
-    return run_sweep(grid.expand(), RunnerConfig(
-        jobs=jobs, timeout=timeout, retries=retries, cache_dir=cache_dir,
-    )).records

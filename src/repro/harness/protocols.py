@@ -60,8 +60,13 @@ class ProtocolBinding:
 
     # -- hooks -----------------------------------------------------------
     def queue_factory(self) -> QueueFactory:
-        """Queue discipline installed on every link in the topology."""
-        return default_queue_factory
+        """Queue discipline installed on every link in the topology: the
+        marking FIFO, sized by the scenario's switch when it has one."""
+        if self.scenario.switch_buffer is None:
+            return default_queue_factory
+        capacity, threshold = self.scenario.switch_buffer
+        return lambda: REDQueue(capacity_pkts=capacity,
+                                mark_threshold_pkts=threshold)
 
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
         """Install network-side machinery (schedulers, control plane)."""
@@ -155,12 +160,17 @@ class PaseBinding(ProtocolBinding):
         super().__init__(scenario)
         cfg = pase_config or PaseConfig()
         # None means "the scenario's": its criterion (EDF on deadline
-        # scenarios) and one of its RTTs between arbitrations.
+        # scenarios) and one of its RTTs between arbitrations.  A scenario
+        # that models its switch sets each buffer field left at its default.
         changes: Dict[str, Any] = {}
         if cfg.criterion is None:
             changes["criterion"] = scenario.criterion
         if cfg.arbitration_interval is None:
             changes["arbitration_interval"] = scenario.base_rtt
+        for name, value in zip(("queue_capacity_pkts", "mark_threshold_pkts"),
+                               scenario.switch_buffer or ()):
+            if getattr(cfg, name) == getattr(PaseConfig, name):
+                changes[name] = value
         self.config = replace(cfg, **changes)
         self.control_plane: Optional[PaseControlPlane] = None
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import PaseConfig
-from repro.harness.experiment import ExperimentResult, _run_grid
-from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.harness.experiment import ExperimentResult
+from repro.harness.scenarios import ScenarioSpec
 
 #: Extracts a scalar from a result, e.g. ``lambda r: r.afct``.
 Metric = Callable[[ExperimentResult], float]
@@ -77,7 +77,7 @@ class Replication:
 
 def replicate(
     protocol: str,
-    scenario: Union[Scenario, ScenarioSpec],
+    scenario: ScenarioSpec,
     load: float,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     metric: Metric = lambda r: r.afct,
@@ -85,8 +85,6 @@ def replicate(
     pase_config: Optional[PaseConfig] = None,
     confidence: float = 0.95,
     jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     cache_dir=None,
     horizon: Optional[float] = None,
 ) -> Replication:
@@ -96,19 +94,21 @@ def replicate(
     fans them out over worker processes; seed order is preserved in the
     aggregate either way).  A failed replica raises
     :class:`repro.runner.SweepFailure`."""
-    from repro.runner import SweepSpec, metric_values_by_seed
+    from repro.runner import (RunnerConfig, SweepSpec, metric_values_by_seed,
+                              run_sweep)
 
-    grid = SweepSpec((protocol,), scenario, (load,), seeds=tuple(seeds),
-                     num_flows=num_flows, pase_config=pase_config,
-                     horizon=horizon)
-    records = _run_grid(grid, jobs, timeout, retries, cache_dir)
+    specs = SweepSpec((protocol,), scenario, (load,), seeds=tuple(seeds),
+                      num_flows=num_flows, pase_config=pase_config,
+                      horizon=horizon).expand()
+    records = run_sweep(specs, RunnerConfig(jobs=jobs,
+                                            cache_dir=cache_dir)).records
     return Replication(metric_values_by_seed(records, metric),
                        confidence=confidence)
 
 
 def compare_protocols(
     protocols: Sequence[str],
-    scenario: Union[Scenario, ScenarioSpec],
+    scenario: ScenarioSpec,
     load: float,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     metric: Metric = lambda r: r.afct,

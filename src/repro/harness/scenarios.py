@@ -10,12 +10,18 @@ shrink host counts while preserving the *ratios* that drive the results —
 the 4:1 ToR oversubscription and 8:1 left-right core contention, the same
 flow-size distributions, the same load points.  Every constructor takes the
 size parameters explicitly so full-scale runs remain one call away.
+
+Every constructor argument is plain data (a size distribution goes by its
+:data:`SIZE_DISTRIBUTIONS` name), so a run names its scenario as a
+:class:`ScenarioSpec`, ``(name, kwargs)``, and has a content hash.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.faults.schedule import (
     ArbitratorCrash,
@@ -32,12 +38,14 @@ from repro.sim.topology import (
     TreeTopology,
     TreeTopologyConfig,
 )
-from repro.utils.units import GBPS, KB, MSEC, USEC
+from repro.utils.units import GBPS, MSEC, USEC
 from repro.workloads.distributions import (
+    DEADLINE_SIZES,
+    QUERY_SIZES,
     DeadlineDistribution,
     SizeDistribution,
-    UniformSizeDistribution,
 )
+from repro.workloads.production import web_search_sizes
 from repro.workloads.patterns import (
     AllToAllIntraRack,
     IncastAllToAll,
@@ -65,20 +73,32 @@ class Scenario:
     #: Fault schedule armed by the harness for every run of this scenario
     #: (see :mod:`repro.faults`); None keeps runs fault-free.
     fault_schedule: Optional[FaultSchedule] = None
+    #: ``(capacity, K)`` of the modelled switch's marking queues; None keeps
+    #: each protocol's own buffer.  ``dctcp``, ``d2tcp`` and ``l2dct`` take
+    #: it, PASE takes it in each buffer field its ``PaseConfig`` leaves at
+    #: the default, and ``tcp``, ``pdq``, ``d3`` and ``pfabric`` ignore it.
+    switch_buffer: Optional[Tuple[int, int]] = None
+
+
+#: The flow-size distributions a scenario's ``sizes`` argument names.
+SIZE_DISTRIBUTIONS: Dict[str, SizeDistribution] = {
+    "query": QUERY_SIZES,  # U[2 KB, 198 KB]
+    "deadline": DEADLINE_SIZES,  # U[100 KB, 500 KB]
+    "web-search": web_search_sizes(),
+}
 
 
 def intra_rack(
     num_hosts: int = 20,
     link_bps: float = 1 * GBPS,
     rtt: float = 300 * USEC,
-    sizes: Optional[SizeDistribution] = None,
+    sizes: str = "deadline",
     with_deadlines: bool = False,
     num_background_flows: int = 2,
 ) -> Scenario:
     """The D2TCP-replication scenario (§2, Fig. 1; §4.2.1, Fig. 9c):
     intra-rack random pairs, flow sizes U[100 KB, 500 KB], deadlines
     U[5 ms, 25 ms], two long background flows."""
-    size_dist = sizes or UniformSizeDistribution(100 * KB, 500 * KB)
     deadline_dist = DeadlineDistribution(5 * MSEC, 25 * MSEC) if with_deadlines else None
 
     def topology(sim: Simulator, queue_factory: QueueFactory) -> Topology:
@@ -91,7 +111,7 @@ def intra_rack(
         name=f"intra_rack[{num_hosts}]",
         build_topology=topology,
         build_pattern=pattern,
-        size_dist=size_dist,
+        size_dist=SIZE_DISTRIBUTIONS[sizes],
         deadline_dist=deadline_dist,
         num_background_flows=num_background_flows,
         base_rtt=rtt,
@@ -103,7 +123,7 @@ def all_to_all_intra_rack(
     num_hosts: int = 20,
     link_bps: float = 1 * GBPS,
     rtt: float = 300 * USEC,
-    sizes: Optional[SizeDistribution] = None,
+    sizes: str = "query",
     num_background_flows: int = 0,
     fanin: int = 8,
 ) -> Scenario:
@@ -113,7 +133,6 @@ def all_to_all_intra_rack(
     flows U[2 KB, 198 KB].  ``fanin=0`` means every other host responds
     (the paper's full all-to-all); ``fanin=1`` degenerates to unsynchronized
     random worker/aggregator pairs."""
-    size_dist = sizes or UniformSizeDistribution(2 * KB, 198 * KB)
 
     def topology(sim: Simulator, queue_factory: QueueFactory) -> Topology:
         return StarTopology(sim, num_hosts, link_bps, rtt, queue_factory)
@@ -127,7 +146,7 @@ def all_to_all_intra_rack(
         name=f"all_to_all[{num_hosts},fanin={fanin}]",
         build_topology=topology,
         build_pattern=pattern,
-        size_dist=size_dist,
+        size_dist=SIZE_DISTRIBUTIONS[sizes],
         num_background_flows=num_background_flows,
         base_rtt=rtt,
     )
@@ -139,7 +158,7 @@ def left_right(
     racks_per_agg: int = 2,
     host_link_bps: float = 1 * GBPS,
     core_rtt: float = 300 * USEC,
-    sizes: Optional[SizeDistribution] = None,
+    sizes: str = "query",
     num_background_flows: int = 2,
 ) -> Scenario:
     """The inter-rack scenario (§4.2.1, Figs. 9a/9b/10a/10b/11/12): every
@@ -155,7 +174,6 @@ def left_right(
     NIC widths and qualitatively changes scheduling dynamics (the top
     priority queue then fits a single flow's demand).
     """
-    size_dist = sizes or UniformSizeDistribution(2 * KB, 198 * KB)
     fabric_bps = hosts_per_rack * host_link_bps / 4
 
     def topology(sim: Simulator, queue_factory: QueueFactory) -> Topology:
@@ -179,7 +197,7 @@ def left_right(
         name=f"left_right[{hosts_per_rack}x{num_racks}]",
         build_topology=topology,
         build_pattern=pattern,
-        size_dist=size_dist,
+        size_dist=SIZE_DISTRIBUTIONS[sizes],
         num_background_flows=num_background_flows,
         base_rtt=core_rtt,
     )
@@ -198,11 +216,8 @@ def testbed(
 ) -> Scenario:
     """The simulated stand-in for the paper's Linux testbed (§4.4,
     Fig. 13b): one rack, nine clients sending U[100 KB, 500 KB] flows to a
-    single server, one long-lived background flow.  The testbed's
-    100-packet queues with K = 20 are not part of the scenario: the Fig. 13b
-    benchmark applies them (a ``PaseConfig`` for PASE, an explicit binding
-    for DCTCP)."""
-    size_dist = UniformSizeDistribution(100 * KB, 500 * KB)
+    single server, one long-lived background flow, and the testbed switch's
+    100-packet queues with K = 20."""
 
     def topology(sim: Simulator, queue_factory: QueueFactory) -> Topology:
         return StarTopology(sim, num_hosts, link_bps, rtt, queue_factory)
@@ -215,17 +230,22 @@ def testbed(
         name=f"testbed[{num_hosts}]",
         build_topology=topology,
         build_pattern=pattern,
-        size_dist=size_dist,
+        size_dist=DEADLINE_SIZES,
         num_background_flows=1,
         base_rtt=rtt,
+        switch_buffer=(100, 20),
     )
 
 
 # ----------------------------------------------------------------------
 # Fault scenarios (PR 2): clean scenarios plus a declarative FaultSchedule.
-# All knobs are JSON primitives, so a ScenarioSpec naming one stays
-# cache-stable.
 # ----------------------------------------------------------------------
+
+def _with_fault(base: Scenario, suffix: str, event, fault_seed: int) -> Scenario:
+    """``base`` renamed ``<name>+<suffix>``, with ``event`` scheduled."""
+    return replace(base, name=f"{base.name}+{suffix}", fault_schedule=(
+        FaultSchedule(events=(event,), seed=fault_seed)))
+
 
 def intra_rack_arb_crash(
     crash_at: float = 5 * MSEC,
@@ -240,14 +260,9 @@ def intra_rack_arb_crash(
     worst case: every flow loses arbitration and survives on DCTCP
     fallback); pass link names (e.g. ``["h0->sw0"]``) to crash individual
     arbitrators instead.  ``crash_duration=None`` means no recovery."""
-    base = intra_rack(**kwargs)
-    schedule = FaultSchedule(events=(
-        ArbitratorCrash(at=crash_at,
-                        links=None if arbitrators is None else tuple(arbitrators),
-                        duration=crash_duration),
-    ), seed=fault_seed)
-    return replace(base, name=base.name + "+arb_crash",
-                   fault_schedule=schedule)
+    return _with_fault(intra_rack(**kwargs), "arb_crash", ArbitratorCrash(
+        at=crash_at, links=None if arbitrators is None else tuple(arbitrators),
+        duration=crash_duration), fault_seed)
 
 
 def intra_rack_link_flap(
@@ -262,13 +277,9 @@ def intra_rack_link_flap(
     ``down_at`` and come back ``outage`` later; senders ride it out via
     RTO (and PASE additionally via fallback if their arbitrator's host
     becomes unreachable)."""
-    base = intra_rack(**kwargs)
-    schedule = FaultSchedule(events=(
-        LinkDown(at=down_at, links=tuple(links), duration=outage,
-                 flush=flush),
-    ), seed=fault_seed)
-    return replace(base, name=base.name + "+link_flap",
-                   fault_schedule=schedule)
+    return _with_fault(intra_rack(**kwargs), "link_flap", LinkDown(
+        at=down_at, links=tuple(links), duration=outage, flush=flush),
+        fault_seed)
 
 
 def left_right_lossy_control(
@@ -286,13 +297,9 @@ def left_right_lossy_control(
     because only inter-rack arbitration uses explicit control messages —
     intra-rack exchanges are piggybacked on data packets (§3.1.2) and have
     nothing to lose."""
-    base = left_right(**kwargs)
-    schedule = FaultSchedule(events=(
-        ControlDegrade(at=degrade_at, duration=degrade_duration,
-                       loss_rate=loss_rate, extra_delay=extra_delay),
-    ), seed=fault_seed)
-    return replace(base, name=base.name + "+lossy_control",
-                   fault_schedule=schedule)
+    return _with_fault(left_right(**kwargs), "lossy_control", ControlDegrade(
+        at=degrade_at, duration=degrade_duration, loss_rate=loss_rate,
+        extra_delay=extra_delay), fault_seed)
 
 
 def intra_rack_data_loss(
@@ -308,15 +315,10 @@ def intra_rack_data_loss(
     (``None`` = every link).  ``model`` is ``"bernoulli"`` (i.i.d. with
     probability ``p``) or ``"gilbert-elliott"`` (bursty; ``p`` maps to the
     bad-state loss rate)."""
-    base = intra_rack(**kwargs)
     params = (("p", p),) if model == "bernoulli" else (("loss_bad", p),)
-    schedule = FaultSchedule(events=(
-        DataLoss(at=loss_at,
-                 links=None if links is None else tuple(links),
-                 duration=loss_duration, model=model, params=params),
-    ), seed=fault_seed)
-    return replace(base, name=base.name + "+data_loss",
-                   fault_schedule=schedule)
+    return _with_fault(intra_rack(**kwargs), "data_loss", DataLoss(
+        at=loss_at, links=None if links is None else tuple(links),
+        duration=loss_duration, model=model, params=params), fault_seed)
 
 
 #: Registry of named scenario constructors.  These names are the stable,
@@ -336,27 +338,63 @@ SCENARIO_BUILDERS: Dict[str, Callable[..., Scenario]] = {
 }
 
 
-def build_scenario(name: str, **kwargs) -> Scenario:
-    """Construct a registered scenario by name (see ``SCENARIO_BUILDERS``)."""
+#: Registered scenarios that pass their ``**kwargs`` on to another one.
+_EXTENDS: Dict[str, str] = {
+    "intra-rack-deadlines": "intra-rack",
+    "intra-rack-arb-crash": "intra-rack",
+    "intra-rack-link-flap": "intra-rack",
+    "intra-rack-data-loss": "intra-rack",
+    "left-right-lossy-control": "left-right",
+}
+
+
+def _builder(name: str) -> Callable[..., Scenario]:
     try:
-        builder = SCENARIO_BUILDERS[name]
+        return SCENARIO_BUILDERS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; known: {sorted(SCENARIO_BUILDERS)}"
         ) from None
-    return builder(**kwargs)
+
+
+def scenario_defaults(name: str) -> Dict[str, Any]:
+    """Every keyword argument of a registered scenario, with its default
+    (an extended scenario's included)."""
+    params = inspect.signature(_builder(name)).parameters.values()
+    own = {p.name: p.default for p in params if p.default is not p.empty}
+    base = _EXTENDS.get(name)
+    return {**scenario_defaults(base), **own} if base else own
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A registered scenario addressed by ``(name, kwargs)``: plain data,
-    so a run described with one can be hashed for the result cache."""
+    """A registered scenario addressed by ``(name, kwargs)``.  The kwargs
+    must be plain JSON data (a ``TypeError`` names any that is not), so a
+    run described with one has a content hash; an unknown name, or kwargs
+    its builder rejects, fail here rather than mid-sweep."""
 
     name: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for key, value in self.kwargs.items():
+            try:
+                json.dumps(value)
+            except (TypeError, ValueError):
+                raise TypeError(f"scenario kwarg {key!r} is not plain "
+                                f"JSON data: {value!r}") from None
+        self.build()
+
     def build(self) -> Scenario:
-        return build_scenario(self.name, **self.kwargs)
+        return _builder(self.name)(**self.kwargs)
+
+    def minimal_kwargs(self) -> Dict[str, Any]:
+        """The kwargs minus every one equal to its default, so two spellings
+        of one scenario name the same run."""
+        defaults = scenario_defaults(self.name)
+        return {key: value for key, value in self.kwargs.items()
+                if key not in defaults
+                or json.dumps(value) != json.dumps(defaults[key])}
 
     def label(self) -> str:
         if not self.kwargs:
@@ -369,14 +407,9 @@ def scenario_cli_kwargs(name: str, hosts: Optional[int] = None,
                         fanin: int = 8) -> dict:
     """Map the generic ``--hosts``/``--fanin`` CLI flags onto a registered
     scenario's actual constructor parameters."""
-    if name in ("intra-rack", "intra-rack-deadlines",
-                "intra-rack-arb-crash", "intra-rack-link-flap",
-                "intra-rack-data-loss"):
-        return {"num_hosts": hosts or 20}
-    if name == "all-to-all":
-        return {"num_hosts": hosts or 20, "fanin": fanin}
-    if name in ("left-right", "left-right-lossy-control"):
-        return {"hosts_per_rack": hosts or 40}
-    if name == "testbed":
-        return {"num_hosts": hosts or 10}
-    raise ValueError(f"unknown scenario {name!r}")
+    defaults = scenario_defaults(name)
+    key = "hosts_per_rack" if "hosts_per_rack" in defaults else "num_hosts"
+    kwargs = {key: hosts or defaults[key]}
+    if "fanin" in defaults:
+        kwargs["fanin"] = fanin
+    return kwargs

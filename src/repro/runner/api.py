@@ -2,7 +2,8 @@
 
 :func:`run_sweep` is the one call every client (``sweep_loads``, the
 replication helpers, ``bench_common``, the CLI) goes through.  It
-consults the result cache, executes only the missing points (in-process
+runs each distinct content hash once, consults the result cache,
+executes only the missing points (in-process
 when ``jobs == 1``, on forked workers otherwise; see
 :mod:`repro.runner.executor`), stores fresh results back, streams records
 to an optional JSONL sink, and returns the full ledger plus counters, or
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentSpec
 from repro.runner.cache import ResultCache
@@ -84,11 +85,12 @@ def run_sweep(
 ) -> SweepOutcome:
     """Execute a sweep grid with caching and crash isolation.
 
-    Records come back in spec order regardless of completion order.
-    Cache hits never touch the executor; fresh ok results are stored back
-    (only for cacheable specs — a built scenario executes fine but has no
-    stable identity to cache under).  Every point settles and the ledger
-    is written before a failed point raises :class:`SweepFailure`.
+    Records come back in spec order regardless of completion order.  Each
+    distinct :meth:`~ExperimentSpec.content_hash` runs once: a repeated
+    spec's record carries its first occurrence's result and counts as
+    cached.  Cache hits never touch the executor; fresh ok results are
+    stored back.  Every point settles and the ledger is written before a
+    failed point raises :class:`SweepFailure`.
     """
     specs = list(specs)
     started = time.perf_counter()
@@ -105,29 +107,38 @@ def run_sweep(
 
     try:
         records: List[Optional[RunRecord]] = [None] * len(specs)
-        to_run: List[int] = []
+        runs: Dict[str, List[int]] = {}  # content hash -> spec indices
         for i, spec in enumerate(specs):
-            cached = cache.get(spec.content_hash()) if cache else None
+            runs.setdefault(spec.content_hash(), []).append(i)
+
+        def settle(key: str, record: RunRecord) -> None:
+            first, *repeats = runs[key]
+            records[first] = record
+            emit(record)
+            for i in repeats:
+                repeat = (RunRecord(spec=specs[i], status=STATUS_OK,
+                                    result=record.result, cached=True)
+                          if record.ok else replace(record, spec=specs[i]))
+                records[i] = repeat
+                emit(repeat)
+
+        to_run: List[int] = []
+        for key, (first, *_) in runs.items():
+            cached = cache.get(key) if cache else None
             if cached is not None:
-                record = RunRecord(spec=spec, status=STATUS_OK,
-                                   result=cached, cached=True)
-                records[i] = record
-                emit(record)
+                settle(key, RunRecord(spec=specs[first], status=STATUS_OK,
+                                      result=cached, cached=True))
             else:
-                to_run.append(i)
+                to_run.append(first)
 
-        if to_run:
-            def settle(record: RunRecord) -> None:
-                if cache is not None and record.ok and record.result is not None:
-                    cache.put(record.spec.content_hash(), record.result)
-                emit(record)
+        def settle_fresh(record: RunRecord) -> None:
+            key = record.spec.content_hash()
+            if cache is not None and record.ok and record.result is not None:
+                cache.put(key, record.result)
+            settle(key, record)
 
-            execute = run_serial if config.jobs == 1 else run_parallel
-            fresh = execute([specs[i] for i in to_run], config, work_fn,
-                            settle)
-            for i, record in zip(to_run, fresh):
-                records[i] = record
-
+        execute = run_serial if config.jobs == 1 else run_parallel
+        execute([specs[i] for i in to_run], config, work_fn, settle_fresh)
         final = [r for r in records if r is not None]
         stats = SweepStats.from_records(final, time.perf_counter() - started)
         if sink is not None:

@@ -61,10 +61,8 @@ class ResultCache:
     def path_for(self, content_hash: str) -> Path:
         return self.root / self.salt / content_hash[:2] / f"{content_hash}.pkl"
 
-    def get(self, content_hash: Optional[str]) -> Optional[ExperimentResult]:
-        """Return the cached result or None (uncacheable keys always miss)."""
-        if content_hash is None:
-            return None
+    def get(self, content_hash: str) -> Optional[ExperimentResult]:
+        """Return the cached result or None."""
         path = self.path_for(content_hash)
         try:
             with path.open("rb") as fh:
@@ -81,11 +79,8 @@ class ResultCache:
             return None
         return result
 
-    def put(self, content_hash: Optional[str],
-            result: ExperimentResult) -> bool:
-        """Store atomically; returns False for uncacheable keys."""
-        if content_hash is None:
-            return False
+    def put(self, content_hash: str, result: ExperimentResult) -> None:
+        """Store atomically."""
         path = self.path_for(content_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -99,4 +94,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        return True

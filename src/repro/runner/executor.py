@@ -9,13 +9,13 @@ worker process (points cost seconds to minutes, so spawn overhead is
 noise).  That buys the strongest isolation available: a per-run timeout is
 a ``terminate()`` of exactly one process, and a segfault/OOM-kill takes
 down one point, never the sweep.  Workers are forked (where available) so
-a spec holding a built scenario (whose builders are closures) rides along
-by memory inheritance instead of pickling; only the *result* crosses the
-pipe, via :meth:`ExperimentResult.detach`.
+the spec and the work function ride along by memory inheritance instead
+of pickling; only the *result* crosses the pipe, via
+:meth:`ExperimentResult.detach`.
 
 Both retry a failed point up to ``config.retries`` times, waiting
-``BACKOFF * n`` seconds before attempt ``n + 1``, and return one
-:class:`RunRecord` per spec, in spec order.
+``BACKOFF * n`` seconds before attempt ``n + 1``, and hand one
+:class:`RunRecord` per spec to ``on_record`` as the point settles.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (api imports us)
 
 #: A work function maps a spec to a picklable result.
 WorkFn = Callable[[ExperimentSpec], object]
-OnRecord = Optional[Callable[[RunRecord], None]]
+OnRecord = Callable[[RunRecord], None]
 
 #: Seconds before attempt ``n + 1`` of a failed point is ``BACKOFF * n``.
 BACKOFF = 0.25
@@ -77,10 +77,9 @@ def _worker_main(conn, work_fn: WorkFn, spec: ExperimentSpec) -> None:
 
 
 def run_serial(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
-               work_fn: WorkFn, on_record: OnRecord) -> List[RunRecord]:
+               work_fn: WorkFn, on_record: OnRecord) -> None:
     """Run every spec in this process, in order; ``on_record`` fires as
     each point settles."""
-    records: List[RunRecord] = []
     for spec in specs:
         started = time.perf_counter()
         errors: List[str] = []
@@ -108,10 +107,7 @@ def run_serial(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
                 peak_rss_kb=_peak_rss_kb(),
                 error="\n---\n".join(errors),
             )
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-    return records
+        on_record(record)
 
 
 @dataclass
@@ -143,15 +139,14 @@ def _reap(slot: _Slot, kill: bool = False) -> Optional[int]:
 
 
 def run_parallel(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
-                 work_fn: WorkFn, on_record: OnRecord) -> List[RunRecord]:
+                 work_fn: WorkFn, on_record: OnRecord) -> None:
     """Run every spec on its own forked worker, ``config.jobs`` at a time,
-    with ``config.timeout`` per attempt; records come back in spec order
-    and ``on_record`` fires as each point settles."""
+    with ``config.timeout`` per attempt; ``on_record`` fires as each point
+    settles."""
     try:
         ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = mp.get_context()
-    records: List[Optional[RunRecord]] = [None] * len(specs)
     first_start = [0.0] * len(specs)
     attempt_errors: List[List[str]] = [[] for _ in specs]
     queue = list(range(len(specs)))
@@ -191,9 +186,7 @@ def run_parallel(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
             error=("\n---\n".join(attempt_errors[idx] + [error])
                    if error else None),
         )
-        records[idx] = record
-        if on_record is not None:
-            on_record(record)
+        on_record(record)
 
     while queue or retries or active:
         # Fill free slots: due retries first (they are oldest work).
@@ -253,4 +246,3 @@ def run_parallel(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
         if not progressed:
             time.sleep(POLL_S)
 
-    return [r for r in records if r is not None]

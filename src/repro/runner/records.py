@@ -55,7 +55,7 @@ class RunRecord:
         row: Dict[str, Any] = {
             "hash": spec.content_hash(),
             "protocol": spec.protocol,
-            "scenario": spec.scenario_label,
+            "scenario": spec.scenario.label(),
             "load": spec.load,
             "seed": spec.seed,
             "num_flows": spec.num_flows,

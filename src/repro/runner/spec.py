@@ -3,21 +3,20 @@
 A :class:`SweepSpec` is a figure's (protocols × loads × seeds) grid over
 one scenario; ``expand()`` turns it into the
 :class:`~repro.harness.experiment.ExperimentSpec` list that
-:func:`~repro.runner.api.run_sweep` executes.  Describe the scenario with a
-:class:`~repro.harness.scenarios.ScenarioSpec` to make the points
-cacheable; a built :class:`~repro.harness.scenarios.Scenario` runs the
-same but is always recomputed.
+:func:`~repro.runner.api.run_sweep` executes.  The scenario is a
+:class:`~repro.harness.scenarios.ScenarioSpec`, so every point has a
+content hash.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core import PaseConfig
 from repro.harness.experiment import ExperimentSpec
-from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.harness.scenarios import ScenarioSpec
 
 
 @dataclass
@@ -26,7 +25,7 @@ class SweepSpec:
     protocol-major, then load, then seed order."""
 
     protocols: Sequence[str]
-    scenario: Union[Scenario, ScenarioSpec]
+    scenario: ScenarioSpec
     loads: Sequence[float]
     seeds: Sequence[int] = (1,)
     num_flows: int = 200

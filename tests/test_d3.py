@@ -15,7 +15,7 @@ from repro.transports import (
     TransportConfig,
     install_d3_allocators,
 )
-from repro.harness import ExperimentSpec, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.utils.units import GBPS, KB, MSEC, USEC
 
 
@@ -122,13 +122,14 @@ class TestD3EndToEnd:
         assert all(f.completed for f in flows)
 
     def test_harness_integration(self):
-        r = run_experiment(ExperimentSpec("d3", intra_rack(num_hosts=8, with_deadlines=True),
-                           0.5, num_flows=40, seed=2))
+        r = run_experiment(ExperimentSpec(
+            "d3", ScenarioSpec("intra-rack-deadlines", {"num_hosts": 8}),
+            0.5, num_flows=40, seed=2))
         assert r.stats.completion_fraction == 1.0
         assert r.application_throughput > 0.7
 
     def test_d3_beats_dctcp_on_deadlines(self):
-        scn = intra_rack(num_hosts=10, with_deadlines=True)
+        scn = ScenarioSpec("intra-rack-deadlines", {"num_hosts": 10})
         d3 = run_experiment(ExperimentSpec("d3", scn, 0.7, num_flows=80, seed=4))
         dctcp = run_experiment(ExperimentSpec("dctcp", scn, 0.7, num_flows=80, seed=4))
         assert d3.application_throughput >= dctcp.application_throughput

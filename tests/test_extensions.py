@@ -12,7 +12,7 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
-from repro.harness import ExperimentSpec, all_to_all_intra_rack, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim import Simulator, StarTopology
 from repro.transports import Flow
 from repro.utils.units import GBPS, KB, MB, MSEC, USEC
@@ -167,7 +167,7 @@ class TestEarlyTermination:
     def test_termination_frees_capacity_for_feasible_flows(self):
         """With ET on, hopeless flows stop competing; the survivors' met
         fraction cannot be lower than without it."""
-        scn = intra_rack(num_hosts=10, with_deadlines=True)
+        scn = ScenarioSpec("intra-rack-deadlines", {"num_hosts": 10})
         base = PaseConfig(criterion="deadline")
         on = run_experiment(ExperimentSpec("pase", scn, 0.9, num_flows=80, seed=2,
                             pase_config=PaseConfig(criterion="deadline",
@@ -179,7 +179,7 @@ class TestEarlyTermination:
 
     def test_harness_counts_terminated_flows(self):
         result = run_experiment(ExperimentSpec(
-            "pase", intra_rack(num_hosts=8, with_deadlines=True), 0.9,
+            "pase", ScenarioSpec("intra-rack-deadlines", {"num_hosts": 8}), 0.9,
             num_flows=40, seed=2,
             pase_config=PaseConfig(criterion="deadline", early_termination=True)))
         # The run ends promptly (no horizon stall): every foreground flow

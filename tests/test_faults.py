@@ -31,7 +31,7 @@ from repro.faults import (
     LinkDown,
 )
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.scenarios import build_scenario
+from repro.harness.scenarios import SCENARIO_BUILDERS, ScenarioSpec, intra_rack
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import REDQueue
 from repro.sim.trace import Tracer
@@ -237,10 +237,10 @@ class TestPaseDegradation:
         still completes, fallback episodes and recovery latencies are
         recorded, and the FCT penalty is bounded."""
         clean = run_experiment(ExperimentSpec(
-            "pase", build_scenario("intra-rack", num_hosts=8),
+            "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}),
             0.5, num_flows=30, seed=3))
         crash = run_experiment(ExperimentSpec(
-            "pase", build_scenario("intra-rack-arb-crash", **self.CRASH_KW),
+            "pase", ScenarioSpec("intra-rack-arb-crash", self.CRASH_KW),
             0.5, num_flows=30, seed=3))
         assert clean.faults is None
         assert crash.stats.completion_fraction == 1.0
@@ -256,8 +256,8 @@ class TestPaseDegradation:
         assert crash.afct < 10 * clean.afct
 
     def test_unrecovered_crash_still_completes_via_fallback(self):
-        scenario = build_scenario("intra-rack-arb-crash", num_hosts=8,
-                                  crash_at=3 * MSEC, crash_duration=None)
+        scenario = ScenarioSpec("intra-rack-arb-crash", {
+            "num_hosts": 8, "crash_at": 3 * MSEC, "crash_duration": None})
         result = run_experiment(ExperimentSpec("pase", scenario, 0.5, num_flows=25, seed=3))
         assert result.stats.completion_fraction == 1.0
         assert result.faults.fallback_episodes > 0
@@ -291,8 +291,8 @@ class TestPaseDegradation:
     def test_link_flap_scenario(self):
         result = run_experiment(ExperimentSpec(
             "pase",
-            build_scenario("intra-rack-link-flap", num_hosts=8,
-                           down_at=2 * MSEC, outage=3 * MSEC),
+            ScenarioSpec("intra-rack-link-flap", {
+                "num_hosts": 8, "down_at": 2 * MSEC, "outage": 3 * MSEC}),
             0.4, num_flows=20, seed=2))
         assert result.stats.completion_fraction == 1.0
         assert result.faults.link_down_drops > 0
@@ -305,7 +305,7 @@ class TestPaseDegradation:
         the sender frees them all at once instead of one per probe (which
         stranded flows 4 and 14 here after 349,784 events)."""
         result = run_experiment(ExperimentSpec(
-            "pase", build_scenario("intra-rack-link-flap", num_hosts=10),
+            "pase", ScenarioSpec("intra-rack-link-flap", {"num_hosts": 10}),
             0.8, num_flows=12, seed=1))
         assert result.faults.injected == {"link-down": 1, "link-up": 1}
         assert result.stats.completion_fraction == 1.0
@@ -314,8 +314,8 @@ class TestPaseDegradation:
     def test_control_message_loss_on_tree(self):
         result = run_experiment(ExperimentSpec(
             "pase",
-            build_scenario("left-right-lossy-control", hosts_per_rack=8,
-                           loss_rate=0.5),
+            ScenarioSpec("left-right-lossy-control",
+                         {"hosts_per_rack": 8, "loss_rate": 0.5}),
             0.4, num_flows=25, seed=2))
         assert result.stats.completion_fraction == 1.0
         assert result.faults.control_messages_lost > 0
@@ -357,8 +357,9 @@ class TestDeterminism:
     def _crash_run(self):
         return run_experiment(ExperimentSpec(
             "pase",
-            build_scenario("intra-rack-arb-crash", num_hosts=8,
-                           crash_at=3 * MSEC, crash_duration=15 * MSEC),
+            ScenarioSpec("intra-rack-arb-crash", {
+                "num_hosts": 8, "crash_at": 3 * MSEC,
+                "crash_duration": 15 * MSEC}),
             0.5, num_flows=25, seed=4))
 
     def test_same_schedule_and_seed_replays_identically(self):
@@ -370,10 +371,11 @@ class TestDeterminism:
     def test_clean_runs_unaffected_by_fault_machinery(self):
         """No schedule → no injector, no request fails, and repeated
         clean runs are event-for-event identical."""
-        scenario = build_scenario("intra-rack", num_hosts=8)
+        scenario = ScenarioSpec("intra-rack", {"num_hosts": 8})
         a = run_experiment(ExperimentSpec("pase", scenario, 0.5, num_flows=25, seed=4))
-        b = run_experiment(ExperimentSpec("pase", build_scenario("intra-rack", num_hosts=8),
-                           0.5, num_flows=25, seed=4))
+        b = run_experiment(ExperimentSpec(
+            "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}),
+            0.5, num_flows=25, seed=4))
         assert a.faults is None and b.faults is None
         assert a.events == b.events
         assert [f.fct for f in a.flows] == [f.fct for f in b.flows]
@@ -394,18 +396,23 @@ class TestDeterminism:
 
         monkeypatch.setattr(PaseSender, "_arbitrate", spy)
         result = run_experiment(ExperimentSpec(
-            "pase-noopt", build_scenario("left-right"), 0.8,
+            "pase-noopt", ScenarioSpec("left-right"), 0.8,
             num_flows=150, seed=1))
         assert len(ticks) > 500
         assert not any(pending for pending, _ in ticks)
         assert not any(failures for _, failures in ticks)
         assert not any(f.fallback_episodes for f in result.flows)
 
-    def test_empty_schedule_is_a_no_op(self):
-        scenario = build_scenario("intra-rack", num_hosts=8)
-        clean = run_experiment(ExperimentSpec("pase", scenario, 0.5, num_flows=25, seed=4))
+    def test_empty_schedule_is_a_no_op(self, monkeypatch):
+        monkeypatch.setitem(
+            SCENARIO_BUILDERS, "intra-rack-empty-schedule",
+            lambda **kwargs: dataclasses.replace(
+                intra_rack(**kwargs), fault_schedule=FaultSchedule()))
+        clean = run_experiment(ExperimentSpec(
+            "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}), 0.5,
+            num_flows=25, seed=4))
         empty = run_experiment(ExperimentSpec(
-            "pase", dataclasses.replace(scenario, fault_schedule=FaultSchedule()),
+            "pase", ScenarioSpec("intra-rack-empty-schedule", {"num_hosts": 8}),
             0.5, num_flows=25, seed=4))
         assert empty.faults is None
         assert clean.events == empty.events

@@ -6,21 +6,20 @@ from repro.core import PaseConfig
 from repro.harness import (
     ExperimentResult,
     ExperimentSpec,
-    all_to_all_intra_rack,
+    ScenarioSpec,
     format_cdf,
     format_series_table,
-    intra_rack,
-    left_right,
     make_binding,
     run_experiment,
     series_from_results,
     sweep_loads,
 )
-from repro.harness import testbed as scn_testbed
 from repro.harness.protocols import PROTOCOL_NAMES
+from repro.harness.scenarios import intra_rack, left_right
 
 
 SMALL = dict(load=0.5, num_flows=30, seed=2)
+INTRA6 = ScenarioSpec("intra-rack", {"num_hosts": 6})
 
 
 class TestBindings:
@@ -59,54 +58,56 @@ class TestRunExperiment:
     @pytest.mark.parametrize("protocol", ["dctcp", "d2tcp", "l2dct", "pdq",
                                           "pfabric", "pase", "pase-dctcp"])
     def test_protocol_completes_intra_rack(self, protocol):
-        result = run_experiment(ExperimentSpec(protocol, intra_rack(num_hosts=6), **SMALL))
+        result = run_experiment(ExperimentSpec(protocol, INTRA6, **SMALL))
         assert result.stats.completion_fraction == 1.0
         assert result.afct > 0
 
     def test_left_right_runs(self):
-        result = run_experiment(ExperimentSpec("pase", left_right(hosts_per_rack=2),
-                                load=0.4, num_flows=20, seed=2))
+        result = run_experiment(ExperimentSpec(
+            "pase", ScenarioSpec("left-right", {"hosts_per_rack": 2}),
+            load=0.4, num_flows=20, seed=2))
         assert result.stats.completion_fraction == 1.0
         assert result.control_plane is not None
         assert result.control_plane.messages > 0
 
     def test_all_to_all_runs(self):
-        result = run_experiment(ExperimentSpec("pfabric", all_to_all_intra_rack(num_hosts=6),
-                                **SMALL))
+        result = run_experiment(ExperimentSpec(
+            "pfabric", ScenarioSpec("all-to-all", {"num_hosts": 6}), **SMALL))
         assert result.stats.completion_fraction == 1.0
 
     def test_testbed_scenario(self):
-        result = run_experiment(ExperimentSpec("dctcp", scn_testbed(num_hosts=5),
-                                load=0.4, num_flows=20, seed=2))
+        result = run_experiment(ExperimentSpec(
+            "dctcp", ScenarioSpec("testbed", {"num_hosts": 5}),
+            load=0.4, num_flows=20, seed=2))
         assert result.stats.completion_fraction == 1.0
 
     def test_deadline_metrics_present(self):
         result = run_experiment(ExperimentSpec(
-            "d2tcp", intra_rack(num_hosts=6, with_deadlines=True), **SMALL))
+            "d2tcp", ScenarioSpec("intra-rack-deadlines", {"num_hosts": 6}), **SMALL))
         assert 0.0 <= result.application_throughput <= 1.0
 
     def test_deterministic_given_seed(self):
-        a = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=6), **SMALL))
-        b = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=6), **SMALL))
+        a = run_experiment(ExperimentSpec("dctcp", INTRA6, **SMALL))
+        b = run_experiment(ExperimentSpec("dctcp", INTRA6, **SMALL))
         assert a.afct == b.afct
         assert a.events == b.events
 
     def test_seeds_change_results(self):
-        a = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=6), load=0.5,
+        a = run_experiment(ExperimentSpec("dctcp", INTRA6, load=0.5,
                            num_flows=30, seed=1))
-        b = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=6), load=0.5,
+        b = run_experiment(ExperimentSpec("dctcp", INTRA6, load=0.5,
                            num_flows=30, seed=9))
         assert a.afct != b.afct
 
     def test_horizon_caps_stuck_runs(self):
-        result = run_experiment(ExperimentSpec("tcp", intra_rack(num_hosts=6),
+        result = run_experiment(ExperimentSpec("tcp", INTRA6,
                                 load=0.5, num_flows=10, seed=2, horizon=0.05))
         assert result.sim_duration <= result.flows[-1].start_time + 0.05 + 1e-9
 
 
 class TestSweep:
     def test_sweep_returns_per_load(self):
-        results = sweep_loads("dctcp", intra_rack(num_hosts=6),
+        results = sweep_loads("dctcp", INTRA6,
                               loads=[0.2, 0.5], num_flows=20, seed=2)
         assert set(results) == {0.2, 0.5}
         assert all(isinstance(r, ExperimentResult) for r in results.values())
@@ -115,8 +116,8 @@ class TestSweep:
 class TestReport:
     def _results(self):
         return {
-            "pase": {0.5: run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=6), **SMALL))},
-            "dctcp": {0.5: run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=6), **SMALL))},
+            "pase": {0.5: run_experiment(ExperimentSpec("pase", INTRA6, **SMALL))},
+            "dctcp": {0.5: run_experiment(ExperimentSpec("dctcp", INTRA6, **SMALL))},
         }
 
     def test_series_extraction(self):

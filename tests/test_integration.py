@@ -4,36 +4,32 @@ qualitative claims at small scale."""
 import pytest
 
 from repro.core import PaseConfig
-from repro.harness import (
-    ExperimentSpec,
-    all_to_all_intra_rack,
-    intra_rack,
-    left_right,
-    run_experiment,
-)
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 
 
 MEDIUM = dict(num_flows=80, seed=11)
+INCAST8 = ScenarioSpec("all-to-all", {"num_hosts": 8})
 
 
 class TestCrossProtocolInvariants:
     @pytest.mark.parametrize("protocol", ["dctcp", "pase", "pfabric", "pdq"])
     def test_moderate_load_all_complete(self, protocol):
-        result = run_experiment(ExperimentSpec(protocol, all_to_all_intra_rack(num_hosts=8),
+        result = run_experiment(ExperimentSpec(protocol, INCAST8,
                                 load=0.6, **MEDIUM))
         assert result.stats.completion_fraction == 1.0
 
     @pytest.mark.parametrize("protocol", ["dctcp", "pase", "pfabric"])
     def test_afct_grows_with_load(self, protocol):
-        low = run_experiment(ExperimentSpec(protocol, all_to_all_intra_rack(num_hosts=8),
+        low = run_experiment(ExperimentSpec(protocol, INCAST8,
                              load=0.2, **MEDIUM))
-        high = run_experiment(ExperimentSpec(protocol, all_to_all_intra_rack(num_hosts=8),
+        high = run_experiment(ExperimentSpec(protocol, INCAST8,
                               load=0.9, **MEDIUM))
         assert high.afct > low.afct
 
     def test_fct_at_least_serialization_floor(self):
-        result = run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=8), load=0.3,
-                                **MEDIUM))
+        result = run_experiment(ExperimentSpec(
+            "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}), load=0.3,
+            **MEDIUM))
         for flow in result.flows:
             if flow.background or not flow.completed:
                 continue
@@ -47,7 +43,7 @@ class TestPaperClaims:
     def test_pase_beats_dctcp_and_l2dct_left_right(self):
         """Fig. 9a: PASE improves AFCT substantially over deployment-friendly
         protocols in the inter-rack scenario."""
-        scn = left_right(hosts_per_rack=3)
+        scn = ScenarioSpec("left-right", {"hosts_per_rack": 3})
         pase = run_experiment(ExperimentSpec("pase", scn, load=0.6, **MEDIUM))
         dctcp = run_experiment(ExperimentSpec("dctcp", scn, load=0.6, **MEDIUM))
         l2dct = run_experiment(ExperimentSpec("l2dct", scn, load=0.6, **MEDIUM))
@@ -56,16 +52,16 @@ class TestPaperClaims:
 
     def test_pase_beats_pfabric_tail_at_high_load(self):
         """Fig. 10a: at high load PASE's 99th percentile beats pFabric's."""
-        scn = left_right(hosts_per_rack=3)
+        scn = ScenarioSpec("left-right", {"hosts_per_rack": 3})
         pase = run_experiment(ExperimentSpec("pase", scn, load=0.9, num_flows=150, seed=11))
         pfab = run_experiment(ExperimentSpec("pfabric", scn, load=0.9, num_flows=150, seed=11))
         assert pase.p99_fct < pfab.p99_fct
 
     def test_pfabric_loss_grows_with_load(self):
         """Fig. 4: pFabric's loss rate rises sharply with load."""
-        low = run_experiment(ExperimentSpec("pfabric", all_to_all_intra_rack(num_hosts=8),
+        low = run_experiment(ExperimentSpec("pfabric", INCAST8,
                              load=0.2, **MEDIUM))
-        high = run_experiment(ExperimentSpec("pfabric", all_to_all_intra_rack(num_hosts=8),
+        high = run_experiment(ExperimentSpec("pfabric", INCAST8,
                               load=0.9, **MEDIUM))
         assert high.loss_rate > low.loss_rate
         assert high.loss_rate > 0.01
@@ -73,13 +69,13 @@ class TestPaperClaims:
     def test_pase_loss_stays_negligible(self):
         """PASE's guided rate control keeps drops near zero where pFabric
         pays heavily."""
-        result = run_experiment(ExperimentSpec("pase", all_to_all_intra_rack(num_hosts=8),
+        result = run_experiment(ExperimentSpec("pase", INCAST8,
                                 load=0.9, **MEDIUM))
         assert result.loss_rate < 0.01
 
     def test_pdq_advantage_shrinks_with_load(self):
         """Fig. 2: PDQ's AFCT advantage over DCTCP erodes as load grows."""
-        scn = intra_rack(num_hosts=8)
+        scn = ScenarioSpec("intra-rack", {"num_hosts": 8})
         ratios = {}
         for load in (0.2, 0.9):
             pdq = run_experiment(ExperimentSpec("pdq", scn, load=load, **MEDIUM))
@@ -89,7 +85,7 @@ class TestPaperClaims:
 
     def test_reference_rate_helps(self):
         """Fig. 13a: PASE beats PASE-DCTCP (no Rref seeding)."""
-        scn = intra_rack(num_hosts=8)
+        scn = ScenarioSpec("intra-rack", {"num_hosts": 8})
         pase = run_experiment(ExperimentSpec("pase", scn, load=0.7, **MEDIUM))
         nodref = run_experiment(ExperimentSpec("pase-dctcp", scn, load=0.7, **MEDIUM))
         assert pase.afct < nodref.afct
@@ -101,7 +97,7 @@ class TestPaperClaims:
         fig12a benchmark for the per-class-buffer regime."""
         from repro.core import PaseConfig
         cfg = PaseConfig(shared_queue_capacity=True)
-        scn = left_right(hosts_per_rack=40)
+        scn = ScenarioSpec("left-right", {"hosts_per_rack": 40})
         e2e = run_experiment(ExperimentSpec("pase", scn, load=0.9, num_flows=250, seed=11,
                              pase_config=cfg))
         local = run_experiment(ExperimentSpec("pase-local", scn, load=0.9, num_flows=250,
@@ -111,14 +107,14 @@ class TestPaperClaims:
 
     def test_optimizations_cut_control_messages(self):
         """Fig. 11b: pruning + delegation reduce arbitration overhead."""
-        scn = left_right(hosts_per_rack=3)
+        scn = ScenarioSpec("left-right", {"hosts_per_rack": 3})
         opt = run_experiment(ExperimentSpec("pase", scn, load=0.7, **MEDIUM))
         noopt = run_experiment(ExperimentSpec("pase-noopt", scn, load=0.7, **MEDIUM))
         assert opt.control_plane.messages < noopt.control_plane.messages
 
     def test_deadline_scenario_pase_leads(self):
         """Fig. 9c: PASE meets at least as many deadlines as D2TCP/DCTCP."""
-        scn = intra_rack(num_hosts=10, with_deadlines=True)
+        scn = ScenarioSpec("intra-rack-deadlines", {"num_hosts": 10})
         pase = run_experiment(ExperimentSpec("pase", scn, load=0.8, **MEDIUM))
         d2tcp = run_experiment(ExperimentSpec("d2tcp", scn, load=0.8, **MEDIUM))
         dctcp = run_experiment(ExperimentSpec("dctcp", scn, load=0.8, **MEDIUM))
@@ -128,7 +124,7 @@ class TestPaperClaims:
 
 class TestConservation:
     def test_no_flow_delivers_more_than_sent(self):
-        result = run_experiment(ExperimentSpec("pfabric", all_to_all_intra_rack(num_hosts=8),
+        result = run_experiment(ExperimentSpec("pfabric", INCAST8,
                                 load=0.8, **MEDIUM))
         for flow in result.flows:
             if flow.background:
@@ -136,6 +132,6 @@ class TestConservation:
             assert flow.pkts_sent >= flow.total_pkts
 
     def test_drops_only_with_shallow_buffers(self):
-        deep = run_experiment(ExperimentSpec("dctcp", all_to_all_intra_rack(num_hosts=8),
+        deep = run_experiment(ExperimentSpec("dctcp", INCAST8,
                               load=0.7, **MEDIUM))
         assert deep.network.data_pkts_dropped == 0

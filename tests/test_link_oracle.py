@@ -11,7 +11,7 @@ import pytest
 
 import repro.sim.network as network_module
 from repro.harness import ExperimentSpec, run_experiment
-from repro.harness.scenarios import build_scenario
+from repro.harness.scenarios import ScenarioSpec
 from repro.sim.link import Link
 from repro.utils.units import MSEC, transmission_delay
 from tests.test_regression_golden import _fingerprint
@@ -97,7 +97,7 @@ def _run(monkeypatch, link_cls, protocol, scenario, load, num_flows, seed):
     with monkeypatch.context() as patch:
         patch.setattr(network_module, "Link", make_link)
         result = run_experiment(ExperimentSpec(
-            protocol, build_scenario(scenario[0], **scenario[1]), load,
+            protocol, ScenarioSpec(*scenario), load,
             num_flows=num_flows, seed=seed))
     counters = [(link.name, link.pkts_sent, link.bytes_sent, link.busy_time,
                  link.queue.drops, link.queue.marks,

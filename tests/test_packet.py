@@ -1,6 +1,6 @@
 """Unit tests for the packet model."""
 
-from repro.harness import ExperimentSpec, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim.packet import (
     DEFAULT_MTU,
     HEADER_SIZE,
@@ -97,7 +97,8 @@ def test_delivered_packets_are_never_rewritten(monkeypatch):
 
     monkeypatch.setattr(SenderAgent, "on_packet", keep)
     result = run_experiment(ExperimentSpec(
-        "dctcp", intra_rack(num_hosts=4), load=0.5, num_flows=10, seed=1))
+        "dctcp", ScenarioSpec("intra-rack", {"num_hosts": 4}), load=0.5,
+        num_flows=10, seed=1))
     assert result.stats.completion_fraction == 1.0
     assert kept
     changed = [(before, _ack_fields(ack)) for ack, before in kept

@@ -71,7 +71,7 @@ def test_pase_with_preset_reproduces_the_variant_pin(name):
                               if p == name and where == "leftright"]
     scenario, load, num_flows = PIN_POINTS["leftright"]
     r = run_experiment(ExperimentSpec(
-        "pase", scenario(), load, num_flows=num_flows, seed=3,
+        "pase", scenario, load, num_flows=num_flows, seed=3,
         pase_config=PaseConfig(**PASE_PRESETS[name])))
     assert r.events == events
     assert _fingerprint(r) == fingerprint
@@ -87,6 +87,17 @@ class TestArbitrationInterval:
         binding = make_binding("pase", scenarios.testbed(),
                                PaseConfig(arbitration_interval=interval))
         assert binding.config.arbitration_interval == interval
+
+    def test_testbed_switch_sets_a_default_buffer(self):
+        binding = make_binding("pase", scenarios.testbed())
+        assert (binding.config.queue_capacity_pkts,
+                binding.config.mark_threshold_pkts) == (100, 20)
+
+    def test_explicit_buffer_is_kept_on_testbed(self):
+        binding = make_binding("pase", scenarios.testbed(),
+                               PaseConfig(queue_capacity_pkts=50))
+        assert (binding.config.queue_capacity_pkts,
+                binding.config.mark_threshold_pkts) == (50, 20)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ValueError, match="arbitration_interval"):

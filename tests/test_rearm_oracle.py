@@ -10,8 +10,7 @@ of fired events.  Re-arming in place must also keep the heap smaller.
 
 import pytest
 
-from repro.harness import PROTOCOL_NAMES, ExperimentSpec, run_experiment
-from repro.harness.scenarios import build_scenario
+from repro.harness import PROTOCOL_NAMES, ExperimentSpec, ScenarioSpec, run_experiment
 from repro.transports.base import SenderAgent
 from repro.transports.pdq import PROBE_RANK_CAP, PdqSender
 from repro.utils.units import MSEC
@@ -49,7 +48,7 @@ def _run(monkeypatch, eager, protocol, scenario, load, num_flows, seed):
         if eager:
             patch.setattr(PdqSender, "_schedule_probe", eager_schedule_probe)
         result = run_experiment(ExperimentSpec(
-            protocol, scenario(), load, num_flows=num_flows, seed=seed))
+            protocol, scenario, load, num_flows=num_flows, seed=seed))
     return result, peak[0]
 
 
@@ -72,8 +71,7 @@ def test_pinned_points_match_eager_rearm(monkeypatch, protocol, point):
 
 @pytest.mark.parametrize("protocol", ["pase", "pase-dctcp"])
 def test_arbitrator_crash_matches_eager_rearm(monkeypatch, protocol):
-    def scenario():
-        return build_scenario("intra-rack-arb-crash", num_hosts=8,
-                              crash_at=3 * MSEC, crash_duration=20 * MSEC)
+    scenario = ScenarioSpec("intra-rack-arb-crash", {
+        "num_hosts": 8, "crash_at": 3 * MSEC, "crash_duration": 20 * MSEC})
 
     _assert_same(monkeypatch, protocol, scenario, 0.4, 20, seed=1)

@@ -13,14 +13,14 @@ import pytest
 from repro.harness import (
     PROTOCOL_NAMES,
     ExperimentSpec,
-    all_to_all_intra_rack,
-    intra_rack,
-    left_right,
+    ScenarioSpec,
     run_experiment,
 )
-from repro.harness.scenarios import intra_rack_deadlines
+from repro.harness.scenarios import intra_rack
 
 SEED = 42
+LEFT_RIGHT = ScenarioSpec("left-right")
+INTRA8 = ScenarioSpec("intra-rack", {"num_hosts": 8})
 
 
 class TestSingleFlowFloors:
@@ -57,22 +57,23 @@ class TestSingleFlowFloors:
 
 class TestScenarioBands:
     def test_pase_left_right_70(self):
-        r = run_experiment(ExperimentSpec("pase", left_right(), 0.7, num_flows=150, seed=SEED))
+        r = run_experiment(ExperimentSpec("pase", LEFT_RIGHT, 0.7, num_flows=150, seed=SEED))
         assert 1.0 < r.afct * 1e3 < 3.5
         assert r.loss_rate < 0.005
         assert r.stats.completion_fraction == 1.0
 
     def test_dctcp_left_right_70(self):
-        r = run_experiment(ExperimentSpec("dctcp", left_right(), 0.7, num_flows=150, seed=SEED))
+        r = run_experiment(ExperimentSpec("dctcp", LEFT_RIGHT, 0.7, num_flows=150, seed=SEED))
         assert 1.8 < r.afct * 1e3 < 5.5
 
     def test_pfabric_incast_loss_band(self):
-        r = run_experiment(ExperimentSpec("pfabric", all_to_all_intra_rack(num_hosts=20, fanin=16),
-                           0.8, num_flows=200, seed=SEED))
+        r = run_experiment(ExperimentSpec(
+            "pfabric", ScenarioSpec("all-to-all", {"num_hosts": 20, "fanin": 16}),
+            0.8, num_flows=200, seed=SEED))
         assert 0.08 < r.loss_rate < 0.35
 
     def test_pase_control_overhead_band(self):
-        r = run_experiment(ExperimentSpec("pase", left_right(), 0.7, num_flows=150, seed=SEED))
+        r = run_experiment(ExperimentSpec("pase", LEFT_RIGHT, 0.7, num_flows=150, seed=SEED))
         cp = r.control_plane
         # Messages per flow: a handful of consultations per interval over a
         # few-ms lifetime; runaway chatter or dead arbitration both fail.
@@ -80,15 +81,16 @@ class TestScenarioBands:
         assert 3 < per_flow < 300
 
     def test_deadline_scenario_band(self):
-        r = run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=20, with_deadlines=True),
-                           0.7, num_flows=150, seed=SEED))
+        r = run_experiment(ExperimentSpec(
+            "pase", ScenarioSpec("intra-rack-deadlines", {"num_hosts": 20}),
+            0.7, num_flows=150, seed=SEED))
         assert 0.7 < r.application_throughput <= 1.0
 
     def test_event_count_stability(self):
         """Event count is a deterministic fingerprint of the whole run."""
-        a = run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=8), 0.5,
+        a = run_experiment(ExperimentSpec("pase", INTRA8, 0.5,
                            num_flows=40, seed=SEED))
-        b = run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=8), 0.5,
+        b = run_experiment(ExperimentSpec("pase", INTRA8, 0.5,
                            num_flows=40, seed=SEED))
         assert a.events == b.events
         assert a.afct == b.afct
@@ -121,21 +123,21 @@ class TestByteIdenticalGoldens:
 
     def test_pase_intra_rack_golden(self):
         r = run_experiment(ExperimentSpec(
-            "pase", intra_rack(num_hosts=8), 0.5, num_flows=40, seed=42))
+            "pase", INTRA8, 0.5, num_flows=40, seed=42))
         assert r.events == 68833
         assert _fingerprint(r) == ("f78233a1e5f7e1f8297349a24ff0077d"
                                    "3cf92c4a1d45cd3295161e0fa36e4dca")
 
     def test_dctcp_intra_rack_golden(self):
         r = run_experiment(ExperimentSpec(
-            "dctcp", intra_rack(num_hosts=8), 0.6, num_flows=40, seed=7))
+            "dctcp", INTRA8, 0.6, num_flows=40, seed=7))
         assert r.events == 78310
         assert _fingerprint(r) == ("2ac54cbb0aa53700e9dfefb00356ee15"
                                    "394c00d7382bd3aef8544622a66db7d0")
 
     def test_pfabric_left_right_golden(self):
         r = run_experiment(ExperimentSpec(
-            "pfabric", left_right(hosts_per_rack=4), 0.7,
+            "pfabric", ScenarioSpec("left-right", {"hosts_per_rack": 4}), 0.7,
             num_flows=60, seed=3))
         assert r.events == 124536
         assert _fingerprint(r) == ("d9d1441d4de48168288cbd7f07a9e9c5"
@@ -149,7 +151,7 @@ class TestByteIdenticalGoldens:
         (``aggregate_demand(top_queues=1)`` → ``set_share``) is
         byte-identical too."""
         r = run_experiment(ExperimentSpec(
-            "pase", left_right(hosts_per_rack=4), 0.7,
+            "pase", ScenarioSpec("left-right", {"hosts_per_rack": 4}), 0.7,
             num_flows=80, seed=11))
         assert r.events == 136562
         assert r.stats.completion_fraction == 1.0
@@ -216,8 +218,8 @@ PROTOCOL_PINS = [
 
 #: The two small points every protocol is pinned on.
 PIN_POINTS = {
-    "intra": (lambda: intra_rack_deadlines(num_hosts=5), 0.8, 20),
-    "leftright": (lambda: left_right(hosts_per_rack=2), 0.9, 30),
+    "intra": (ScenarioSpec("intra-rack-deadlines", {"num_hosts": 5}), 0.8, 20),
+    "leftright": (ScenarioSpec("left-right", {"hosts_per_rack": 2}), 0.9, 30),
 }
 
 
@@ -231,7 +233,7 @@ def test_protocol_pins_cover_every_registered_name():
                          ids=[f"{p}-{where}" for p, where, _, _ in PROTOCOL_PINS])
 def test_protocol_pinned(protocol, point, events, fingerprint):
     scenario, load, num_flows = PIN_POINTS[point]
-    r = run_experiment(ExperimentSpec(protocol, scenario(), load,
+    r = run_experiment(ExperimentSpec(protocol, scenario, load,
                                       num_flows=num_flows, seed=3))
     assert r.events == events
     assert _fingerprint(r) == fingerprint

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import intra_rack
+from repro.harness import ScenarioSpec
 from repro.harness.replication import (
     Replication,
     compare_protocols,
@@ -52,7 +52,7 @@ class TestReplicationStats:
 
 class TestReplicatedExperiments:
     def test_replicate_runs_all_seeds(self):
-        rep = replicate("dctcp", intra_rack(num_hosts=6), 0.5,
+        rep = replicate("dctcp", ScenarioSpec("intra-rack", {"num_hosts": 6}), 0.5,
                         seeds=(1, 2, 3), num_flows=25)
         assert rep.n == 3
         assert rep.mean > 0
@@ -60,12 +60,12 @@ class TestReplicatedExperiments:
 
     def test_compare_pase_beats_dctcp_significantly(self):
         results = compare_protocols(
-            ("pase", "dctcp"), intra_rack(num_hosts=8), 0.7,
+            ("pase", "dctcp"), ScenarioSpec("intra-rack", {"num_hosts": 8}), 0.7,
             seeds=(1, 2, 3, 4), num_flows=60)
         assert significantly_better(results["pase"], results["dctcp"])
 
     def test_custom_metric(self):
-        rep = replicate("pase", intra_rack(num_hosts=6), 0.5,
+        rep = replicate("pase", ScenarioSpec("intra-rack", {"num_hosts": 6}), 0.5,
                         seeds=(1, 2), num_flows=25,
                         metric=lambda r: r.stats.completion_fraction)
         assert rep.mean == pytest.approx(1.0)

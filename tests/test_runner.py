@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness import ExperimentSpec, intra_rack, run_experiment, sweep_loads
+from repro.core import PaseConfig
+from repro.harness import ExperimentSpec, run_experiment, sweep_loads
 from repro.harness.experiment import ExperimentResult
-from repro.harness.protocols import make_binding
 from repro.harness.replication import replicate
 from repro.runner import (
     STATUS_CRASHED,
@@ -60,6 +60,12 @@ def _raise_on_half(spec):
     if spec.load == 0.5:
         raise ValueError("boom at 0.5")
     return spec.load
+
+
+def _counted_echo(spec):
+    with open(os.environ["PASE_TEST_CALLS"], "a") as fh:
+        fh.write(f"{spec.load}\n")
+    return ("ran", spec.load, spec.seed)
 
 
 def _hard_crash(spec):
@@ -106,22 +112,13 @@ class TestSpec:
         assert tiny_spec().content_hash() == (
             "b6d9fe367b3112b259563dc9d01c69372d1dd86f91aea9506b8f7120af8751ac")
 
-    def test_built_scenarios_are_uncacheable(self):
-        built = replace(tiny_spec(), scenario=intra_rack(num_hosts=5))
-        bound = tiny_spec(binding=make_binding("dctcp", TINY.build()))
-        opaque = replace(tiny_spec(), scenario=ScenarioSpec(
-            "intra-rack", {"sizes": object()}))
-        for spec in (built, bound, opaque):
-            assert spec.key_dict() is None
-            assert spec.content_hash() is None
-
     def test_spec_scenario_builds(self):
         scenario = TINY.build()
         assert scenario.name == "intra_rack[5]"
 
     def test_unknown_scenario_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioSpec("no-such-scenario").build()
+            ScenarioSpec("no-such-scenario")
 
 
 class TestExecutorIsolation:
@@ -164,6 +161,38 @@ class TestExecutorIsolation:
                                         _always_raises)
         assert records[0].status == STATUS_FAILED
         assert records[0].attempts == 3
+
+
+class TestRepeatedPoints:
+    """Each distinct content hash runs once per ``run_sweep`` call."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_repeated_point_runs_once(self, jobs, cached, tmp_path,
+                                      monkeypatch):
+        calls = tmp_path / "calls"
+        monkeypatch.setenv("PASE_TEST_CALLS", str(calls))
+        # A dctcp run ignores its PaseConfig: the third spec repeats the first.
+        specs = [tiny_spec(load=0.3), tiny_spec(load=0.5),
+                 tiny_spec(load=0.3, pase_config=PaseConfig(num_queues=4))]
+        settled = []
+        outcome = run_sweep(specs, RunnerConfig(
+            jobs=jobs, cache_dir=tmp_path / "cache" if cached else None),
+            work_fn=_counted_echo, on_record=settled.append)
+        assert sorted(calls.read_text().split()) == ["0.3", "0.5"]
+        assert [r.spec for r in outcome.records] == specs
+        assert [r.cached for r in outcome.records] == [False, False, True]
+        assert outcome.records[2].result == outcome.records[0].result
+        assert (outcome.stats.computed, outcome.stats.cached) == (2, 1)
+        assert len(settled) == 3
+
+    def test_repeat_of_a_failed_point_fails(self):
+        records = _failed_sweep_records(
+            [tiny_spec(load=0.5), tiny_spec(load=0.3), tiny_spec(load=0.5)],
+            RunnerConfig(jobs=1), _raise_on_half)
+        assert [r.status for r in records] == [
+            STATUS_FAILED, STATUS_OK, STATUS_FAILED]
+        assert records[2].spec.load == 0.5
 
 
 class TestRunnerConfig:
@@ -228,7 +257,7 @@ class TestParity:
 
     def test_serial_runner_matches_direct_run(self):
         outcome = run_sweep([tiny_spec(load=0.4)], RunnerConfig(jobs=1))
-        direct = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=5), 0.4,
+        direct = run_experiment(ExperimentSpec("dctcp", TINY, 0.4,
                                 num_flows=12, seed=1))
         got = outcome.records[0].result
         # wallclock is machine timing, never deterministic; everything else
@@ -269,7 +298,7 @@ class TestParity:
 
 class TestDetach:
     def test_detach_strips_foreign_flow_attributes(self):
-        result = run_experiment(ExperimentSpec("dctcp", intra_rack(num_hosts=5), 0.3,
+        result = run_experiment(ExperimentSpec("dctcp", TINY, 0.3,
                                 num_flows=12, seed=1))
         # Simulate a transport stashing a simulator back-reference.
         result.flows[0].agent = object()
@@ -279,7 +308,7 @@ class TestDetach:
         assert detached.flows[0].fct == result.flows[0].fct
 
     def test_experiment_result_round_trips_pickle(self):
-        result = run_experiment(ExperimentSpec("pase", intra_rack(num_hosts=5), 0.3,
+        result = run_experiment(ExperimentSpec("pase", TINY, 0.3,
                                 num_flows=12, seed=1))
         clone = pickle.loads(pickle.dumps(result.detach()))
         assert isinstance(clone, ExperimentResult)

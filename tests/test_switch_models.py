@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PaseConfig
-from repro.harness import ExperimentSpec, intra_rack, run_experiment
+from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim.switch_models import TABLE2, get_switch_model, pase_config_for
 
 
@@ -51,8 +51,8 @@ class TestPaseOnEveryTable2Switch:
     def test_pase_runs_and_completes(self, model_name):
         cfg = pase_config_for(get_switch_model(model_name))
         result = run_experiment(ExperimentSpec(
-            "pase", intra_rack(num_hosts=8), 0.6, num_flows=50, seed=6,
-            pase_config=cfg))
+            "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}), 0.6,
+            num_flows=50, seed=6, pase_config=cfg))
         assert result.stats.completion_fraction == 1.0
 
     def test_more_queues_never_hurt_much(self):
@@ -61,6 +61,6 @@ class TestPaseOnEveryTable2Switch:
         for name in ("BCM56820", "S4810"):
             cfg = pase_config_for(get_switch_model(name))
             results[name] = run_experiment(ExperimentSpec(
-                "pase", intra_rack(num_hosts=10), 0.8, num_flows=80, seed=6,
-                pase_config=cfg))
+                "pase", ScenarioSpec("intra-rack", {"num_hosts": 10}), 0.8,
+                num_flows=80, seed=6, pase_config=cfg))
         assert results["BCM56820"].afct <= 1.1 * results["S4810"].afct
