@@ -13,7 +13,7 @@ Parallelism: every figure's points go through :func:`run`, hence
 ``repro.runner.run_sweep`` — a (protocol x load) grid via :func:`sweep`.
 ``PASE_BENCH_JOBS`` (default 1, in-process) fans them out over worker
 processes, with identical results; ``PASE_BENCH_TIMEOUT`` (which needs
-``PASE_BENCH_JOBS`` > 1) and ``PASE_BENCH_RETRIES`` bound sick points.
+``PASE_BENCH_JOBS`` > 1) bounds each point's wall-clock time.
 
 Deduplication: every point is an :class:`ExperimentSpec` over a
 ``ScenarioSpec``, so it has a content hash.  All figures share one result
@@ -51,7 +51,7 @@ SCALE = float(os.environ.get("PASE_BENCH_SCALE", "1.0"))
 JOBS = int(os.environ.get("PASE_BENCH_JOBS", "1"))
 TIMEOUT = (float(os.environ["PASE_BENCH_TIMEOUT"])
            if "PASE_BENCH_TIMEOUT" in os.environ else None)
-RETRIES = int(os.environ.get("PASE_BENCH_RETRIES", "0"))
+
 
 class _Session:
     """The session's result store, keyed by content hash, and a tally of
@@ -66,8 +66,7 @@ class _Session:
 
     def records(self, specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
         records = run_sweep(specs, RunnerConfig(
-            jobs=JOBS, timeout=TIMEOUT, retries=RETRIES,
-            cache_dir=self.store)).records
+            jobs=JOBS, timeout=TIMEOUT, cache_dir=self.store)).records
         fresh = [r for r in records if not r.cached]
         self.requested += len(records)
         self.computed += len(fresh)

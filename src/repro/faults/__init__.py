@@ -8,7 +8,7 @@ claim testable:
 
 * :mod:`~repro.faults.schedule` — declarative :class:`FaultSchedule`
   (link down/up, arbitrator crash/recover, control-channel degradation,
-  parameterized data-plane loss), plain data that serializes to JSON,
+  parameterized data-plane loss), plain data a scenario builder attaches,
 * :mod:`~repro.faults.injector` — the :class:`FaultInjector` that executes
   a schedule on the event engine,
 * :mod:`~repro.faults.models` — Bernoulli and Gilbert–Elliott loss models,
@@ -35,7 +35,7 @@ from repro.faults.models import (
     LossModel,
     make_loss_model,
 )
-from repro.faults.queues import LossyQueue, lossy_queue_factory
+from repro.faults.queues import LossyQueue
 from repro.faults.schedule import (
     ArbitratorCrash,
     ControlDegrade,
@@ -52,7 +52,6 @@ __all__ = [
     "LossModel",
     "make_loss_model",
     "LossyQueue",
-    "lossy_queue_factory",
     "ArbitratorCrash",
     "ControlDegrade",
     "DataLoss",

@@ -1,11 +1,11 @@
 """Declarative fault schedules.
 
 A :class:`FaultSchedule` is plain data — a seed plus a tuple of fault
-events — so it can ride inside a :class:`~repro.harness.scenarios.Scenario`,
-cross process boundaries, serialize into the runner's JSONL ledger, and be
-rebuilt from JSON for cache-stable sweep points.  The
-:class:`~repro.faults.injector.FaultInjector` is the executable half: it
-walks the schedule and arms the corresponding simulator events.
+events — so it can ride inside a :class:`~repro.harness.scenarios.Scenario`
+and cross process boundaries; a sweep point names it through a registered
+scenario's kwargs.  The :class:`~repro.faults.injector.FaultInjector` is
+the executable half: it walks the schedule and arms the corresponding
+simulator events.
 
 Event kinds:
 
@@ -24,7 +24,8 @@ Event kinds:
   by ``extra_delay``.
 * :class:`DataLoss` — wrap links' queues with a
   :class:`~repro.faults.queues.LossyQueue` for a window, using a named
-  loss model (``bernoulli`` or ``gilbert-elliott``).
+  loss model (``bernoulli`` or ``gilbert-elliott``); a bad model name or
+  parameter fails when the event is built.
 
 Link selectors are names from :class:`~repro.sim.link.Link` (e.g.
 ``"h0->sw0"``) and support ``fnmatch`` wildcards (``"h0->*"``); ``None``
@@ -33,9 +34,10 @@ means every link.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.faults.models import make_loss_model
 from repro.utils.validation import check_non_negative
 
 
@@ -48,8 +50,6 @@ class LinkDown:
     duration: Optional[float] = None
     flush: bool = True
 
-    kind = "link-down"
-
 
 @dataclass(frozen=True)
 class ArbitratorCrash:
@@ -58,8 +58,6 @@ class ArbitratorCrash:
     at: float
     links: Optional[Tuple[str, ...]] = None
     duration: Optional[float] = None
-
-    kind = "arbitrator-crash"
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,6 @@ class ControlDegrade:
     duration: Optional[float] = None
     loss_rate: float = 0.0
     extra_delay: float = 0.0
-
-    kind = "control-degrade"
 
 
 @dataclass(frozen=True)
@@ -84,16 +80,14 @@ class DataLoss:
     model: str = "bernoulli"
     params: Tuple[Tuple[str, float], ...] = (("p", 0.01),)
 
-    kind = "data-loss"
+    def __post_init__(self) -> None:
+        make_loss_model(self.model, self.params_dict())
 
     def params_dict(self) -> Dict[str, float]:
         return dict(self.params)
 
 
 FaultEvent = Union[LinkDown, ArbitratorCrash, ControlDegrade, DataLoss]
-
-_EVENT_KINDS = {cls.kind: cls for cls in
-                (LinkDown, ArbitratorCrash, ControlDegrade, DataLoss)}
 
 
 def _normalize(event: FaultEvent) -> FaultEvent:
@@ -132,34 +126,3 @@ class FaultSchedule:
     def touches_control_plane(self) -> bool:
         return any(isinstance(e, (ArbitratorCrash, ControlDegrade))
                    for e in self.events)
-
-    # -- JSON round-trip ---------------------------------------------------
-    def to_jsonable(self) -> Dict[str, Any]:
-        rows: List[Dict[str, Any]] = []
-        for event in self.events:
-            row = {"kind": event.kind, **asdict(event)}
-            if "links" in row and row["links"] is not None:
-                row["links"] = list(row["links"])
-            if "params" in row:
-                row["params"] = dict(row["params"])
-            rows.append(row)
-        return {"seed": self.seed, "events": rows}
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        events: List[FaultEvent] = []
-        for row in data.get("events", ()):
-            row = dict(row)
-            kind = row.pop("kind")
-            try:
-                event_cls = _EVENT_KINDS[kind]
-            except KeyError:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; known: {sorted(_EVENT_KINDS)}"
-                ) from None
-            if "links" in row and row["links"] is not None:
-                row["links"] = tuple(row["links"])
-            if "params" in row:
-                row["params"] = tuple(sorted(dict(row["params"]).items()))
-            events.append(event_cls(**row))
-        return cls(events=tuple(events), seed=int(data.get("seed", 0)))

@@ -269,7 +269,7 @@ def sweep_loads(
     them in order in this process, ``jobs > 1`` on worker processes, with
     identical results.  ``cache_dir`` opts into the on-disk result cache.
     A failed point raises :class:`repro.runner.SweepFailure`; for a
-    timeout or retries, call ``run_sweep`` with a ``RunnerConfig``.
+    timeout, call ``run_sweep`` with a ``RunnerConfig``.
     """
     from repro.runner import (RunnerConfig, SweepSpec,
                               results_by_protocol_load, run_sweep)

@@ -305,20 +305,18 @@ def left_right_lossy_control(
 def intra_rack_data_loss(
     loss_at: float = 0.0,
     loss_duration: Optional[float] = None,
-    model: str = "bernoulli",
     p: float = 0.01,
     links: Optional[Sequence[str]] = None,
     fault_seed: int = 0,
     **kwargs,
 ) -> Scenario:
-    """:func:`intra_rack` with a data-plane loss model on the named links
-    (``None`` = every link).  ``model`` is ``"bernoulli"`` (i.i.d. with
-    probability ``p``) or ``"gilbert-elliott"`` (bursty; ``p`` maps to the
-    bad-state loss rate)."""
-    params = (("p", p),) if model == "bernoulli" else (("loss_bad", p),)
+    """:func:`intra_rack` with i.i.d. (Bernoulli) data-plane loss of
+    probability ``p`` on the named links (``None`` = every link).  Bursty
+    Gilbert–Elliott loss needs its transition probabilities, so it is a
+    hand-built :class:`~repro.faults.DataLoss` in a schedule."""
     return _with_fault(intra_rack(**kwargs), "data_loss", DataLoss(
         at=loss_at, links=None if links is None else tuple(links),
-        duration=loss_duration, model=model, params=params), fault_seed)
+        duration=loss_duration, params=(("p", p),)), fault_seed)
 
 
 #: Registry of named scenario constructors.  These names are the stable,

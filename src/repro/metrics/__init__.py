@@ -11,11 +11,8 @@ from repro.metrics.slowdown import (
     BucketStats,
     bucket_stats,
     ideal_fct,
-    jain_fairness,
-    slowdowns,
-    throughputs,
 )
-from repro.metrics.stats import FlowStats, afct_improvement, percentile
+from repro.metrics.stats import FlowStats, percentile
 from repro.metrics.timeseries import Series, TimeSeriesProbe
 
 __all__ = [
@@ -24,14 +21,10 @@ __all__ = [
     "NetworkCounters",
     "overhead_reduction",
     "FlowStats",
-    "afct_improvement",
     "percentile",
     "BucketStats",
     "bucket_stats",
     "ideal_fct",
-    "jain_fairness",
-    "slowdowns",
-    "throughputs",
     "Series",
     "TimeSeriesProbe",
 ]

@@ -27,21 +27,6 @@ def ideal_fct(flow: Flow, bottleneck_bps: float, base_rtt: float) -> float:
     return base_rtt + bytes_to_bits(flow.size_bytes) / bottleneck_bps
 
 
-def slowdowns(
-    flows: Iterable[Flow],
-    bottleneck_bps: float,
-    base_rtt: float,
-) -> List[float]:
-    """Per-flow slowdowns for completed foreground flows (>= 1 up to
-    scheduling noise)."""
-    out = []
-    for flow in flows:
-        if flow.background or not flow.completed:
-            continue
-        out.append(flow.fct / ideal_fct(flow, bottleneck_bps, base_rtt))
-    return out
-
-
 @dataclass
 class BucketStats:
     """FCT statistics for one flow-size bucket."""
@@ -97,25 +82,3 @@ def bucket_stats(
         ))
     return stats
 
-
-def jain_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index over per-flow allocations/throughputs:
-    1.0 = perfectly fair, 1/n = maximally unfair."""
-    vals = [v for v in values if v == v]  # drop NaNs
-    if not vals:
-        raise ValueError("jain_fairness of empty data")
-    total = sum(vals)
-    squares = sum(v * v for v in vals)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(vals) * squares)
-
-
-def throughputs(flows: Iterable[Flow]) -> List[float]:
-    """Achieved goodput (bits/s) of each completed foreground flow."""
-    out = []
-    for flow in flows:
-        if flow.background or not flow.completed or flow.fct <= 0:
-            continue
-        out.append(bytes_to_bits(flow.size_bytes) / flow.fct)
-    return out

@@ -112,10 +112,3 @@ class FlowStats:
             return float("nan")
         return self.num_completed / self.num_flows
 
-
-def afct_improvement(baseline: FlowStats, candidate: FlowStats) -> float:
-    """Percent AFCT improvement of ``candidate`` over ``baseline`` (the
-    paper reports "X% improvement" as reduction relative to baseline)."""
-    if not baseline.fcts or not candidate.fcts:
-        return float("nan")
-    return 100.0 * (baseline.afct - candidate.afct) / baseline.afct

@@ -7,12 +7,12 @@ the one way to run such a grid, and :class:`RunnerConfig` the one place
 its policy lives: it serves repeat points from a content-addressed
 on-disk cache salted by code version when ``cache_dir`` is set
 (:mod:`repro.runner.cache`), runs the rest in order in-process
-(``jobs=1``) or over per-run worker processes with timeouts, bounded
-retries, and crash isolation (:mod:`repro.runner.executor`), streams a
-JSONL ledger with wall-clock, peak-RSS, and cache/attempt accounting
-(:mod:`repro.runner.sink`), and raises :class:`SweepFailure` once every
-point has settled if any failed.  :class:`SweepSpec`
-(:mod:`repro.runner.spec`) expands a declarative grid into specs.
+(``jobs=1``) or over per-run worker processes with timeouts and crash
+isolation (:mod:`repro.runner.executor`), streams a JSONL ledger with
+wall-clock, peak-RSS and cache accounting (:mod:`repro.runner.sink`),
+and raises :class:`SweepFailure` once every point has settled if any
+failed.  :class:`SweepSpec` (:mod:`repro.runner.spec`) expands a
+declarative grid into specs.
 
 Typical library use::
 

@@ -34,19 +34,13 @@ class RunnerConfig:
     #: Per-run wall-clock budget (seconds); None disables.  Needs
     #: ``jobs > 1``: serial mode has no supervising process to kill a run.
     timeout: Optional[float] = None
-    #: Extra attempts after a failed, timed-out or crashed one.
-    retries: int = 0
     #: Result cache root; None runs every point and caches nothing.
     cache_dir: Optional[os.PathLike] = None
-    #: Override the code-version salt (tests use this to force invalidation).
-    cache_salt: Optional[str] = None
     jsonl_path: Optional[os.PathLike] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.jobs == 1:
             raise ValueError("a timeout needs jobs > 1: a serial run has no "
                              "second process to stop it")
@@ -95,7 +89,7 @@ def run_sweep(
     specs = list(specs)
     started = time.perf_counter()
 
-    cache = (ResultCache(config.cache_dir, salt=config.cache_salt)
+    cache = (ResultCache(config.cache_dir)
              if config.cache_dir is not None else None)
     sink = JsonlSink(config.jsonl_path) if config.jsonl_path else None
 
@@ -137,8 +131,11 @@ def run_sweep(
                 cache.put(key, record.result)
             settle(key, record)
 
-        execute = run_serial if config.jobs == 1 else run_parallel
-        execute([specs[i] for i in to_run], config, work_fn, settle_fresh)
+        fresh = [specs[i] for i in to_run]
+        if config.jobs == 1:
+            run_serial(fresh, work_fn, settle_fresh)
+        else:
+            run_parallel(fresh, config, work_fn, settle_fresh)
         final = [r for r in records if r is not None]
         stats = SweepStats.from_records(final, time.perf_counter() - started)
         if sink is not None:

@@ -53,10 +53,9 @@ def code_version_salt() -> str:
 class ResultCache:
     """Pickle-per-entry cache rooted at ``cache_dir``."""
 
-    def __init__(self, cache_dir: os.PathLike,
-                 salt: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: os.PathLike) -> None:
         self.root = Path(cache_dir)
-        self.salt = salt if salt is not None else code_version_salt()
+        self.salt = code_version_salt()
 
     def path_for(self, content_hash: str) -> Path:
         return self.root / self.salt / content_hash[:2] / f"{content_hash}.pkl"

@@ -13,7 +13,7 @@ One point or a full figure grid, serial or parallel, cached::
     # Full three-protocol figure, resumable (re-runs serve from cache):
     python -m repro.runner --protocols pase,l2dct,dctcp \
         --scenario left-right --loads 0.1,0.3,0.5,0.7,0.9 \
-        --jobs 4 --timeout 1800 --retries 1 --output fig09a.jsonl
+        --jobs 4 --timeout 1800 --output fig09a.jsonl
 
 Scenario names come from ``repro.harness.scenarios.SCENARIO_BUILDERS``;
 ``--hosts``/``--fanin`` map onto each scenario's size parameters.  Each
@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-run wall-clock budget in seconds "
                              "(needs --jobs > 1)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="extra attempts for a failed/timed-out point")
     parser.add_argument("--cache-dir", default=None,
                         help=f"result cache root (default {default_cache_dir()})")
     parser.add_argument("--no-cache", action="store_true",
@@ -213,8 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir = args.cache_dir or default_cache_dir()
     try:
         config = RunnerConfig(jobs=args.jobs, timeout=args.timeout,
-                              retries=args.retries, cache_dir=cache_dir,
-                              jsonl_path=args.output)
+                              cache_dir=cache_dir, jsonl_path=args.output)
     except ValueError as exc:
         parser.error(str(exc))
 

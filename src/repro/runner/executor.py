@@ -13,9 +13,9 @@ the spec and the work function ride along by memory inheritance instead
 of pickling; only the *result* crosses the pipe, via
 :meth:`ExperimentResult.detach`.
 
-Both retry a failed point up to ``config.retries`` times, waiting
-``BACKOFF * n`` seconds before attempt ``n + 1``, and hand one
-:class:`RunRecord` per spec to ``on_record`` as the point settles.
+Both run each point once (the simulator is deterministic, so a rerun
+of a failed point fails again) and hand one :class:`RunRecord` per spec
+to ``on_record`` as the point settles.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (api imports us)
 WorkFn = Callable[[ExperimentSpec], object]
 OnRecord = Callable[[RunRecord], None]
 
-#: Seconds before attempt ``n + 1`` of a failed point is ``BACKOFF * n``.
-BACKOFF = 0.25
 #: Seconds the parallel loop sleeps when no worker settled this pass.
 POLL_S = 0.02
 
@@ -76,37 +74,21 @@ def _worker_main(conn, work_fn: WorkFn, spec: ExperimentSpec) -> None:
         conn.close()
 
 
-def run_serial(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
-               work_fn: WorkFn, on_record: OnRecord) -> None:
+def run_serial(specs: Sequence[ExperimentSpec], work_fn: WorkFn,
+               on_record: OnRecord) -> None:
     """Run every spec in this process, in order; ``on_record`` fires as
     each point settles."""
     for spec in specs:
         started = time.perf_counter()
-        errors: List[str] = []
-        record = None
-        for attempt in range(1, config.retries + 2):
-            try:
-                result = work_fn(spec)
-            except Exception:  # noqa: BLE001
-                errors.append(traceback.format_exc(limit=20))
-                if attempt <= config.retries:
-                    time.sleep(BACKOFF * attempt)
-                continue
-            record = RunRecord(
-                spec=spec, status=STATUS_OK, result=result,
-                attempts=attempt,
-                wallclock=time.perf_counter() - started,
-                peak_rss_kb=_peak_rss_kb(),
-            )
-            break
-        if record is None:
-            record = RunRecord(
-                spec=spec, status=STATUS_FAILED,
-                attempts=config.retries + 1,
-                wallclock=time.perf_counter() - started,
-                peak_rss_kb=_peak_rss_kb(),
-                error="\n---\n".join(errors),
-            )
+        try:
+            result = work_fn(spec)
+        except Exception:  # noqa: BLE001
+            record = RunRecord(spec=spec, status=STATUS_FAILED,
+                               error=traceback.format_exc(limit=20))
+        else:
+            record = RunRecord(spec=spec, status=STATUS_OK, result=result)
+        record.wallclock = time.perf_counter() - started
+        record.peak_rss_kb = _peak_rss_kb()
         on_record(record)
 
 
@@ -115,7 +97,7 @@ class _Slot:
     """One live worker and the bookkeeping to judge it."""
 
     index: int
-    attempt: int
+    started: float
     process: mp.process.BaseProcess
     conn: object
     deadline: Optional[float]
@@ -141,21 +123,18 @@ def _reap(slot: _Slot, kill: bool = False) -> Optional[int]:
 def run_parallel(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
                  work_fn: WorkFn, on_record: OnRecord) -> None:
     """Run every spec on its own forked worker, ``config.jobs`` at a time,
-    with ``config.timeout`` per attempt; ``on_record`` fires as each point
+    with ``config.timeout`` per run; ``on_record`` fires as each point
     settles."""
     try:
         ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = mp.get_context()
-    first_start = [0.0] * len(specs)
-    attempt_errors: List[List[str]] = [[] for _ in specs]
     queue = list(range(len(specs)))
     queue.reverse()  # pop() from the front of the original order
-    #: (not_before, index, attempt) of points waiting to be relaunched.
-    retries: List[tuple] = []
     active: List[_Slot] = []
 
-    def launch(index: int, attempt: int) -> None:
+    def launch(index: int) -> None:
+        started = time.perf_counter()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(target=_worker_main,
                               args=(child_conn, work_fn, specs[index]),
@@ -164,45 +143,20 @@ def run_parallel(specs: Sequence[ExperimentSpec], config: "RunnerConfig",
         child_conn.close()
         deadline = (None if config.timeout is None
                     else time.perf_counter() + config.timeout)
-        active.append(_Slot(index=index, attempt=attempt, process=process,
+        active.append(_Slot(index=index, started=started, process=process,
                             conn=parent_conn, deadline=deadline))
 
     def settle(slot: _Slot, status: str, error: Optional[str],
                result=None, rss: Optional[int] = None) -> None:
-        """Record a terminal outcome or schedule a retry."""
-        idx = slot.index
-        if status != STATUS_OK and slot.attempt <= config.retries:
-            if error:
-                attempt_errors[idx].append(f"[attempt {slot.attempt}: "
-                                           f"{status}] {error}")
-            retries.append((time.perf_counter() + BACKOFF * slot.attempt,
-                            idx, slot.attempt + 1))
-            return
-        record = RunRecord(
-            spec=specs[idx], status=status, result=result,
-            attempts=slot.attempt,
-            wallclock=time.perf_counter() - first_start[idx],
-            peak_rss_kb=rss,
-            error=("\n---\n".join(attempt_errors[idx] + [error])
-                   if error else None),
-        )
-        on_record(record)
+        on_record(RunRecord(
+            spec=specs[slot.index], status=status, result=result,
+            wallclock=time.perf_counter() - slot.started,
+            peak_rss_kb=rss, error=error,
+        ))
 
-    while queue or retries or active:
-        # Fill free slots: due retries first (they are oldest work).
-        while len(active) < config.jobs and (queue or retries):
-            now = time.perf_counter()
-            due = [r for r in retries if r[0] <= now]
-            if due:
-                nxt = min(due)
-                retries.remove(nxt)
-                launch(nxt[1], nxt[2])
-            elif queue:
-                index = queue.pop()
-                first_start[index] = time.perf_counter()
-                launch(index, attempt=1)
-            else:
-                break  # only not-yet-due retries remain
+    while queue or active:
+        while len(active) < config.jobs and queue:
+            launch(queue.pop())
 
         progressed = False
         for slot in list(active):

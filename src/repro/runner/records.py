@@ -1,9 +1,9 @@
 """Run records: the runner's unit of accounting.
 
 Every spec the runner touches produces exactly one :class:`RunRecord`
-— whether the run computed, came from cache, timed out, crashed, or
-exhausted its retries — so a sweep always completes with a full ledger
-instead of aborting on the first sick point.
+— whether the run computed, came from cache, failed, timed out or
+crashed — so a sweep always completes with a full ledger instead of
+aborting on the first sick point.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from repro.harness.experiment import ExperimentResult, ExperimentSpec
 
 #: Terminal statuses a record can carry.
 STATUS_OK = "ok"
-STATUS_FAILED = "failed"      # worker raised on every attempt
-STATUS_TIMEOUT = "timeout"    # per-run timeout fired on every attempt
+STATUS_FAILED = "failed"      # the work function raised
+STATUS_TIMEOUT = "timeout"    # the per-run timeout fired
 STATUS_CRASHED = "crashed"    # worker died without reporting (segfault, OOM kill)
 
 
@@ -34,9 +34,7 @@ class RunRecord:
     result: Optional[ExperimentResult] = None
     #: True when the result was served from the on-disk cache.
     cached: bool = False
-    #: Execution attempts actually made (0 for pure cache hits).
-    attempts: int = 0
-    #: Wall-clock seconds spent on this point (all attempts, parent view).
+    #: Wall-clock seconds spent on this point (parent view).
     wallclock: float = 0.0
     #: Peak resident set size of the worker process, in KiB (best-effort;
     #: in serial in-process mode this is the parent's cumulative peak).
@@ -61,7 +59,6 @@ class RunRecord:
             "num_flows": spec.num_flows,
             "status": self.status,
             "cached": self.cached,
-            "attempts": self.attempts,
             "wallclock_s": round(self.wallclock, 6),
             "peak_rss_kb": self.peak_rss_kb,
             "error": self.error,

@@ -1,7 +1,7 @@
 """Result sinks and aggregation.
 
 The runner's durable output is JSONL — one line per settled run (metrics
-summary, wall-clock, peak RSS, cache/attempt accounting) plus a trailing
+summary, wall-clock, peak RSS, cache accounting) plus a trailing
 ``sweep_summary`` line.  The aggregation helpers fold records back into
 the nested ``{protocol: {load: ExperimentResult}}`` shape the existing
 report/benchmark machinery consumes, so a figure built on the runner can

@@ -68,7 +68,6 @@ __all__ = [
 from repro.sim.switch_models import (
     TABLE2,
     SwitchModel,
-    get_switch_model,
     pase_config_for,
 )
 from repro.sim.trace import TraceEvent, Tracer
@@ -76,7 +75,6 @@ from repro.sim.trace import TraceEvent, Tracer
 __all__ += [
     "TABLE2",
     "SwitchModel",
-    "get_switch_model",
     "pase_config_for",
     "TraceEvent",
     "Tracer",

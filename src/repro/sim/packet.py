@@ -16,7 +16,6 @@ Priority semantics
 
 from __future__ import annotations
 
-import itertools
 from enum import IntEnum
 from typing import Optional
 
@@ -37,14 +36,11 @@ DEFAULT_MTU = 1500
 #: Header-only packet size (TCP/IP headers), bytes.  Used for ACKs and probes.
 HEADER_SIZE = 40
 
-_packet_ids = itertools.count(1)
-
 
 class Packet:
     """A packet traversing the simulated fabric."""
 
     __slots__ = (
-        "packet_id",
         "kind",
         "src",
         "dst",
@@ -78,7 +74,6 @@ class Packet:
         priority: float = 0.0,
         queue_index: int = 0,
     ) -> None:
-        self.packet_id: int = next(_packet_ids)
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -112,13 +107,9 @@ class Packet:
         #: pFabric/PDQ header: bytes remaining in the flow (scheduling key).
         self.remaining_bytes: int = 0
 
-    def is_header_only(self) -> bool:
-        """True for ACKs, probes and control messages: headers only."""
-        return self.kind != PacketKind.DATA
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet(#{self.packet_id} {self.kind.name} flow={self.flow_id} "
+            f"Packet({self.kind.name} flow={self.flow_id} "
             f"seq={self.seq} {self.src}->{self.dst} q={self.queue_index} "
             f"prio={self.priority:.0f})"
         )

@@ -37,15 +37,6 @@ TABLE2: Dict[str, SwitchModel] = {
 }
 
 
-def get_switch_model(name: str) -> SwitchModel:
-    """Look up a Table 2 switch profile by model name (e.g. ``"EX3300"``)."""
-    try:
-        return TABLE2[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown switch model {name!r}; known: {sorted(TABLE2)}") from None
-
-
 def pase_config_for(model: SwitchModel, base=None):
     """A :class:`PaseConfig` matched to ``model``'s capabilities.
 

@@ -10,7 +10,6 @@ from repro.utils.units import (
     MSEC,
     bytes_to_bits,
     transmission_delay,
-    rate_to_pkts_per_sec,
 )
 from repro.utils.validation import (
     check_positive,
@@ -29,7 +28,6 @@ __all__ = [
     "MSEC",
     "bytes_to_bits",
     "transmission_delay",
-    "rate_to_pkts_per_sec",
     "check_positive",
     "check_non_negative",
     "check_in_range",

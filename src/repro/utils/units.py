@@ -52,9 +52,3 @@ def transmission_delay(size_bytes: float, capacity_bps: float) -> float:
         raise ValueError(f"capacity must be positive, got {capacity_bps}")
     return bytes_to_bits(size_bytes) / capacity_bps
 
-
-def rate_to_pkts_per_sec(rate_bps: float, pkt_size_bytes: float) -> float:
-    """Convert a bit rate to an equivalent packet rate for a fixed MTU."""
-    if pkt_size_bytes <= 0:
-        raise ValueError(f"packet size must be positive, got {pkt_size_bytes}")
-    return rate_bps / bytes_to_bits(pkt_size_bytes)

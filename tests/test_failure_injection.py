@@ -1,9 +1,10 @@
 """Failure-injection tests: lossy links, reordering, pathological inputs.
 
 These exercise the recovery machinery under conditions the clean-path tests
-never reach, using the shared :class:`repro.faults.LossyQueue` wrapper
-(promoted out of this file into :mod:`repro.faults.queues`; scheduled,
-windowed fault injection lives in ``tests/test_faults.py``).
+never reach.  Lossy links are built the way a run builds them: a
+:class:`repro.faults.FaultInjector` arms a whole-run
+:class:`repro.faults.DataLoss` on every link (scheduled, windowed fault
+injection lives in ``tests/test_faults.py``).
 """
 
 import pytest
@@ -15,7 +16,8 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
-from repro.faults import LossyQueue, lossy_queue_factory
+from repro.faults import (BernoulliLoss, DataLoss, FaultInjector,
+                          FaultSchedule, LossyQueue)
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import REDQueue
 from repro.transports import (
@@ -29,15 +31,20 @@ from repro.transports import (
 from repro.utils.units import GBPS, KB, MSEC, USEC
 
 
-def lossy_factory(p):
-    return lossy_queue_factory(lambda: REDQueue(225, 65), p)
+def lossy_star(sim, num_hosts, p, queue_factory=lambda: REDQueue(225, 65)):
+    """A star whose every link drops data packets with probability ``p``
+    from time 0 on."""
+    topo = StarTopology(sim, num_hosts=num_hosts, queue_factory=queue_factory)
+    FaultInjector(sim, topo.network, FaultSchedule(
+        events=(DataLoss(at=0.0, params=(("p", p),)),)))
+    return topo
 
 
 class TestLossyQueueCounters:
     def test_injected_drops_count_in_delegated_counters(self):
         from repro.sim.packet import Packet, PacketKind
 
-        q = LossyQueue(REDQueue(225, 65), 1.0, seed=1)  # drop everything
+        q = LossyQueue(REDQueue(225, 65), BernoulliLoss(1.0, seed=1))  # drop all
         pkt = Packet(PacketKind.DATA, 0, 1, flow_id=1, seq=0, size=1500)
         assert q.enqueue(pkt) is False
         assert q.injected_drops == 1
@@ -45,9 +52,12 @@ class TestLossyQueueCounters:
         ack = Packet(PacketKind.ACK, 1, 0, flow_id=1, seq=0, size=40)
         assert q.enqueue(ack) is True  # control packets pass through
 
-    def test_factory_seeds_each_queue_distinctly(self):
-        factory = lossy_factory(0.5)
-        a, b = factory(), factory()
+    def test_injector_seeds_each_wrapped_links_model_distinctly(self):
+        sim = Simulator()
+        topo = lossy_star(sim, 3, 0.5)
+        sim.run(until=0.0)  # the loss window opens at t = 0
+        a, b = (link.queue for link in list(topo.network.links.values())[:2])
+        assert isinstance(a, LossyQueue) and isinstance(b, LossyQueue)
         seq_a = [a.model.drop() for _ in range(32)]
         seq_b = [b.model.drop() for _ in range(32)]
         assert seq_a != seq_b
@@ -57,7 +67,7 @@ class TestTcpFamilyUnderLoss:
     @pytest.mark.parametrize("loss", [0.01, 0.05])
     def test_dctcp_completes_despite_random_loss(self, loss):
         sim = Simulator()
-        topo = StarTopology(sim, num_hosts=3, queue_factory=lossy_factory(loss))
+        topo = lossy_star(sim, 3, loss)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=150 * KB,
                     start_time=0.0)
@@ -70,7 +80,7 @@ class TestTcpFamilyUnderLoss:
 
     def test_heavy_loss_still_terminates(self):
         sim = Simulator()
-        topo = StarTopology(sim, num_hosts=3, queue_factory=lossy_factory(0.3))
+        topo = lossy_star(sim, 3, 0.3)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=30 * KB,
                     start_time=0.0)
@@ -85,8 +95,7 @@ class TestPaseUnderLoss:
     def test_pase_probe_recovery_under_loss(self):
         cfg = PaseConfig(min_rto_low=20 * MSEC)  # keep the test fast
         sim = Simulator()
-        factory = lossy_queue_factory(pase_queue_factory(cfg), 0.03)
-        topo = StarTopology(sim, num_hosts=4, queue_factory=factory)
+        topo = lossy_star(sim, 4, 0.03, pase_queue_factory(cfg))
         cp = PaseControlPlane(sim, topo, cfg)
         flows = []
         for i in range(3):
@@ -125,7 +134,7 @@ class TestPaseUnderLoss:
 class TestPdqUnderLoss:
     def test_pdq_completes_despite_loss(self):
         sim = Simulator()
-        topo = StarTopology(sim, num_hosts=3, queue_factory=lossy_factory(0.02))
+        topo = lossy_star(sim, 3, 0.02)
         cfg = TransportConfig(initial_rtt=100 * USEC)
         install_pdq_schedulers(topo.network, cfg)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,

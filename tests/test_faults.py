@@ -1,6 +1,6 @@
 """Scheduled fault injection: the repro.faults subsystem end to end.
 
-Covers the declarative schedule (JSON round-trip), the loss models, link
+Covers the declarative schedule (checked when built), the loss models, link
 down/up semantics, the injector's link resolution, and the PASE degradation
 story the paper argues in §3.1: arbitrators crash, control messages vanish,
 links flap — and flows still complete because arbitration is soft state and
@@ -23,7 +23,6 @@ from repro.core import endhost
 from repro.faults import (
     ArbitratorCrash,
     BernoulliLoss,
-    ControlDegrade,
     DataLoss,
     FaultInjector,
     FaultSchedule,
@@ -44,21 +43,25 @@ def red_factory():
 
 
 # ----------------------------------------------------------------------
-# Schedules: plain data, JSON round-trip
+# Schedules: plain data, checked when built
 # ----------------------------------------------------------------------
 class TestFaultSchedule:
-    def test_json_round_trip(self):
-        schedule = FaultSchedule(events=(
-            LinkDown(at=0.01, links=("h0->sw0",), duration=0.005, flush=False),
-            ArbitratorCrash(at=0.02, duration=0.05),
-            ControlDegrade(at=0.03, duration=0.01, loss_rate=0.3,
-                           extra_delay=50 * USEC),
-            DataLoss(at=0.04, links=("sw0->h1",), duration=0.02,
-                     model="gilbert-elliott",
-                     params=(("loss_bad", 0.5), ("p_enter_bad", 0.01))),
-        ), seed=7)
-        rebuilt = FaultSchedule.from_jsonable(schedule.to_jsonable())
-        assert rebuilt == schedule
+    def test_bad_data_loss_rejected_at_construction(self):
+        # Gilbert-Elliott needs both transition probabilities.
+        with pytest.raises(TypeError, match="p_exit_bad"):
+            DataLoss(at=0.04, model="gilbert-elliott",
+                     params=(("loss_bad", 0.5), ("p_enter_bad", 0.01)))
+        with pytest.raises(ValueError, match="unknown loss model"):
+            DataLoss(at=0.0, model="meteor-strike")
+        with pytest.raises(ValueError, match=r"p must be in \[0.0, 1.0\]"):
+            DataLoss(at=0.0, params=(("p", 1.5),))
+        ge = DataLoss(at=0.0, model="gilbert-elliott",
+                      params=(("p_enter_bad", 0.01), ("p_exit_bad", 0.2)))
+        assert FaultSchedule(events=(ge,)).events == (ge,)
+
+    def test_data_loss_scenario_takes_no_model(self):
+        with pytest.raises(TypeError, match="model"):
+            ScenarioSpec("intra-rack-data-loss", {"model": "gilbert-elliott"})
 
     def test_lists_normalize_to_tuples(self):
         schedule = FaultSchedule(events=(
@@ -71,11 +74,6 @@ class TestFaultSchedule:
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule()
         assert FaultSchedule(events=(LinkDown(at=0.0),))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSchedule.from_jsonable(
-                {"events": [{"kind": "meteor-strike", "at": 0.0}]})
 
     def test_touches_control_plane(self):
         assert FaultSchedule(events=(ArbitratorCrash(at=0.0),)
@@ -224,6 +222,16 @@ class TestInjector:
         assert type(link.queue) is REDQueue
         # Injected drops stayed visible in network-wide accounting.
         assert topo.network.total_drops() >= inj.injected_loss_drops
+
+    def test_gilbert_elliott_window_is_armed_from_a_hand_built_event(self):
+        sim = Simulator()
+        topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)
+        link = topo.host_uplink(topo.hosts[0])
+        FaultInjector(sim, topo.network, FaultSchedule(events=(
+            DataLoss(at=0.0, links=(link.name,), model="gilbert-elliott",
+                     params=(("p_enter_bad", 0.01), ("p_exit_bad", 0.2))),)))
+        sim.run(until=0.0)
+        assert isinstance(link.queue.model, GilbertElliottLoss)
 
 
 # ----------------------------------------------------------------------

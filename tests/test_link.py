@@ -238,10 +238,11 @@ def test_arrival_at_frame_end_queues_behind_pending_wakeup():
 
 
 def test_lossy_queue_takes_the_full_queue_path():
-    from repro.faults.queues import LossyQueue
+    from repro.faults import BernoulliLoss, LossyQueue
 
     sim = Simulator()
-    link, dst = make_link(sim, queue=LossyQueue(DropTailQueue(100), 0.0))
+    link, dst = make_link(sim, queue=LossyQueue(DropTailQueue(100),
+                                                BernoulliLoss(0.0)))
     for i in range(3):
         link.send(make_data_packet(0, 1, 1, i, size=1500))
     sim.run()

@@ -8,7 +8,6 @@ from repro.metrics import (
     ControlPlaneCounters,
     FlowStats,
     NetworkCounters,
-    afct_improvement,
     overhead_reduction,
     percentile,
 )
@@ -104,11 +103,6 @@ class TestFlowStats:
         stats = FlowStats.from_flows([])
         assert math.isnan(stats.afct)
         assert stats.fct_cdf() == []
-
-    def test_afct_improvement(self):
-        base = FlowStats.from_flows([make_flow(1, fct=10e-3)])
-        cand = FlowStats.from_flows([make_flow(1, fct=4e-3)])
-        assert afct_improvement(base, cand) == pytest.approx(60.0)
 
 
 class TestCounters:

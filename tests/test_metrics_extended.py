@@ -9,9 +9,6 @@ from repro.metrics import (
     TimeSeriesProbe,
     bucket_stats,
     ideal_fct,
-    jain_fairness,
-    slowdowns,
-    throughputs,
 )
 from repro.sim import Simulator, StarTopology
 from repro.sim.packet import make_data_packet
@@ -41,8 +38,8 @@ class TestIdealFct:
 class TestSlowdowns:
     def test_idle_path_slowdown_near_one(self):
         f = make_flow(1, 125_000, fct=1.1e-3)
-        (s,) = slowdowns([f], 1 * GBPS, 100 * USEC)
-        assert s == pytest.approx(1.0, rel=0.01)
+        (bucket,) = bucket_stats([f], [], 1 * GBPS, 100 * USEC)
+        assert bucket.mean_slowdown == pytest.approx(1.0, rel=0.01)
 
     def test_background_and_incomplete_excluded(self):
         fs = [
@@ -50,7 +47,8 @@ class TestSlowdowns:
             make_flow(2, 125_000, fct=2e-3, background=True),
             make_flow(3, 125_000),  # incomplete
         ]
-        assert len(slowdowns(fs, 1 * GBPS, 100 * USEC)) == 1
+        (bucket,) = bucket_stats(fs, [], 1 * GBPS, 100 * USEC)
+        assert bucket.count == 1
 
 
 class TestBuckets:
@@ -77,25 +75,6 @@ class TestBuckets:
     def test_unsorted_edges_rejected(self):
         with pytest.raises(ValueError):
             bucket_stats([], [100, 10], 1 * GBPS, 1e-4)
-
-
-class TestJain:
-    def test_equal_is_one(self):
-        assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_single_winner_is_one_over_n(self):
-        assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            jain_fairness([])
-
-
-class TestThroughputs:
-    def test_goodput(self):
-        f = make_flow(1, 125_000, fct=1e-3)  # 1 Mbit in 1 ms = 1 Gbps
-        (t,) = throughputs([f])
-        assert t == pytest.approx(1e9)
 
 
 class TestTimeSeriesProbe:

@@ -4,18 +4,11 @@ from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim.packet import (
     DEFAULT_MTU,
     HEADER_SIZE,
-    Packet,
     PacketKind,
     make_ack_packet,
     make_data_packet,
 )
 from repro.transports.base import SenderAgent
-
-
-def test_unique_packet_ids():
-    a = make_data_packet(0, 1, 7, 0)
-    b = make_data_packet(0, 1, 7, 1)
-    assert a.packet_id != b.packet_id
 
 
 def test_data_packet_defaults():
@@ -69,15 +62,6 @@ def test_ack_inherits_queue_index_when_given():
     data = make_data_packet(0, 1, 2, 0, queue_index=5)
     ack = make_ack_packet(data, 1, queue_index=data.queue_index)
     assert ack.queue_index == 5
-
-
-def test_header_only_classification():
-    data = make_data_packet(0, 1, 2, 0)
-    assert not data.is_header_only()
-    ack = make_ack_packet(data, 1)
-    assert ack.is_header_only()
-    probe = Packet(PacketKind.PROBE, 0, 1, 2)
-    assert probe.is_header_only()
 
 
 def _ack_fields(ack):

@@ -1,7 +1,7 @@
 """Tests for repro.runner: specs, cache, executor isolation, parity.
 
 The executor tests inject module-level work functions (sleepers, crashers,
-flaky workers) instead of real simulations, so timeout/retry/crash paths
+raising workers) instead of real simulations, so timeout/failure/crash paths
 run in well under a second each.  The cache and parity tests use real—but
 tiny—experiments.
 """
@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.runner.cache
 from repro.core import PaseConfig
 from repro.harness import ExperimentSpec, run_experiment, sweep_loads
 from repro.harness.experiment import ExperimentResult
@@ -50,10 +51,6 @@ def _echo_work(spec):
 def _slow_work(spec):
     time.sleep(30.0)
     return "never"
-
-
-def _always_raises(spec):
-    raise ValueError(f"boom at load {spec.load}")
 
 
 def _raise_on_half(spec):
@@ -136,14 +133,20 @@ class TestExecutorIsolation:
         assert records[0].status == STATUS_TIMEOUT
         assert "budget" in records[0].error
 
-    def test_raising_worker_is_retried_then_failed_without_aborting(self):
-        records = _failed_sweep_records(
-            [tiny_spec(load=l) for l in (0.1, 0.5, 0.9)],
-            RunnerConfig(jobs=2, retries=1), _raise_on_half)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_worker_fails_once_without_aborting(self, jobs):
+        settled = []
+        with pytest.raises(SweepFailure) as caught:
+            run_sweep([tiny_spec(load=l) for l in (0.1, 0.5, 0.9)],
+                      RunnerConfig(jobs=jobs), work_fn=_raise_on_half,
+                      on_record=settled.append)
+        records = caught.value.outcome.records
+        # One record per point: the failed one settled once, not retried.
+        assert sorted(r.spec.load for r in settled) == [0.1, 0.5, 0.9]
         by_load = {r.spec.load: r for r in records}
         assert by_load[0.5].status == STATUS_FAILED
-        assert by_load[0.5].attempts == 2  # original + one retry
-        assert "boom at 0.5" in by_load[0.5].error
+        assert "ValueError: boom at 0.5" in by_load[0.5].error
+        assert "Traceback" in by_load[0.5].error
         # The sick point did not take down its neighbors.
         assert by_load[0.1].status == STATUS_OK
         assert by_load[0.9].status == STATUS_OK
@@ -154,13 +157,6 @@ class TestExecutorIsolation:
             RunnerConfig(jobs=2), _hard_crash)
         assert all(r.status == STATUS_CRASHED for r in records)
         assert "exit code 17" in records[0].error
-
-    def test_serial_mode_retries_and_records(self):
-        records = _failed_sweep_records([tiny_spec()],
-                                        RunnerConfig(jobs=1, retries=2),
-                                        _always_raises)
-        assert records[0].status == STATUS_FAILED
-        assert records[0].attempts == 3
 
 
 class TestRepeatedPoints:
@@ -200,10 +196,6 @@ class TestRunnerConfig:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             RunnerConfig(jobs=0)
 
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError, match="retries must be >= 0"):
-            RunnerConfig(jobs=2, retries=-3)
-
     def test_rejects_serial_timeout(self):
         with pytest.raises(ValueError, match="timeout needs jobs > 1"):
             RunnerConfig(jobs=1, timeout=1e-9)
@@ -224,16 +216,23 @@ class TestCache:
         changed = run_sweep([tiny_spec(load=0.3, num_flows=13)], config)
         assert changed.stats.cached == 0
 
-    def test_code_version_salt_invalidates(self, tmp_path):
+    def test_code_version_salt_invalidates(self, tmp_path, monkeypatch):
         d = [tiny_spec(load=0.3)]
-        run_sweep(d, RunnerConfig(cache_dir=tmp_path, cache_salt="v1"))
-        stale = run_sweep(d, RunnerConfig(cache_dir=tmp_path, cache_salt="v2"))
-        assert stale.stats.cached == 0
-        warm = run_sweep(d, RunnerConfig(cache_dir=tmp_path, cache_salt="v1"))
-        assert warm.stats.cached == 1
+        config = RunnerConfig(cache_dir=tmp_path)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        def sweep_under(salt):
+            monkeypatch.setattr(repro.runner.cache, "code_version_salt",
+                                lambda: salt)
+            return run_sweep(d, config)
+
+        sweep_under("v1")
+        assert sweep_under("v2").stats.cached == 0
+        assert sweep_under("v1").stats.cached == 1
+
+    def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.runner.cache, "code_version_salt",
+                            lambda: "s")
+        cache = ResultCache(tmp_path)
         h = tiny_spec().content_hash()
         path = cache.path_for(h)
         path.parent.mkdir(parents=True)

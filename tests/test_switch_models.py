@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PaseConfig
 from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
-from repro.sim.switch_models import TABLE2, get_switch_model, pase_config_for
+from repro.sim.switch_models import TABLE2, pase_config_for
 
 
 class TestTable2:
@@ -22,26 +22,22 @@ class TestTable2:
         no_ecn = [m.name for m in TABLE2.values() if not m.ecn]
         assert no_ecn == ["EX3300"]
 
-    def test_unknown_model_raises(self):
-        with pytest.raises(KeyError, match="unknown switch model"):
-            get_switch_model("nexus9000")
-
 
 class TestConfigDerivation:
     def test_queue_count_carries_over(self):
-        cfg = pase_config_for(get_switch_model("S4810"))
+        cfg = pase_config_for(TABLE2["S4810"])
         assert cfg.num_queues == 3
         assert cfg.num_data_queues == 2
 
     def test_no_ecn_disables_marking(self):
-        cfg = pase_config_for(get_switch_model("EX3300"))
+        cfg = pase_config_for(TABLE2["EX3300"])
         # Threshold == capacity means the instantaneous queue can never
         # strictly exceed it at enqueue time: no CE marks.
         assert cfg.mark_threshold_pkts == cfg.queue_capacity_pkts
 
     def test_base_config_respected(self):
         base = PaseConfig(arbitration_interval=150e-6)
-        cfg = pase_config_for(get_switch_model("G8264"), base)
+        cfg = pase_config_for(TABLE2["G8264"], base)
         assert cfg.arbitration_interval == 150e-6
         assert cfg.num_queues == 8
 
@@ -49,7 +45,7 @@ class TestConfigDerivation:
 class TestPaseOnEveryTable2Switch:
     @pytest.mark.parametrize("model_name", sorted(TABLE2))
     def test_pase_runs_and_completes(self, model_name):
-        cfg = pase_config_for(get_switch_model(model_name))
+        cfg = pase_config_for(TABLE2[model_name])
         result = run_experiment(ExperimentSpec(
             "pase", ScenarioSpec("intra-rack", {"num_hosts": 8}), 0.6,
             num_flows=50, seed=6, pase_config=cfg))
@@ -59,7 +55,7 @@ class TestPaseOnEveryTable2Switch:
         """BCM56820 (10 queues) should be at least as good as S4810 (3)."""
         results = {}
         for name in ("BCM56820", "S4810"):
-            cfg = pase_config_for(get_switch_model(name))
+            cfg = pase_config_for(TABLE2[name])
             results[name] = run_experiment(ExperimentSpec(
                 "pase", ScenarioSpec("intra-rack", {"num_hosts": 10}), 0.8,
                 num_flows=80, seed=6, pase_config=cfg))

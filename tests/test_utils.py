@@ -14,7 +14,6 @@ from repro.utils import (
     check_non_negative,
     check_positive,
     check_probability,
-    rate_to_pkts_per_sec,
     transmission_delay,
 )
 
@@ -38,14 +37,6 @@ class TestUnits:
     def test_transmission_delay_invalid_capacity(self):
         with pytest.raises(ValueError):
             transmission_delay(1500, 0)
-
-    def test_rate_to_pkts_per_sec(self):
-        # 1 Gbps of 1500 B packets ~ 83,333 pkt/s.
-        assert rate_to_pkts_per_sec(1 * GBPS, 1500) == pytest.approx(83_333.33, rel=1e-4)
-
-    def test_rate_to_pkts_invalid_size(self):
-        with pytest.raises(ValueError):
-            rate_to_pkts_per_sec(1 * GBPS, 0)
 
 
 class TestValidation:
