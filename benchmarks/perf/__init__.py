@@ -1,6 +1,6 @@
 """Performance microbenchmark suite for the simulation core.
 
-Three layers, each isolating one slice of the stack:
+Four layers, each isolating one slice of the stack:
 
 * :mod:`benchmarks.perf.bench_engine` — the bare event loop
   (events/second, no network machinery at all),
@@ -8,9 +8,12 @@ Three layers, each isolating one slice of the stack:
   (arbitrations/second on one link arbitrator at 10²–10⁴ flows, plus a
   control-plane-heavy full-stack point),
 * :mod:`benchmarks.perf.bench_switch` — the fabric datapath
-  (packets/second through a loaded switch, no transports).
+  (packets/second through a loaded switch, no transports),
+* :mod:`benchmarks.perf.bench_transport` — the end-host transport
+  chassis (ACK-clocked packets/second for one DCTCP pair through one
+  switch).
 
-``python -m benchmarks.perf`` runs all three and writes ``BENCH_sim.json``
+``python -m benchmarks.perf`` runs all four and writes ``BENCH_sim.json``
 at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v4).
 The end-to-end figure sweep is timed by ``sweepbench/``.
 """

@@ -326,9 +326,10 @@ class PaseSender(DctcpSender):
     def send_window(self) -> None:
         if not self._arbitrated and not self.flow.background:
             return  # wait for the child arbitrator's first answer
-        self._maybe_complete_promotion()
         if self._pending_queue is not None:
-            return  # hold fire until the old-priority packets drain
+            self._maybe_complete_promotion()
+            if self._pending_queue is not None:
+                return  # hold fire until the old-priority packets drain
         super().send_window()
 
     def decorate_packet(self, pkt: Packet) -> None:

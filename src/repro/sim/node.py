@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
+_ACK = PacketKind.ACK
+
 
 class Node:
     """Base class: anything with an id that can receive packets."""
@@ -87,15 +89,20 @@ class Host(Node):
     # -- datapath --------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Transmit a locally generated packet toward ``pkt.dst``."""
-        if pkt.dst == self.node_id:
+        dst = pkt.dst
+        if dst == self.node_id:
             # Same-host flows never traverse the fabric; deliver immediately.
             self.sim.post(0.0, self.receive, pkt, None)
             return True
-        return self.egress_for(pkt.dst).send(pkt)
+        # As in Switch.receive: a missing route goes through egress_for.
+        link = self.routes.get(dst)
+        if link is None:
+            link = self.egress_for(dst)
+        return link.send(pkt)
 
     def receive(self, pkt: Packet, from_link: Optional["Link"]) -> None:
         self.packets_delivered += 1
-        if pkt.kind == PacketKind.ACK:
+        if pkt.kind == _ACK:
             agent = self._senders.get(pkt.flow_id)
         else:  # DATA or PROBE terminate at the receiver agent
             agent = self._receivers.get(pkt.flow_id)

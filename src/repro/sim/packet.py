@@ -125,10 +125,8 @@ def make_data_packet(
     queue_index: int = 0,
 ) -> Packet:
     """Convenience constructor for a data packet."""
-    return Packet(
-        PacketKind.DATA, src, dst, flow_id, seq=seq, size=size,
-        priority=priority, queue_index=queue_index,
-    )
+    return Packet(PacketKind.DATA, src, dst, flow_id, seq, size, priority,
+                  queue_index)
 
 
 def make_ack_packet(data_pkt: Packet, ack_seq: int, queue_index: int = 0) -> Packet:
@@ -137,16 +135,8 @@ def make_ack_packet(data_pkt: Packet, ack_seq: int, queue_index: int = 0) -> Pac
     ACKs travel in the same priority queue as their data (so a low-priority
     flow's ACKs cannot starve high-priority data) unless overridden.
     """
-    ack = Packet(
-        PacketKind.ACK,
-        src=data_pkt.dst,
-        dst=data_pkt.src,
-        flow_id=data_pkt.flow_id,
-        seq=data_pkt.seq,
-        size=HEADER_SIZE,
-        priority=data_pkt.priority,
-        queue_index=queue_index,
-    )
+    ack = Packet(PacketKind.ACK, data_pkt.dst, data_pkt.src, data_pkt.flow_id,
+                 data_pkt.seq, HEADER_SIZE, data_pkt.priority, queue_index)
     ack.ack_seq = ack_seq
     ack.ack_sacks = data_pkt.seq
     ack.ecn_echo = data_pkt.ecn_marked

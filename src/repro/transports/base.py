@@ -21,6 +21,32 @@ Subclasses override the small hook surface at the bottom of
 ``increase_gain``, ``on_fast_retransmit``, ``on_timeout_window_update``).
 PDQ replaces the window engine with pacing but reuses the receiver and
 reliability state.
+
+Hot-path notes
+--------------
+Every protocol's packets arrive through this chassis, so a host arrival
+is the costliest event in most runs, and the per-packet methods keep
+their Python frames few.  :meth:`SenderAgent.on_packet` takes the RTT
+sample inline; :meth:`SenderAgent.send_window` computes the usable window
+inline and takes new data directly when no retransmission is queued;
+:meth:`SenderAgent._transmit` sizes the packet and stamps its remaining
+bytes inline and posts a timer only when none is armed.  The results are
+bit-identical to the method-per-step form.  Three seams stay, whatever
+they cost:
+
+* Every RTO re-arm goes through :meth:`SenderAgent._rearm_rto`.
+  ``tests/test_rearm_oracle.py`` swaps it for a cancel-and-post oracle
+  and checks that runs agree bit for bit.
+* The benchmark census (``sweepbench/census.py``) times spans by method
+  name: ``Host.send``/``receive``, ``Link.send`` and each agent class's
+  own ``on_packet``.  Folding one of them into its caller moves its time
+  to another layer.
+* Every schedule goes through ``Simulator.post``/``post_at``/``repost``,
+  which the census wraps to attribute each event to its layer.  A
+  callback pushed any other way counts as unattributed.
+
+The subclass hooks, ``_packet_size`` and ``_next_seq_to_send`` (PDQ's
+pacer uses both) stay as methods.
 """
 
 from __future__ import annotations
@@ -29,13 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from repro.sim.engine import Handle, Simulator
-from repro.sim.packet import (
-    HEADER_SIZE,
-    Packet,
-    PacketKind,
-    make_ack_packet,
-    make_data_packet,
-)
+from repro.sim.packet import HEADER_SIZE, Packet, PacketKind, make_ack_packet
 from repro.sim.trace import CAT_RETRANSMIT, CAT_TIMEOUT
 from repro.transports.flow import Flow
 from repro.utils.units import MSEC, USEC
@@ -43,6 +63,9 @@ from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.node import Host
+
+_DATA = PacketKind.DATA
+_PROBE = PacketKind.PROBE
 
 #: Callback fired by the receiver when the final data packet lands.
 CompletionCallback = Callable[[Flow], None]
@@ -98,7 +121,7 @@ class ReceiverAgent:
         return self._cum_ack
 
     def on_packet(self, pkt: Packet) -> None:
-        if pkt.kind == PacketKind.PROBE:
+        if pkt.kind == _PROBE:
             self._ack_probe(pkt)
             return
         seq = pkt.seq
@@ -218,13 +241,20 @@ class SenderAgent:
         take precedence over new data)."""
         if self.finished:
             return
-        budget = self.usable_window()
+        budget = int(self.cwnd) - len(self._inflight)
         while budget > 0:
-            item = self._next_seq_to_send()
-            if item is None:
-                break
-            seq, is_retx = item
-            self._transmit(seq, retransmit=is_retx)
+            if self._retx_queue:
+                item = self._next_seq_to_send()
+                if item is None:
+                    break
+                self._transmit(*item)
+            else:
+                # No retransmission pending: the next seq is new data.
+                seq = self.next_new
+                if seq >= self.total_pkts:
+                    break
+                self.next_new = seq + 1
+                self._transmit(seq, False)
             budget -= 1
 
     def _next_seq_to_send(self) -> Optional[tuple]:
@@ -251,24 +281,32 @@ class SenderAgent:
         return self.mtu
 
     def _transmit(self, seq: int, retransmit: bool = False) -> None:
-        pkt = make_data_packet(
-            self.host.node_id, self.flow.dst, self.flow.flow_id, seq,
-            size=self._packet_size(seq),
-        )
-        pkt.sent_time = self.sim.now
+        flow = self.flow
+        mtu = self.mtu
+        size_bytes = flow.size_bytes
+        # _packet_size and remaining_bytes, inline.
+        size = mtu
+        if seq == self.total_pkts - 1:
+            size = max(HEADER_SIZE, size_bytes - seq * mtu)
+        remaining = size_bytes - self.cum_ack * mtu
+        sim = self.sim
+        pkt = Packet(_DATA, self.host.node_id, flow.dst, flow.flow_id, seq,
+                     size)
+        pkt.sent_time = sim.now
         pkt.is_retransmit = retransmit
-        pkt.deadline = self.flow.absolute_deadline
-        pkt.remaining_bytes = self.remaining_bytes
+        pkt.deadline = flow.absolute_deadline
+        pkt.remaining_bytes = remaining if remaining > 0 else 0
         self.decorate_packet(pkt)
         self._inflight.add(seq)
-        self.flow.pkts_sent += 1
-        if pkt.is_retransmit:
-            self.flow.retransmissions += 1
-            if self.sim.tracer is not None:
-                self.sim.tracer.record(self.sim.now, CAT_RETRANSMIT,
-                                       self.flow.flow_id, seq=seq)
+        flow.pkts_sent += 1
+        if retransmit:
+            flow.retransmissions += 1
+            if sim.tracer is not None:
+                sim.tracer.record(sim.now, CAT_RETRANSMIT, flow.flow_id,
+                                  seq=seq)
         self.host.send(pkt)
-        self._arm_rto()
+        if self._rto_event is None:
+            self._arm_rto()
 
     def _send_probe(self) -> Packet:
         """Send a header-only probe for the first unacked packet, stamped
@@ -307,7 +345,15 @@ class SenderAgent:
             self.pkts_acked += 1
             newly_acked = True
             if not ack.is_retransmit:
-                self._update_rtt(ack)
+                # RTT sample (Karn's rule: never from a retransmission).
+                sample = self.sim.now - ack.sent_time
+                if sample > 0:
+                    low = self._rtt_min_sample
+                    if low is None or sample < low:
+                        self._rtt_min_sample = sample
+                    delta = sample - self.srtt
+                    self.srtt += 0.125 * delta
+                    self.rttvar += 0.25 * (abs(delta) - self.rttvar)
         self._inflight.discard(sack)
 
         while cum_ack in sacked:
@@ -343,16 +389,6 @@ class SenderAgent:
             self._retx_queue.insert(0, seq)
         self.on_fast_retransmit()
         self.send_window()
-
-    def _update_rtt(self, ack: Packet) -> None:
-        sample = self.sim.now - ack.sent_time
-        if sample <= 0:
-            return
-        if self._rtt_min_sample is None or sample < self._rtt_min_sample:
-            self._rtt_min_sample = sample
-        delta = sample - self.srtt
-        self.srtt += 0.125 * delta
-        self.rttvar += 0.25 * (abs(delta) - self.rttvar)
 
     @property
     def base_rtt(self) -> float:

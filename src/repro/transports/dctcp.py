@@ -74,18 +74,14 @@ class DctcpSender(SenderAgent):
     def on_ack_window_update(self, ack: Packet, newly_acked: bool) -> None:
         if not newly_acked:
             return
-        self.estimator.observe(ack.ecn_echo, self.cwnd)
-        if ack.ecn_echo and self._may_reduce():
+        marked = ack.ecn_echo
+        self.estimator.observe(marked, self.cwnd)
+        # One multiplicative decrease per window of data.
+        if marked and self.cum_ack > self._last_reduction_seq:
+            self._last_reduction_seq = self.next_new
             self._apply_mark_reduction()
         else:
             self._increase_window()
-
-    def _may_reduce(self) -> bool:
-        """Allow one multiplicative decrease per window of data."""
-        if self.cum_ack > self._last_reduction_seq:
-            self._last_reduction_seq = self.next_new
-            return True
-        return False
 
     def _apply_mark_reduction(self) -> None:
         self.cwnd = max(1.0, self.cwnd * (1 - self.backoff_factor() / 2))

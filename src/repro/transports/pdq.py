@@ -28,7 +28,8 @@ flows probe once per base RTT, and a scheduler entry not refreshed within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from repro.sim.engine import Handle
 from repro.sim.link import Link
@@ -49,20 +50,22 @@ EARLY_START_RTTS = 0.5
 #: flow-switching cost §2.1 dwells on).
 PROBE_RANK_CAP = 8
 
+_INF = float("inf")
+
 
 @dataclass
 class _FlowEntry:
     flow_id: int
     remaining_bytes: int
-    deadline: Optional[float]
     last_seen: float
+    #: Scheduling order, replaced whenever a packet refreshes the entry:
+    #: EDF first (None deadlines sort last), then SJF, then flow id, so
+    #: the order is total.
+    key: Tuple[float, int, int]
     granted: float = 0.0
 
-    def priority_key(self):
-        # EDF first (None deadlines sort last), then SJF, then flow id for
-        # determinism.
-        deadline = self.deadline if self.deadline is not None else float("inf")
-        return (deadline, self.remaining_bytes, self.flow_id)
+
+_BY_KEY = attrgetter("key")
 
 
 class PdqLinkScheduler:
@@ -86,15 +89,19 @@ class PdqLinkScheduler:
             self.flows.pop(pkt.flow_id, None)
             pkt.pdq_rate = min(pkt.pdq_rate, link.capacity_bps)
             return
-        entry = self.flows.get(pkt.flow_id)
+        flow_id = pkt.flow_id
+        remaining = pkt.remaining_bytes
+        deadline = pkt.deadline
+        key = (_INF if deadline is None else deadline, remaining, flow_id)
+        entry = self.flows.get(flow_id)
         if entry is None:
-            entry = _FlowEntry(pkt.flow_id, pkt.remaining_bytes, pkt.deadline, now)
-            self.flows[pkt.flow_id] = entry
+            entry = _FlowEntry(flow_id, remaining, now, key)
+            self.flows[flow_id] = entry
             if now < self._oldest:
                 self._oldest = now
         else:
-            entry.remaining_bytes = pkt.remaining_bytes
-            entry.deadline = pkt.deadline
+            entry.remaining_bytes = remaining
+            entry.key = key
             entry.last_seen = now
         self._expire(now)
         rank = self._allocate(entry)
@@ -124,7 +131,7 @@ class PdqLinkScheduler:
         Returns ``current``'s position in that order (0 = head)."""
         residual = self.link.capacity_bps
         early_window = EARLY_START_RTTS * self.config.initial_rtt
-        ordered = sorted(self.flows.values(), key=_FlowEntry.priority_key)
+        ordered = sorted(self.flows.values(), key=_BY_KEY)
         rank = len(ordered)
         for i, entry in enumerate(ordered):
             if entry is current:
