@@ -1,7 +1,7 @@
 """Protocol bindings: everything the experiment runner needs to run one
 protocol on one scenario — the switch queue discipline, any network-side
-machinery (PDQ's link schedulers, PASE's control plane), and the per-flow
-sender constructor.  Every flow's receiver is a plain
+machinery (PDQ's and D3's per-link rate allocators, PASE's control plane),
+and the per-flow sender constructor.  Every flow's receiver is a plain
 :class:`~repro.transports.base.ReceiverAgent`.
 
 Registered names (the keys of :data:`PROTOCOLS`):
@@ -27,18 +27,17 @@ from repro.sim.network import QueueFactory
 from repro.sim.queues import PFabricQueue, REDQueue
 from repro.sim.topology import Topology, default_queue_factory
 from repro.transports import (
-    D3Sender,
     D2tcpSender,
+    D3LinkAllocator,
     DctcpSender,
     Flow,
     L2dctSender,
+    PdqLinkScheduler,
     PdqSender,
     PfabricConfig,
     PfabricSender,
     TcpSender,
     TransportConfig,
-    install_d3_allocators,
-    install_pdq_schedulers,
 )
 from repro.utils.units import bytes_to_bits
 
@@ -113,8 +112,11 @@ class L2dctBinding(DctcpBinding):
 
 
 class PdqBinding(ProtocolBinding):
+    """The explicit-rate chassis: :class:`PdqSender` over one
+    ``allocator_cls`` per link."""
+
     sender_cls = PdqSender
-    install = staticmethod(install_pdq_schedulers)
+    allocator_cls = PdqLinkScheduler
 
     def queue_factory(self) -> QueueFactory:
         # Explicit rates keep queues near-empty; the small buffer is what
@@ -123,14 +125,13 @@ class PdqBinding(ProtocolBinding):
         return lambda: REDQueue(capacity_pkts=capacity, mark_threshold_pkts=capacity)
 
     def setup_network(self, sim: Simulator, topology: Topology) -> None:
-        self.install(topology.network, self.config)
+        self.allocator_cls.install(topology.network, self.config)
 
 
 class D3Binding(PdqBinding):
     """PDQ's chassis with D3's first-come-first-served rate allocators."""
 
-    sender_cls = D3Sender
-    install = staticmethod(install_d3_allocators)
+    allocator_cls = D3LinkAllocator
 
     def queue_factory(self) -> QueueFactory:
         return _unmarked_red

@@ -47,7 +47,6 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.production import web_search_sizes
 from repro.workloads.patterns import (
-    AllToAllIntraRack,
     IncastAllToAll,
     IntraRackRandom,
     LeftRight,
@@ -138,8 +137,6 @@ def all_to_all_intra_rack(
         return StarTopology(sim, num_hosts, link_bps, rtt, queue_factory)
 
     def pattern(topo: Topology) -> TrafficPattern:
-        if fanin == 1:
-            return AllToAllIntraRack(topo.host_ids(), link_bps)
         return IncastAllToAll(topo.host_ids(), link_bps, fanin=fanin)
 
     return Scenario(

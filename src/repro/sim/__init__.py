@@ -6,8 +6,8 @@ Layering, bottom up:
 * :mod:`~repro.sim.packet` — packet model,
 * :mod:`~repro.sim.queues` — egress queue disciplines (DropTail, DCTCP-RED,
   strict-priority bank, pFabric priority-drop),
-* :mod:`~repro.sim.link` — store-and-forward links with pluggable per-packet
-  processors,
+* :mod:`~repro.sim.link` — store-and-forward links with an optional
+  explicit-rate allocator (PDQ, D3) that sees DATA and PROBE packets,
 * :mod:`~repro.sim.node` — hosts (transport demux) and switches (forwarding),
 * :mod:`~repro.sim.network` — wiring + BFS routing,
 * :mod:`~repro.sim.topology` — the paper's star and three-tier tree shapes.

@@ -5,9 +5,10 @@ Packets are serialized at the link capacity (transmission delay) and then
 delivered to the downstream node after the propagation delay.  A duplex cable
 is simply two ``Link`` objects.
 
-Optional per-packet *processors* run when a packet is offered to the link —
-this is how PDQ's in-switch rate controller observes and stamps packet
-headers without the core simulator knowing anything about PDQ.
+An optional per-link *allocator* sees every DATA and PROBE packet offered
+to the link (ACKs skip it) — this is how the explicit-rate switches of PDQ
+and D3 (:class:`~repro.transports.pdq.RateAllocator`) observe and stamp
+rate headers without the core simulator knowing anything about them.
 
 Hot-path notes
 --------------
@@ -47,7 +48,7 @@ actually drops (and is evaluated once, inside the hook).
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.packet import Packet
 from repro.sim.queues import (DropTailQueue, PFabricQueue, PriorityQueueBank,
@@ -58,6 +59,7 @@ from repro.utils.validation import check_non_negative, check_positive
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Handle, Simulator
     from repro.sim.node import Node
+    from repro.transports.pdq import RateAllocator
 
 #: Disciplines whose ``enqueue`` accepts, unmarked, any packet offered to an
 #: empty queue once capacity and marking threshold are positive.  Matched
@@ -73,12 +75,6 @@ def _accepts_into_empty(queue: QueueDiscipline) -> bool:
     return (type(queue) in _CUT_THROUGH_TYPES
             and queue.capacity_pkts >= 1
             and getattr(queue, "mark_threshold_pkts", 1) >= 1)
-
-
-class LinkProcessor(Protocol):
-    """Hook interface invoked for every packet offered to a link."""
-
-    def process(self, pkt: Packet, link: "Link") -> None: ...
 
 
 class Link:
@@ -106,7 +102,9 @@ class Link:
         #: offered to a down link are lost (counted in ``down_drops``);
         #: the packet being serialized when the link dies is corrupted.
         self.up = True
-        self.processors: List[LinkProcessor] = []
+        #: Explicit-rate allocator (PDQ, D3): its ``process(pkt, link)``
+        #: runs for every DATA and PROBE packet offered to the link.
+        self.allocator: Optional["RateAllocator"] = None
         #: When the last started frame's final bit leaves the line (it is
         #: on the wire until then; see :attr:`busy` for the exact instant).
         self.busy_until: float = float("-inf")
@@ -174,9 +172,8 @@ class Link:
         Returns ``False`` if the queue discipline dropped it.  Transmission
         starts immediately when the line is idle.
         """
-        if self.processors:
-            for proc in self.processors:
-                proc.process(pkt, self)
+        if self.allocator is not None and pkt.kind != 1:  # not an ACK
+            self.allocator.process(pkt, self)
         if pkt.kind == 0:  # PacketKind.DATA — avoid enum lookup in hot path
             self.data_pkts_offered += 1
         if not self.up:

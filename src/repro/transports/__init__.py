@@ -7,10 +7,14 @@ chassis in :mod:`repro.transports.base`):
 * :mod:`~repro.transports.dctcp` — DCTCP (self-adjusting endpoints),
 * :mod:`~repro.transports.d2tcp` — deadline-aware DCTCP,
 * :mod:`~repro.transports.l2dct` — size-aware DCTCP,
-* :mod:`~repro.transports.pdq` — explicit-rate arbitration,
+* :mod:`~repro.transports.pdq` — explicit-rate arbitration (preemptive),
+* :mod:`~repro.transports.d3` — explicit-rate arbitration (greedy FCFS),
 * :mod:`~repro.transports.pfabric` — in-network prioritization.
 
-PASE itself lives in :mod:`repro.core`.
+PASE itself lives in :mod:`repro.core`.  PDQ and D3 share one sender
+(:class:`~repro.transports.pdq.PdqSender`) and one per-link table
+(:class:`~repro.transports.pdq.RateAllocator`, installed with
+``install``); only their allocation rule differs.
 
 Every sender takes one :class:`~repro.transports.base.TransportConfig`
 (four values: ``init_cwnd``, ``min_rto``, ``max_rto``, ``initial_rtt``);
@@ -24,11 +28,7 @@ from repro.transports.base import (
     SenderAgent,
     TransportConfig,
 )
-from repro.transports.d3 import (
-    D3LinkAllocator,
-    D3Sender,
-    install_d3_allocators,
-)
+from repro.transports.d3 import D3LinkAllocator
 from repro.transports.dctcp import DctcpSender
 from repro.transports.d2tcp import D2tcpSender
 from repro.transports.flow import Flow
@@ -36,7 +36,6 @@ from repro.transports.l2dct import L2dctSender
 from repro.transports.pdq import (
     PdqLinkScheduler,
     PdqSender,
-    install_pdq_schedulers,
 )
 from repro.transports.pfabric import (
     PfabricConfig,
@@ -52,14 +51,11 @@ __all__ = [
     "TransportConfig",
     "TcpSender",
     "D3LinkAllocator",
-    "D3Sender",
-    "install_d3_allocators",
     "DctcpSender",
     "D2tcpSender",
     "L2dctSender",
     "PdqLinkScheduler",
     "PdqSender",
-    "install_pdq_schedulers",
     "PfabricConfig",
     "PfabricSender",
     "pfabric_queue_factory",

@@ -174,6 +174,9 @@ class SenderAgent:
         self.on_done = on_done
         self.total_pkts = flow.total_pkts
         self.mtu = flow.mtu
+        #: Stamped on every data packet and probe; a flow's deadline and
+        #: start time are fixed before its sender exists.
+        self.absolute_deadline = flow.absolute_deadline
 
         # -- window state ------------------------------------------------
         self.cwnd: float = self.config.init_cwnd
@@ -294,7 +297,7 @@ class SenderAgent:
                      size)
         pkt.sent_time = sim.now
         pkt.is_retransmit = retransmit
-        pkt.deadline = flow.absolute_deadline
+        pkt.deadline = self.absolute_deadline
         pkt.remaining_bytes = remaining if remaining > 0 else 0
         self.decorate_packet(pkt)
         self._inflight.add(seq)
@@ -318,7 +321,7 @@ class SenderAgent:
             size=HEADER_SIZE,
         )
         probe.sent_time = self.sim.now
-        probe.deadline = self.flow.absolute_deadline
+        probe.deadline = self.absolute_deadline
         probe.remaining_bytes = self.remaining_bytes
         self.decorate_packet(probe)
         self.flow.probes_sent += 1

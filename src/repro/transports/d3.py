@@ -12,19 +12,23 @@ FCFS order: a request that arrives *earlier* is satisfied even when a
 later, more urgent flow then cannot reserve what its deadline needs —
 allocation order, not deadline order, decides contention.
 
-The in-band plumbing (rate field stamped min-wise per hop, echoed on ACKs,
-paced sender) is shared with the PDQ rebuild.
+Only the allocation rule is D3's own.  The rest is PDQ's explicit-rate
+chassis (:mod:`repro.transports.pdq`): flows run
+:class:`~repro.transports.pdq.PdqSender`, and :class:`D3LinkAllocator`
+inherits the per-link flow table, its expiry and ``install`` from
+:class:`~repro.transports.pdq.RateAllocator`.  A D3 grant never falls below
+``BASE_RATE_BPS`` and never sets the pause flag, so a D3 flow probes once
+to learn its first grant and then streams at the rate each ACK echoes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.link import Link
-from repro.sim.packet import Packet, PacketKind
-from repro.transports.base import TransportConfig
-from repro.transports.pdq import ENTRY_TIMEOUT_RTTS, PdqSender
+from repro.sim.packet import Packet
+from repro.transports.pdq import RateAllocator
 from repro.utils.units import bytes_to_bits
 
 #: Floor on every flow's grant (the fair share of leftover capacity is
@@ -40,7 +44,7 @@ class _Reservation:
     last_seen: float
 
 
-class D3LinkAllocator:
+class D3LinkAllocator(RateAllocator):
     """Per-link greedy rate allocator (switch side).
 
     Reservations are renewed by each passing request and expire when a
@@ -49,19 +53,15 @@ class D3LinkAllocator:
     holds if capacity allows; new requests get what is left.
     """
 
-    def __init__(self, link: Link, config: Optional[TransportConfig] = None) -> None:
-        self.link = link
-        self.config = config or TransportConfig()
-        self.reservations: Dict[int, _Reservation] = {}
+    flows: Dict[int, _Reservation]
 
-    # -- LinkProcessor interface -----------------------------------------
     def process(self, pkt: Packet, link: Link) -> None:
-        if pkt.kind not in (PacketKind.DATA, PacketKind.PROBE):
-            return
+        # Expire before the update: a flow renewing a stale reservation is
+        # re-inserted at the end of the table (sums run in table order).
         now = link.sim.now
         self._expire(now)
         if pkt.remaining_bytes <= 0:
-            self.reservations.pop(pkt.flow_id, None)
+            self.flows.pop(pkt.flow_id, None)
             return
         desired = self._desired_rate(pkt, now)
         granted = self._allocate(pkt.flow_id, desired, now)
@@ -74,46 +74,16 @@ class D3LinkAllocator:
 
     def _allocate(self, flow_id: int, desired: float, now: float) -> float:
         capacity = self.link.capacity_bps
-        others = sum(r.rate for fid, r in self.reservations.items()
+        others = sum(r.rate for fid, r in self.flows.items()
                      if fid != flow_id)
         available = max(0.0, capacity - others)
         reserved = min(desired, available)
-        self.reservations[flow_id] = _Reservation(flow_id, reserved, now)
+        self.flows[flow_id] = _Reservation(flow_id, reserved, now)
+        if now < self._oldest:
+            self._oldest = now
         # Fair share of the leftover goes on top (D3's "fs" term), floored
         # by the base rate so nobody fully stalls.
-        num_flows = max(1, len(self.reservations))
+        num_flows = max(1, len(self.flows))
         leftover = max(0.0, capacity - others - reserved)
         grant = reserved + max(BASE_RATE_BPS, leftover / num_flows)
         return min(grant, capacity)
-
-    def _expire(self, now: float) -> None:
-        timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
-        dead = [fid for fid, r in self.reservations.items()
-                if now - r.last_seen > timeout]
-        for fid in dead:
-            del self.reservations[fid]
-
-
-def install_d3_allocators(network, config: Optional[TransportConfig] = None) -> Dict[str, D3LinkAllocator]:
-    """Attach a :class:`D3LinkAllocator` to every link in ``network``."""
-    allocators: Dict[str, D3LinkAllocator] = {}
-    for link in network.links.values():
-        alloc = D3LinkAllocator(link, config)
-        link.processors.append(alloc)
-        allocators[link.name] = alloc
-    return allocators
-
-
-class D3Sender(PdqSender):
-    """Paced sender driven by D3 grants.
-
-    Identical chassis to PDQ's sender; D3 grants are never zero (base rate
-    floor), so the pause/probe machinery effectively idles and the flow
-    simply tracks its granted rate each RTT.
-    """
-
-    def _apply_grant(self, rate: float, paused_flag: bool) -> None:
-        # D3 has no pause semantics; a grant is always positive.
-        if rate == float("inf"):
-            return
-        super()._apply_grant(max(rate, 1e3), False)

@@ -1,13 +1,20 @@
-"""PDQ (Hong et al., SIGCOMM 2012): distributed explicit-rate arbitration.
+"""PDQ (Hong et al., SIGCOMM 2012): distributed explicit-rate arbitration,
+and the explicit-rate chassis it shares with D3 (:mod:`repro.transports.d3`).
 
 The arbitration-only baseline.  Every link runs a :class:`PdqLinkScheduler`
-(installed as a :class:`~repro.sim.link.LinkProcessor`) that keeps a table of
+(the link's :attr:`~repro.sim.link.Link.allocator`) that keeps a table of
 active flows and allocates the link preemptively to the highest-priority
 flows — earliest deadline first, then shortest remaining size.  Data and
 probe packets carry a rate header; each hop stamps ``min(header, my_grant)``
 and the receiver echoes the result in the ACK.  Senders pace at the granted
 rate; paused flows (grant = 0) keep a probe circulating once per RTT so they
 learn promptly when the bottleneck frees up.
+
+The paper's Table 1 puts PDQ and D3 in one strategy — arbitration by
+explicit rates, carried in-band — and they differ only in the allocation
+rule.  So they share one sender (:class:`PdqSender`), one per-link flow
+table with its expiry and installer (:class:`RateAllocator`), and one link
+seam (the link hands its allocator DATA and PROBE packets; ACKs skip it).
 
 The paper's critique — 1–2 RTTs of *flow switching overhead* every time the
 bottleneck hands over from one flow to the next — emerges naturally: the
@@ -21,7 +28,7 @@ further it sits from the head of the line).  PDQ's Early Termination is
 not modelled here; PASE's own version lives in :mod:`repro.core.endhost`.
 
 Every timescale derives from one base RTT, ``config.initial_rtt``: paused
-flows probe once per base RTT, and a scheduler entry not refreshed within
+flows probe once per base RTT, and a table entry not refreshed within
 ``ENTRY_TIMEOUT_RTTS`` base RTTs is presumed dead.
 """
 
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.engine import Handle
 from repro.sim.link import Link
@@ -37,8 +44,8 @@ from repro.sim.packet import HEADER_SIZE, Packet, PacketKind
 from repro.transports.base import SenderAgent, TransportConfig
 from repro.utils.units import bytes_to_bits
 
-#: Scheduler entries not refreshed within this many base RTTs are presumed
-#: dead (D3's allocators use the same rule).
+#: Table entries not refreshed within this many base RTTs are presumed dead
+#: (PDQ and D3 alike).
 ENTRY_TIMEOUT_RTTS = 10
 #: Early Start: also grant the flow behind the head when the head will
 #: finish within this many base RTTs.  PDQ proposes ~K RTTs of overlap; too
@@ -68,21 +75,53 @@ class _FlowEntry:
 _BY_KEY = attrgetter("key")
 
 
-class PdqLinkScheduler:
-    """Per-link flow table + preemptive rate allocator (switch side)."""
+class RateAllocator:
+    """Per-link flow table of an explicit-rate switch (PDQ, D3).
+
+    The link calls :meth:`process` for every DATA and PROBE packet offered
+    to it; a subclass applies its allocation rule there and stamps the
+    packet's rate header.  Entries are keyed by flow id and carry a
+    ``last_seen`` time; :meth:`_expire` drops those silent for
+    ``ENTRY_TIMEOUT_RTTS`` base RTTs.  Where a subclass expires relative to
+    its update decides the table's order, so each keeps its own.
+    """
 
     def __init__(self, link: Link, config: Optional[TransportConfig] = None) -> None:
         self.link = link
         self.config = config or TransportConfig()
-        self.flows: Dict[int, _FlowEntry] = {}
+        self.flows: Dict[int, Any] = {}
         #: Lower bound on every entry's ``last_seen``: no entry can have
         #: timed out while ``now - _oldest`` is within the timeout.
-        self._oldest = float("inf")
+        #: Subclasses lower it when they insert an entry.
+        self._oldest = _INF
 
-    # -- LinkProcessor interface -----------------------------------------
+    @classmethod
+    def install(cls, network, config: Optional[TransportConfig] = None) -> None:
+        """Make one allocator the :attr:`~repro.sim.link.Link.allocator` of
+        every link in ``network``."""
+        for link in network.links.values():
+            link.allocator = cls(link, config)
+
     def process(self, pkt: Packet, link: Link) -> None:
-        if pkt.kind not in (PacketKind.DATA, PacketKind.PROBE):
+        raise NotImplementedError
+
+    def _expire(self, now: float) -> None:
+        timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
+        if now - self._oldest <= timeout:
             return
+        dead = [fid for fid, e in self.flows.items() if now - e.last_seen > timeout]
+        for fid in dead:
+            del self.flows[fid]
+        self._oldest = min((e.last_seen for e in self.flows.values()),
+                           default=_INF)
+
+
+class PdqLinkScheduler(RateAllocator):
+    """Preemptive rate allocator (switch side): EDF, then SJF."""
+
+    flows: Dict[int, _FlowEntry]
+
+    def process(self, pkt: Packet, link: Link) -> None:
         now = link.sim.now
         if pkt.remaining_bytes <= 0:
             # FIN: the sender has nothing left; free the slot immediately.
@@ -115,16 +154,6 @@ class PdqLinkScheduler:
             pkt.pdq_rank = rank
 
     # -- internals ---------------------------------------------------------
-    def _expire(self, now: float) -> None:
-        timeout = ENTRY_TIMEOUT_RTTS * self.config.initial_rtt
-        if now - self._oldest <= timeout:
-            return
-        dead = [fid for fid, e in self.flows.items() if now - e.last_seen > timeout]
-        for fid in dead:
-            del self.flows[fid]
-        self._oldest = min((e.last_seen for e in self.flows.values()),
-                           default=float("inf"))
-
     def _allocate(self, current: _FlowEntry) -> int:
         """Preemptive allocation: capacity goes to flows in priority order;
         Early Start lets the runner-up stream while the head drains.
@@ -150,20 +179,8 @@ class PdqLinkScheduler:
         return rank
 
 
-def install_pdq_schedulers(network, config: Optional[TransportConfig] = None) -> Dict[str, PdqLinkScheduler]:
-    """Attach a :class:`PdqLinkScheduler` to every link in ``network``.
-
-    Returns the schedulers keyed by link name (useful in tests)."""
-    schedulers: Dict[str, PdqLinkScheduler] = {}
-    for link in network.links.values():
-        sched = PdqLinkScheduler(link, config)
-        link.processors.append(sched)
-        schedulers[link.name] = sched
-    return schedulers
-
-
 class PdqSender(SenderAgent):
-    """Rate-paced sender driven by in-band grants."""
+    """Rate-paced sender driven by in-band grants (PDQ's and D3's)."""
 
     def __init__(self, sim, host, flow,
                  config: Optional[TransportConfig] = None, on_done=None):

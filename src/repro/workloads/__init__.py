@@ -16,7 +16,6 @@ from repro.workloads.generator import (
     generate_workload,
 )
 from repro.workloads.patterns import (
-    AllToAllIntraRack,
     IncastAllToAll,
     IntraRackRandom,
     LeftRight,
@@ -35,7 +34,6 @@ __all__ = [
     "BACKGROUND_FLOW_BYTES",
     "WorkloadConfig",
     "generate_workload",
-    "AllToAllIntraRack",
     "IncastAllToAll",
     "IntraRackRandom",
     "LeftRight",

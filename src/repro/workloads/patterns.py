@@ -8,8 +8,9 @@ load is normalized, so ``arrival_rate = load * basis / mean_flow_bits``:
   the basis is the sum of access-link capacities, making ``load`` the
   average utilization of each access link (the convention in DCTCP/D2TCP
   style intra-rack experiments).
-* :class:`AllToAllIntraRack` — the worker/aggregator fan-in of §2.1/§4.2.2:
-  aggregators are picked round-robin, workers uniformly among the rest.
+* :class:`IncastAllToAll` — the worker/aggregator fan-in of §2.1/§4.2.2:
+  aggregators are picked round-robin, ``fanin`` workers uniformly among the
+  rest answer each one at once.
 * :class:`LeftRight` — all sources in the left subtree of the core, all
   destinations in the right (§4.2.1); the basis is the capacity of the
   aggregation-core uplink those flows squeeze through.
@@ -67,28 +68,6 @@ class IntraRackRandom(TrafficPattern):
         return self.link_bps * len(self.host_ids)
 
 
-class AllToAllIntraRack(TrafficPattern):
-    """Worker -> aggregator fan-in with round-robin aggregators."""
-
-    def __init__(self, host_ids: Sequence[int], link_bps: float) -> None:
-        if len(host_ids) < 2:
-            raise ValueError("need at least two hosts")
-        check_positive("link_bps", link_bps)
-        self.host_ids = list(host_ids)
-        self.link_bps = link_bps
-        self._next_aggregator = 0
-
-    def pair(self, rng: random.Random) -> Tuple[int, int]:
-        dst = self.host_ids[self._next_aggregator]
-        self._next_aggregator = (self._next_aggregator + 1) % len(self.host_ids)
-        others = [h for h in self.host_ids if h != dst]
-        return rng.choice(others), dst
-
-    @property
-    def capacity_basis_bps(self) -> float:
-        return self.link_bps * len(self.host_ids)
-
-
 class IncastAllToAll(TrafficPattern):
     """Partition-aggregate incast: each query picks the next aggregator
     round-robin and ``fanin`` random workers answer it *simultaneously* —
@@ -111,15 +90,21 @@ class IncastAllToAll(TrafficPattern):
         self.fanin = max_fanin if fanin <= 0 else min(fanin, max_fanin)
         self._next_aggregator = 0
 
-    def pair(self, rng: random.Random) -> Tuple[int, int]:
-        raise NotImplementedError("IncastAllToAll only generates bursts")
-
-    def burst(self, rng: random.Random) -> List[Tuple[int, int]]:
+    def _next_workers(self) -> Tuple[List[int], int]:
+        """The next round-robin aggregator and the hosts that can answer it."""
         aggregator = self.host_ids[self._next_aggregator]
         self._next_aggregator = (self._next_aggregator + 1) % len(self.host_ids)
-        workers = [h for h in self.host_ids if h != aggregator]
-        chosen = rng.sample(workers, self.fanin)
-        return [(worker, aggregator) for worker in chosen]
+        return [h for h in self.host_ids if h != aggregator], aggregator
+
+    def pair(self, rng: random.Random) -> Tuple[int, int]:
+        """One worker for the next aggregator (background flows)."""
+        workers, aggregator = self._next_workers()
+        return rng.choice(workers), aggregator
+
+    def burst(self, rng: random.Random) -> List[Tuple[int, int]]:
+        workers, aggregator = self._next_workers()
+        return [(worker, aggregator)
+                for worker in rng.sample(workers, self.fanin)]
 
     @property
     def flows_per_arrival(self) -> int:

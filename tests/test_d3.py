@@ -9,11 +9,10 @@ from repro.sim.packet import make_data_packet
 from repro.sim.queues import DropTailQueue
 from repro.transports import (
     D3LinkAllocator,
-    D3Sender,
     Flow,
+    PdqSender,
     ReceiverAgent,
     TransportConfig,
-    install_d3_allocators,
 )
 from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.utils.units import GBPS, KB, MSEC, USEC
@@ -57,7 +56,7 @@ class TestAllocator:
         alloc.process(relaxed, link)
         urgent = request(2, 900 * KB, deadline=0.0075)   # needs 960 Mbps
         alloc.process(urgent, link)
-        granted_urgent = alloc.reservations[2].rate
+        granted_urgent = alloc.flows[2].rate
         assert granted_urgent < 960e6 * 0.5  # cannot reserve what it needs
 
     def test_reservations_capped_at_capacity(self):
@@ -66,15 +65,15 @@ class TestAllocator:
             p = request(fid, 900 * KB, deadline=0.008)
             alloc.process(p, link)
             assert p.pdq_rate <= 1 * GBPS + 1
-        total = sum(r.rate for r in alloc.reservations.values())
+        total = sum(r.rate for r in alloc.flows.values())
         assert total <= 1 * GBPS * 1.001
 
     def test_fin_clears_reservation(self):
         sim, link, alloc = make_allocator()
         alloc.process(request(1, 500 * KB, deadline=0.01), link)
-        assert 1 in alloc.reservations
+        assert 1 in alloc.flows
         alloc.process(request(1, 0), link)
-        assert 1 not in alloc.reservations
+        assert 1 not in alloc.flows
 
     def test_expiry(self):
         sim, link, alloc = make_allocator()  # expires after 10 RTTs = 1 ms
@@ -82,13 +81,13 @@ class TestAllocator:
         sim.schedule(0.01, lambda: None)
         sim.run()
         alloc.process(request(2, 100 * KB, deadline=0.02), link)
-        assert 1 not in alloc.reservations
+        assert 1 not in alloc.flows
 
     def test_expired_deadline_treated_as_best_effort(self):
         sim, link, alloc = make_allocator()
         p = request(1, 500 * KB, deadline=-1.0)
         alloc.process(p, link)
-        assert alloc.reservations[1].rate == 0.0
+        assert alloc.flows[1].rate == 0.0
 
 
 class TestD3EndToEnd:
@@ -96,12 +95,12 @@ class TestD3EndToEnd:
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, rtt=100 * USEC)
         cfg = TransportConfig(initial_rtt=100 * USEC)
-        install_d3_allocators(topo.network, cfg)
+        D3LinkAllocator.install(topo.network, cfg)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=200 * KB,
                     start_time=0.0, deadline=10 * MSEC)
         ReceiverAgent(sim, topo.hosts[1], flow)
-        D3Sender(sim, topo.hosts[0], flow, cfg).start()
+        PdqSender(sim, topo.hosts[0], flow, cfg).start()
         sim.run(until=0.1)
         assert flow.met_deadline
 
@@ -109,14 +108,14 @@ class TestD3EndToEnd:
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=4, rtt=100 * USEC)
         cfg = TransportConfig(initial_rtt=100 * USEC)
-        install_d3_allocators(topo.network, cfg)
+        D3LinkAllocator.install(topo.network, cfg)
         flows = []
         for i in range(3):
             f = Flow(flow_id=i + 1, src=topo.hosts[i].node_id,
                      dst=topo.hosts[3].node_id, size_bytes=300 * KB,
                      start_time=0.0, deadline=30 * MSEC)
             ReceiverAgent(sim, topo.hosts[3], f)
-            D3Sender(sim, topo.hosts[i], f, cfg).start()
+            PdqSender(sim, topo.hosts[i], f, cfg).start()
             flows.append(f)
         sim.run(until=0.2)
         assert all(f.completed for f in flows)

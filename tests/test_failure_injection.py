@@ -25,8 +25,8 @@ from repro.transports import (
     Flow,
     PdqSender,
     ReceiverAgent,
+    PdqLinkScheduler,
     TransportConfig,
-    install_pdq_schedulers,
 )
 from repro.utils.units import GBPS, KB, MSEC, USEC
 
@@ -136,7 +136,7 @@ class TestPdqUnderLoss:
         sim = Simulator()
         topo = lossy_star(sim, 3, 0.02)
         cfg = TransportConfig(initial_rtt=100 * USEC)
-        install_pdq_schedulers(topo.network, cfg)
+        PdqLinkScheduler.install(topo.network, cfg)
         flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
                     dst=topo.hosts[1].node_id, size_bytes=100 * KB,
                     start_time=0.0)

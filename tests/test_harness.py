@@ -75,6 +75,14 @@ class TestRunExperiment:
             "pfabric", ScenarioSpec("all-to-all", {"num_hosts": 6}), **SMALL))
         assert result.stats.completion_fraction == 1.0
 
+    def test_all_to_all_with_background_flow_runs(self):
+        # Background flows draw single pairs from the incast pattern.
+        result = run_experiment(ExperimentSpec(
+            "dctcp", ScenarioSpec("all-to-all", {"num_hosts": 6,
+                                                 "num_background_flows": 1}),
+            **SMALL))
+        assert result.stats.completion_fraction == 1.0
+
     def test_testbed_scenario(self):
         result = run_experiment(ExperimentSpec(
             "dctcp", ScenarioSpec("testbed", {"num_hosts": 5}),

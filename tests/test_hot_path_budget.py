@@ -1,15 +1,17 @@
-"""Python calls per engine event on two pinned points.
+"""Python calls per engine event on four pinned points.
 
 A packet arriving at a host runs on the shared transport chassis
 (``repro.transports.base``) under every protocol, so the Python frames it
-passes through set the cost of most events.  Wall time on a shared
-machine is too noisy to gate that path; the number of Python calls the
-event loop makes per event, counted with ``sys.setprofile``, is exact and
-repeatable.  Each ceiling sits about 1% above what the current host path
-makes, so a change that adds a frame to the per-packet path fails here.
+passes through set the cost of most events.  PDQ and D3 add the link's
+explicit-rate allocator, which sees every DATA and PROBE packet on every
+hop and no ACK.  Wall time on a shared machine is too noisy to gate these
+paths; the number of Python calls the event loop makes per event, counted
+with ``sys.setprofile``, is exact and repeatable.  Each ceiling sits about
+1% above what the current code makes, so a change that adds a frame to
+the per-packet path fails here.
 
-Measured counts (Python 3.11): DCTCP intra-rack 7.28 calls per event,
-PASE left-right 5.93.
+Measured counts (Python 3.11): DCTCP intra-rack 7.11 calls per event,
+PASE left-right 5.87, PDQ intra-rack 8.25, D3 intra-rack 9.10.
 """
 
 import sys
@@ -19,16 +21,22 @@ import pytest
 from repro.harness import ExperimentSpec, ScenarioSpec, run_experiment
 from repro.sim.engine import Simulator
 
+
+def _intra_rack(protocol):
+    return ExperimentSpec(protocol,
+                          ScenarioSpec("intra-rack", {"num_hosts": 20}),
+                          0.5, num_flows=30, seed=1000)
+
+
 POINTS = {
-    "dctcp-intra-rack": (
-        ExperimentSpec("dctcp", ScenarioSpec("intra-rack", {"num_hosts": 20}),
-                       0.5, num_flows=30, seed=1000),
-        7.35),
+    "dctcp-intra-rack": (_intra_rack("dctcp"), 7.18),
+    "pdq-intra-rack": (_intra_rack("pdq"), 8.33),
+    "d3-intra-rack": (_intra_rack("d3"), 9.19),
     "pase-left-right": (
         ExperimentSpec("pase", ScenarioSpec("left-right",
                                             {"hosts_per_rack": 10}),
                        0.5, num_flows=30, seed=1000),
-        6.0),
+        5.93),
 }
 
 

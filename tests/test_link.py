@@ -7,7 +7,8 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.packet import make_ack_packet, make_data_packet
+from repro.sim.packet import (HEADER_SIZE, Packet, PacketKind,
+                              make_ack_packet, make_data_packet)
 from repro.sim.queues import DropTailQueue
 from repro.utils.units import GBPS, USEC
 
@@ -109,18 +110,22 @@ def test_dropped_acks_do_not_raise_data_loss_rate():
     assert counters.loss_rate == pytest.approx(1 / 3)
 
 
-def test_processors_run_on_send():
+def test_allocator_sees_data_and_probes_never_acks():
     sim = Simulator()
     link, _ = make_link(sim)
     seen = []
 
     class Recorder:
         def process(self, pkt, lnk):
-            seen.append((pkt.seq, lnk.name))
+            seen.append((pkt.kind, pkt.seq, lnk.name))
 
-    link.processors.append(Recorder())
-    link.send(make_data_packet(0, 1, 1, 7))
-    assert seen == [(7, "src->dst")]
+    link.allocator = Recorder()
+    data = make_data_packet(0, 1, 1, 7)
+    link.send(data)
+    link.send(make_ack_packet(data, 8))
+    link.send(Packet(PacketKind.PROBE, 0, 1, 1, seq=9, size=HEADER_SIZE))
+    assert seen == [(PacketKind.DATA, 7, "src->dst"),
+                    (PacketKind.PROBE, 9, "src->dst")]
 
 
 def test_invalid_parameters():

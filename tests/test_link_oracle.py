@@ -26,9 +26,8 @@ class EagerLink(Link):
     bytes_sent = 0
 
     def send(self, pkt):
-        if self.processors:
-            for proc in self.processors:
-                proc.process(pkt, self)
+        if self.allocator is not None and pkt.kind != 1:
+            self.allocator.process(pkt, self)
         if pkt.kind == 0:
             self.data_pkts_offered += 1
         if not self.up:

@@ -15,7 +15,6 @@ from repro.transports import (
     PdqSender,
     ReceiverAgent,
     TransportConfig,
-    install_pdq_schedulers,
 )
 from repro.transports.pdq import ENTRY_TIMEOUT_RTTS
 from repro.utils.units import GBPS, KB, USEC
@@ -132,9 +131,10 @@ class TestScheduler:
 
     def test_ack_packets_not_processed(self):
         _, link, sched = make_scheduler()
+        link.allocator = sched
         ack = Packet(PacketKind.ACK, 0, 1, 3)
         ack.remaining_bytes = 50 * KB
-        sched.process(ack, link)
+        link.send(ack)
         assert 3 not in sched.flows
 
 
@@ -145,7 +145,7 @@ def run_pdq_flows(specs, until=5.0, num_hosts=4):
                         rtt=100 * USEC,
                         queue_factory=lambda: DropTailQueue(100))
     cfg = TransportConfig(initial_rtt=100 * USEC)
-    install_pdq_schedulers(topo.network, cfg)
+    PdqLinkScheduler.install(topo.network, cfg)
     flows = []
     for i, (s, d, size, start) in enumerate(specs):
         f = Flow(flow_id=i + 1, src=topo.hosts[s].node_id,

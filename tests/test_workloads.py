@@ -6,10 +6,10 @@ import pytest
 
 from repro.utils.units import GBPS, KB
 from repro.workloads import (
-    AllToAllIntraRack,
     DeadlineDistribution,
     EmpiricalSizeDistribution,
     FixedSizeDistribution,
+    IncastAllToAll,
     IntraRackRandom,
     LeftRight,
     ManyToOne,
@@ -80,13 +80,13 @@ class TestPatterns:
 
     def test_all_to_all_round_robin_aggregators(self):
         hosts = list(range(4))
-        p = AllToAllIntraRack(hosts, 1 * GBPS)
+        p = IncastAllToAll(hosts, 1 * GBPS, fanin=1)
         rng = random.Random(1)
         dsts = [p.pair(rng)[1] for _ in range(8)]
         assert dsts == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_all_to_all_src_differs_from_dst(self):
-        p = AllToAllIntraRack(list(range(4)), 1 * GBPS)
+        p = IncastAllToAll(list(range(4)), 1 * GBPS, fanin=1)
         rng = random.Random(2)
         assert all(s != d for s, d in (p.pair(rng) for _ in range(100)))
 
