@@ -1,6 +1,6 @@
 """Performance microbenchmark suite for the simulation core.
 
-Four layers, each isolating one slice of the stack:
+Five layers, each isolating one slice of the stack:
 
 * :mod:`benchmarks.perf.bench_engine` — the bare event loop
   (events/second, no network machinery at all),
@@ -9,11 +9,14 @@ Four layers, each isolating one slice of the stack:
   control-plane-heavy full-stack point),
 * :mod:`benchmarks.perf.bench_switch` — the fabric datapath
   (packets/second through a loaded switch, no transports),
+* :mod:`benchmarks.perf.bench_link` — the per-hop frame-end path
+  (packets/second for back-to-back trains through a chain of equal-rate
+  switches),
 * :mod:`benchmarks.perf.bench_transport` — the end-host transport
   chassis (ACK-clocked packets/second for one DCTCP pair through one
   switch).
 
-``python -m benchmarks.perf`` runs all four and writes ``BENCH_sim.json``
+``python -m benchmarks.perf`` runs all five and writes ``BENCH_sim.json``
 at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v4).
 The end-to-end figure sweep is timed by ``sweepbench/``.
 """

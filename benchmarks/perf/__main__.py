@@ -24,8 +24,8 @@ from pathlib import Path
 
 from benchmarks.perf import (BASELINE_ARBITRATIONS_PER_SEC,
                              BASELINE_EVENTS_PER_SEC, BestOf,
-                             bench_arbitration, bench_engine, bench_switch,
-                             bench_transport)
+                             bench_arbitration, bench_engine, bench_link,
+                             bench_switch, bench_transport)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FLOOR_PATH = Path(__file__).resolve().parent / "floor.json"
@@ -37,6 +37,7 @@ def build_report(scale: str) -> dict:
     engine = bench_engine.run(scale=scale)
     arbitration = bench_arbitration.run(scale=scale)
     switch = bench_switch.run(scale=scale)
+    link = bench_link.run(scale=scale)
     transport = bench_transport.run(scale=scale)
     speedup = {
         "spin": engine["spin_post_events_per_sec"]
@@ -51,7 +52,7 @@ def build_report(scale: str) -> dict:
         for key, base in BASELINE_ARBITRATIONS_PER_SEC.items()
     }
     results = {"engine": engine, "arbitration": arbitration, "switch": switch,
-               "transport": transport}
+               "link": link, "transport": transport}
     return {
         "schema": "bench_sim/v4",
         "suite": "benchmarks/perf",
@@ -127,6 +128,8 @@ def main(argv=None) -> int:
               f"({arb_speed[f'churn_{n}']:.1f}x baseline)")
     switch = report["results"]["switch"]
     print(f"switch  incast:          {switch['incast_packets_per_sec']:>12,.0f} packets/sec")
+    link = report["results"]["link"]
+    print(f"link    switch chain:    {link['chain_packets_per_sec']:>12,.0f} packets/sec")
     transport = report["results"]["transport"]
     print(f"transport dctcp pair:    {transport['dctcp_pair_packets_per_sec']:>12,.0f} packets/sec")
     print(f"report: {args.output}")

@@ -27,6 +27,7 @@ Two further mechanisms from the paper:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.arbitration import ArbitrationResult
@@ -54,6 +55,10 @@ ARBITRATION_MAX_RETRIES = 3
 #: interval while requests keep failing (also the fallback re-probe cadence,
 #: so recovery is detected within cap x interval).
 ARBITRATION_BACKOFF_CAP = 8.0
+#: Smallest exponent whose power of two reaches the cap.  Capping the
+#: exponent as well keeps ``2.0 ** failures`` finite however long requests
+#: keep failing (it overflows past about 1,024).
+_BACKOFF_MAX_EXPONENT = math.ceil(math.log2(ARBITRATION_BACKOFF_CAP))
 
 
 class PaseSender(DctcpSender):
@@ -144,7 +149,9 @@ class PaseSender(DctcpSender):
             self._enter_fallback()
         interval = self.pase.arbitration_interval
         if self._arb_failures:
-            interval *= min(2.0 ** self._arb_failures, ARBITRATION_BACKOFF_CAP)
+            interval *= min(2.0 ** min(self._arb_failures,
+                                       _BACKOFF_MAX_EXPONENT),
+                            ARBITRATION_BACKOFF_CAP)
         self._arb_event = self.sim.post(interval, self._arbitrate)
 
     def _criterion_value(self) -> float:

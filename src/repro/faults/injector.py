@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.faults.models import make_loss_model
 from repro.faults.queues import LossyQueue
@@ -95,11 +95,14 @@ class FaultInjector:
                                  self._control_degrade, 0.0, 0.0)
         elif isinstance(event, DataLoss):
             links = self._resolve_links(event.links)
+            # This window's (link, wrapper) pairs: the window removes its
+            # own wrappers, whichever others overlap it.
+            installed: List[Tuple[Link, LossyQueue]] = []
             self.sim.post_at(event.at, self._loss_on, links,
-                             event.model, event.params_dict())
+                             event.model, event.params_dict(), installed)
             if event.duration is not None:
                 self.sim.post_at(event.at + event.duration,
-                                 self._loss_off, links)
+                                 self._loss_off, installed)
         else:  # pragma: no cover - schedule validation catches this
             raise TypeError(f"unknown fault event {event!r}")
 
@@ -157,21 +160,29 @@ class FaultInjector:
         self._record("control-degrade", "control-plane",
                      loss_rate=loss_rate, extra_delay=extra_delay)
 
-    def _loss_on(self, links: List[Link], model: str, params: Dict) -> None:
+    def _loss_on(self, links: List[Link], model: str, params: Dict,
+                 installed: List[Tuple[Link, LossyQueue]]) -> None:
         for link in links:
             wrapper = LossyQueue(
                 link.queue, make_loss_model(model, params,
                                             seed=self._next_model_seed))
             self._next_model_seed += 1
             self._loss_wrappers.append(wrapper)
+            installed.append((link, wrapper))
             link.queue = wrapper
             self._record("data-loss-on", link.name, model=model)
 
-    def _loss_off(self, links: List[Link]) -> None:
-        for link in links:
-            if isinstance(link.queue, LossyQueue):
-                link.queue = link.queue.inner
-                self._record("data-loss-off", link.name)
+    def _loss_off(self, installed: List[Tuple[Link, LossyQueue]]) -> None:
+        for link, wrapper in installed:
+            if link.queue is wrapper:
+                link.queue = wrapper.inner
+            else:
+                # A later window's wrapper sits on top: splice ours out.
+                above = link.queue
+                while above.inner is not wrapper:
+                    above = above.inner
+                above.inner = wrapper.inner
+            self._record("data-loss-off", link.name)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -6,9 +6,11 @@ are dropped per the attached :class:`~repro.faults.models.LossModel`;
 ACKs and probes pass through so control loops limp along — the harder
 case for loss recovery.
 
-Counters delegate to the wrapped queue, so a link whose queue is wrapped
-mid-run (and later unwrapped) presents one continuous set of drop/mark
-counters to :class:`~repro.sim.network.Network` accounting.
+Counters delegate to the real discipline at the bottom of the wrapper
+chain, so a link whose queue is wrapped mid-run (and later unwrapped)
+presents one continuous set of drop/mark counters to
+:class:`~repro.sim.network.Network` accounting.  Wrappers nest when loss
+windows overlap on one link; each window removes its own wrapper.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ class LossyQueue(QueueDiscipline):
 
     def __init__(self, inner: QueueDiscipline, model: LossModel) -> None:
         # No super().__init__(): drop/mark counters are properties that
-        # delegate to ``inner`` so wrapping is invisible to accounting.
+        # delegate to ``base`` so wrapping is invisible to accounting.
         self.inner = inner
+        #: The real discipline under every wrapper: it keeps the counters.
+        self.base: QueueDiscipline = (
+            inner.base if isinstance(inner, LossyQueue) else inner)
         self.model = model
         #: Drops injected by the loss model (also counted in ``drops``).
         self.injected_drops = 0
@@ -34,12 +39,7 @@ class LossyQueue(QueueDiscipline):
     def enqueue(self, pkt: Packet) -> bool:
         if pkt.kind == 0 and self.model.drop():  # PacketKind.DATA
             self.injected_drops += 1
-            self.inner.drops += 1
-            self.inner.drop_bytes += pkt.size
-            hook = self.inner.drop_hook
-            if hook is not None:
-                hook(pkt, "injected-loss")
-            return False
+            return self.base._record_drop(pkt, "injected-loss")
         return self.inner.enqueue(pkt)
 
     def dequeue(self) -> Optional[Packet]:
@@ -52,31 +52,31 @@ class LossyQueue(QueueDiscipline):
     def byte_depth(self) -> int:
         return self.inner.byte_depth
 
-    # -- counter delegation (one merged view with the wrapped queue) -------
+    # -- counter delegation (one merged view with the real queue) ----------
     @property
     def drop_hook(self):
-        return self.inner.drop_hook
+        return self.base.drop_hook
 
     @drop_hook.setter
     def drop_hook(self, hook) -> None:
         # A link constructed directly on a LossyQueue installs its trace
-        # hook through the wrapper onto the inner queue, so wrap/unwrap
+        # hook through the wrapper onto the real queue, so wrap/unwrap
         # mid-run never loses instrumentation.
-        self.inner.drop_hook = hook
+        self.base.drop_hook = hook
 
     @property
     def drops(self) -> int:
-        return self.inner.drops
+        return self.base.drops
 
     @property
     def drop_bytes(self) -> int:
-        return self.inner.drop_bytes
+        return self.base.drop_bytes
 
     @property
     def marks(self) -> int:
-        return self.inner.marks
+        return self.base.marks
 
     @property
     def enqueued_total(self) -> int:
-        return self.inner.enqueued_total
+        return self.base.enqueued_total
 

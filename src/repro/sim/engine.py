@@ -25,12 +25,24 @@ without firing or counting anything, so each re-armed timer owns one heap
 entry.  An earlier time cancels the entry and pushes a fresh one.
 
 A component that may or may not need a callback at a known future time
-can claim its tie-break slot now and decide later:
-:meth:`Simulator.reserve_seq` takes the next sequence number without
-scheduling anything, and :meth:`Simulator.post_at_reserved` pushes a
-callback in that slot.  The callback then fires exactly where it would
-have fired had it been posted at reservation time.  Links use this to
-skip serialization wake-ups that would find their queue empty.
+can claim its tie-break slot now and decide later.  :attr:`Simulator.seq`
+is the last sequence number drawn; claiming a slot is drawing the next
+one without scheduling anything (``sim.seq += 1``).  To push a callback
+into a claimed ``slot`` later, set ``seq`` to ``slot - 1``, call
+:meth:`Simulator.post_at` and put ``seq`` back: the callback then fires
+exactly where it would have fired had it been posted when the slot was
+claimed, and the push is an ordinary ``post_at`` that any wrapper of the
+scheduling methods sees.  Only :class:`~repro.sim.link.Link` claims
+slots this way, for the serialization wake-up at the end of each frame.
+Every other component draws its numbers through ``post``/``post_at``/
+``repost``.
+
+A claimed slot that is never posted is a harmless gap the loop never
+fires.  :attr:`Simulator.fired_seq` tells whether the loop has passed
+it, and :meth:`Simulator.is_next` whether an entry posted into it now
+would be the very next one popped: nothing in the heap, live or dead,
+orders before it.  The link asks the second question to start a frame
+at once instead of posting a wake-up that would fire next anyway.
 """
 
 from __future__ import annotations
@@ -77,10 +89,13 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[list] = []
-        self._seq: int = 0
+        #: Last tie-break sequence number drawn.  ``post``/``post_at``/
+        #: ``repost`` draw the next one; see the module docstring for the
+        #: one component that claims slots by writing it directly.
+        self.seq: int = 0
         #: Sequence number of the callback firing now (or fired last).
-        #: Together with :attr:`now` it is the loop's position: a slot from
-        #: :meth:`reserve_seq` at time ``now`` has been passed once this
+        #: Together with :attr:`now` it is the loop's position: a slot
+        #: claimed at time ``now`` has been passed once this
         #: exceeds it.  Set past every claimed number when the loop runs
         #: out of events or reaches its horizon.
         self.fired_seq: int = 0
@@ -103,7 +118,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        self._seq = seq = self._seq + 1
+        self.seq = seq = self.seq + 1
         entry = [self.now + delay, seq, fn, args]
         _heappush(self._heap, entry)
         return entry
@@ -114,7 +129,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time!r}, current time is {self.now!r}"
             )
-        self._seq = seq = self._seq + 1
+        self.seq = seq = self.seq + 1
         entry = [time, seq, fn, args]
         _heappush(self._heap, entry)
         return entry
@@ -150,7 +165,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        self._seq = seq = self._seq + 1
+        self.seq = seq = self.seq + 1
         time = self.now + delay
         fn, args = handle[2], handle[3]
         if fn is None:  # already a placeholder: args holds the pending entry
@@ -167,29 +182,19 @@ class Simulator:
         return entry
 
     # ------------------------------------------------------------------
-    # Reserved slots (decide now, post later)
+    # Claimed slots (decide now, post later)
     # ------------------------------------------------------------------
-    def reserve_seq(self) -> int:
-        """Claim the next tie-break sequence number without scheduling
-        anything.  Pass it to :meth:`post_at_reserved` later, or drop it:
-        an unused number leaves a harmless gap in the sequence."""
-        self._seq = seq = self._seq + 1
-        return seq
-
-    def post_at_reserved(self, seq: int, time: float,
-                         fn: Callable[..., Any], *args: Any) -> None:
-        """:meth:`post_at` in a slot claimed earlier by :meth:`reserve_seq`.
-
-        Among callbacks at ``time`` it fires after those posted before the
-        reservation and before those posted after it.  The push goes
-        through the public :meth:`post_at`, so anything wrapping the
-        scheduling methods sees it like any other post."""
-        saved = self._seq
-        self._seq = seq - 1
-        try:
-            self.post_at(time, fn, *args)
-        finally:
-            self._seq = saved
+    def is_next(self, time: float, seq: int) -> bool:
+        """True when an entry keyed ``(time, seq)`` would be the next one
+        the loop pops: no heap entry, live or dead, orders before it.
+        Dead entries count because the loop would reach them first; a
+        placeholder's pending key never orders before its heap key, so
+        checking the top suffices."""
+        heap = self._heap
+        if not heap:
+            return True
+        top = heap[0]
+        return top[0] > time or (top[0] == time and top[1] > seq)
 
     def discard_pending(self) -> None:
         """Drop every pending callback.  Call it when a run is over:
@@ -223,7 +228,7 @@ class Simulator:
                     # Advance the clock to the horizon so repeated run() calls
                     # observe monotonic time.
                     self.now = until
-                    self.fired_seq = self._seq
+                    self.fired_seq = self.seq
                     break
                 fn = entry[2]
                 if fn is None:
@@ -237,7 +242,7 @@ class Simulator:
                 if processed == budget:
                     break
             else:
-                self.fired_seq = self._seq
+                self.fired_seq = self.seq
         finally:
             self._running = False
             self._events_processed += processed

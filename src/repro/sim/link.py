@@ -15,14 +15,14 @@ Hot-path notes
 A hop costs one engine event when nothing waits behind it.  When a frame
 starts serializing, its delivery is posted at once for ``end + prop``
 (``end`` is :attr:`Link.busy_until`, when the last bit leaves), and the
-link claims the engine's next tie-break slot with
-:meth:`~repro.sim.engine.Simulator.reserve_seq`.  Only when a packet waits
-behind the frame is a wake-up pushed into that slot
-(:meth:`~repro.sim.engine.Simulator.post_at_reserved`); a frame that
-starts with a packet already waiting posts its wake-up at once, which takes
-the same slot.  The wake-up fires exactly where a wake-up posted after
-every frame would have fired, so runs are bit-identical to that eager
-model, with far fewer events.
+link claims the engine's next tie-break slot for the wake-up at ``end``
+(``sim.seq += 1``, inline; see :mod:`repro.sim.engine`).  Only when a
+packet waits behind the frame is the wake-up pushed into that slot, by a
+``post_at`` with the engine's counter set back to the slot; a frame that
+starts with a packet already waiting posts its wake-up at once, which
+takes the same slot.  The wake-up fires exactly where a wake-up posted
+after every frame would have fired, so runs are bit-identical to that
+eager model, with far fewer events.
 
 * The frame is on the wire until the engine passes its slot: while
   ``now < end``, or at ``now == end`` while
@@ -30,6 +30,26 @@ model, with far fewer events.
   arrival then is queued behind the frame; :attr:`Link.busy`,
   ``pkts_sent``/``bytes_sent`` (tallied when a frame starts, the frame on
   the wire subtracted on read) and :meth:`Link.set_down` all use this test.
+* **Handoff.**  An arrival at exactly ``now == end`` starts its frame at
+  once, with no wake-up, when all four hold:
+
+  1. the link's source is a :class:`~repro.sim.node.Switch`, whose
+     ``receive`` ends with this ``send``: nothing else runs in the event,
+     so no sequence number is drawn between here and the wake-up;
+  2. the frame's wake-up slot is neither posted nor passed (a posted
+     wake-up would also fail 4, but this test is cheaper);
+  3. the queue is a cut-through discipline (next bullet), and empty, as
+     every queue is while its link's wake-up is unposted;
+  4. :meth:`~repro.sim.engine.Simulator.is_next` confirms no heap entry,
+     live or dead, orders before ``(end, slot)``.
+
+  The eager model's very next event is then that wake-up, which would
+  dequeue this same packet and draw the same two sequence numbers (the
+  next slot, then the delivery), so FCTs stay bit-identical and only the
+  event count drops.  Equal-rate store-and-forward paths hit this on every
+  packet of a back-to-back train.  When an entry orders first (say,
+  another delivery at the same instant that may bring a higher-priority
+  packet), the arrival waits for a wake-up as before.
 * An arrival on a free line skips ``enqueue``/``dequeue`` when the
   discipline is a built-in one with positive capacity and marking
   threshold: those always accept a packet into an empty queue, unmarked.
@@ -50,6 +70,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.node import Switch
 from repro.sim.packet import Packet
 from repro.sim.queues import (DropTailQueue, PFabricQueue, PriorityQueueBank,
                               QueueDiscipline, REDQueue)
@@ -112,7 +133,7 @@ class Link:
         self._in_flight: Optional[Packet] = None
         self._delivery: Optional["Handle"] = None
         #: The wake-up at ``busy_until``: the engine sequence number
-        #: reserved for it, ``_POSTED`` once it is in the heap, 0 once it
+        #: claimed for it, ``_POSTED`` once it is in the heap, 0 once it
         #: has fired.
         self._wake: int = 0
         #: A frame whose delivery :meth:`set_down` cancelled; the wake-up
@@ -120,7 +141,6 @@ class Link:
         self._held: Optional[Packet] = None
         # Bound-method caches: one attribute load per packet instead of two.
         self._post_at = sim.post_at
-        self._reserve_seq = sim.reserve_seq
         self._deliver = dst.receive
         # Counters for utilization / loss accounting.  Frames are tallied
         # when they start; see pkts_sent/bytes_sent.
@@ -144,6 +164,10 @@ class Link:
     def queue(self, queue: QueueDiscipline) -> None:
         self._queue = queue
         self._cut_through = _accepts_into_empty(queue)
+        #: Conditions 1 and 3 of the handoff (module docstring).  The
+        #: source's exact type, as for the disciplines: a subclass may
+        #: override ``receive`` and run more after ``send``.
+        self._handoff = self._cut_through and type(self.src) is Switch
 
     @property
     def busy(self) -> bool:
@@ -183,21 +207,34 @@ class Link:
         now = sim.now
         end = self.busy_until
         queue = self._queue
-        if now < end or (now == end and sim.fired_seq < self._wake):
-            # Busy: wait behind the frame, and make sure it wakes the link.
-            if not queue.enqueue(pkt):
-                return False
-            if self._wake != _POSTED:
-                self._post_wakeup()
-            return True
-        if self._cut_through:
+        wake = self._wake
+        if now < end or (now == end and sim.fired_seq < wake):
+            if (now == end and self._handoff and wake != _POSTED
+                    and sim.is_next(end, wake)):
+                # Handoff: the wake-up would fire next and start this
+                # packet; start it now instead.
+                queue.enqueued_total += 1
+            else:
+                # Busy: wait behind the frame, and make sure it wakes the
+                # link.
+                if not queue.enqueue(pkt):
+                    return False
+                if wake != _POSTED:
+                    # Push the wake-up into its claimed slot.
+                    seq = sim.seq
+                    sim.seq = wake - 1
+                    self._post_at(end, self._wakeup)
+                    sim.seq = seq
+                    self._wake = _POSTED
+                return True
+        elif self._cut_through:
             queue.enqueued_total += 1
         elif queue.enqueue(pkt):
             pkt = queue.dequeue()
         else:
             return False
-        # Frame start, as in _wakeup: post the delivery now and claim the
-        # slot of the wake-up at the frame's end.
+        # Frame start, as in _wakeup: claim the slot of the wake-up at the
+        # frame's end, then post the delivery.
         size = pkt.size
         tx_delay = size * 8 / self.capacity_bps
         self.busy_time += tx_delay
@@ -205,7 +242,7 @@ class Link:
         self._bytes_started += size
         self.busy_until = end = now + tx_delay
         self._in_flight = pkt
-        self._wake = self._reserve_seq()
+        self._wake = sim.seq = sim.seq + 1
         self._delivery = self._post_at(end + self.prop_delay, self._deliver,
                                        pkt, self)
         return True
@@ -215,6 +252,7 @@ class Link:
         gone down during it), or the link back up on an idle line: settle
         the frame :meth:`set_down` held back, then start the next one."""
         self._wake = 0
+        sim = self.sim
         pkt = self._held
         if pkt is not None:
             self._held = None
@@ -224,7 +262,7 @@ class Link:
                 self._bytes_started -= pkt.size
                 self._drop_down(pkt)
                 return
-            self._post_at(self.sim.now + self.prop_delay, self._deliver,
+            self._post_at(sim.now + self.prop_delay, self._deliver,
                           pkt, self)
         if not self.up:
             return
@@ -232,28 +270,24 @@ class Link:
         pkt = queue.dequeue()
         if pkt is None:
             return
-        # Frame start; send() inlines the same steps for the idle-line hop.
+        # Frame start; send() inlines the same steps for the idle-line hop
+        # and the handoff.
         size = pkt.size
         tx_delay = size * 8 / self.capacity_bps
         self.busy_time += tx_delay
         self._pkts_started += 1
         self._bytes_started += size
-        self.busy_until = end = self.sim.now + tx_delay
+        self.busy_until = end = sim.now + tx_delay
         self._in_flight = pkt
         if len(queue):
             # Another packet already waits behind this frame: post the
-            # wake-up at once, in the slot a reservation would claim.
+            # wake-up at once, in the slot a claim would take.
             self._post_at(end, self._wakeup)
             self._wake = _POSTED
         else:
-            self._wake = self._reserve_seq()
+            self._wake = sim.seq = sim.seq + 1
         self._delivery = self._post_at(end + self.prop_delay, self._deliver,
                                        pkt, self)
-
-    def _post_wakeup(self) -> None:
-        """Push the wake-up into the slot reserved for ``busy_until``."""
-        self.sim.post_at_reserved(self._wake, self.busy_until, self._wakeup)
-        self._wake = _POSTED
 
     # ------------------------------------------------------------------
     # Drop instrumentation (cold paths)
@@ -298,9 +332,15 @@ class Link:
             # being up when it ends, so recall the delivery and let the
             # wake-up decide.
             self._held = self._in_flight
-            self.sim.cancel(self._delivery)
+            sim = self.sim
+            sim.cancel(self._delivery)
             if self._wake != _POSTED:
-                self._post_wakeup()
+                # Push the wake-up into its claimed slot, as in send().
+                seq = sim.seq
+                sim.seq = self._wake - 1
+                self._post_at(self.busy_until, self._wakeup)
+                sim.seq = seq
+                self._wake = _POSTED
 
     def set_up(self) -> None:
         """Bring the link back; held-back queued packets resume immediately."""

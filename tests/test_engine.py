@@ -280,8 +280,23 @@ def test_max_events_counts_fired_not_cancelled():
 
 
 # ---------------------------------------------------------------------------
-# Reserved slots: reserve_seq() now, post_at_reserved() later
+# Reserved slots: claim a sequence number now, post into it later
 # ---------------------------------------------------------------------------
+
+def _claim(sim):
+    """Claim the next sequence number the way Link does."""
+    sim.seq += 1
+    return sim.seq
+
+
+def _post_into(sim, slot, time, fn, *args):
+    """Post into a claimed slot the way Link does: a plain post_at with
+    the counter set back to the slot."""
+    seq = sim.seq
+    sim.seq = slot - 1
+    sim.post_at(time, fn, *args)
+    sim.seq = seq
+
 
 def test_reserved_slot_fires_in_reservation_order():
     """A callback pushed late into a reserved slot fires after same-time
@@ -290,51 +305,37 @@ def test_reserved_slot_fires_in_reservation_order():
     sim = Simulator()
     fired = []
     sim.post_at(1.0, fired.append, "before")
-    slot = sim.reserve_seq()
+    slot = _claim(sim)
     sim.post_at(1.0, fired.append, "after")
-    sim.post_at(0.5, sim.post_at_reserved, slot, 1.0, fired.append,
-                "reserved")
+    sim.post_at(0.5, _post_into, sim, slot, 1.0, fired.append, "reserved")
     sim.run()
     assert fired == ["before", "reserved", "after"]
 
 
-def test_reserved_push_goes_through_post_at():
-    """The deferred push is an ordinary post_at call (so wrappers of the
-    scheduling methods see it), and it leaves the sequence counter where
-    it was: later posts still order after earlier ones."""
-    calls = []
-
-    class Recording(Simulator):
-        def post_at(self, time, fn, *args):
-            calls.append((time, fn, args))
-            return super().post_at(time, fn, *args)
-
-    sim = Recording()
-    fired = []
-    slot = sim.reserve_seq()
-    sim.post_at(1.0, fired.append, "posted")
-    assert sim.post_at_reserved(slot, 1.0, fired.append, "reserved") is None
-    sim.post_at(1.0, fired.append, "later")
-    assert calls[1] == (1.0, fired.append, ("reserved",))
-    sim.run()
-    assert fired == ["reserved", "posted", "later"]
-
-
-def test_reserved_push_rejects_past_times_and_restores_counter():
+def test_is_next_orders_by_time_then_sequence():
+    """is_next answers whether an entry at (time, seq) would be popped
+    first; dead entries count, since the loop reaches them first."""
     sim = Simulator()
-    sim.post(1.0, lambda: None)
-    sim.run()
-    slot = sim.reserve_seq()
-    with pytest.raises(ValueError):
-        sim.post_at_reserved(slot, 0.5, lambda: None)
-    assert sim.reserve_seq() == slot + 1
+    assert sim.is_next(0.0, 1)
+    slot = _claim(sim)
+    later = sim.post_at(1.0, lambda: None)
+    assert sim.is_next(1.0, slot)
+    assert not sim.is_next(1.0, later[1] + 1)
+    assert not sim.is_next(2.0, slot)
+    assert sim.is_next(0.5, later[1] + 1)
+    sim.cancel(later)
+    assert not sim.is_next(1.0, later[1] + 1)
+    # A placeholder orders by its heap key, not its pending one.
+    timer = sim.post_at(0.2, lambda: None)
+    sim.repost(timer, 0.3)
+    assert not sim.is_next(0.25, slot)
 
 
 def test_fired_seq_tracks_loop_position():
     sim = Simulator()
     seen = []
     sim.post(0.1, lambda: seen.append(sim.fired_seq))
-    slot = sim.reserve_seq()
+    slot = _claim(sim)
     sim.post(0.1, lambda: (seen.append(sim.fired_seq), sim.stop()))
     sim.post(0.1, lambda: None)
     sim.run()
@@ -343,7 +344,7 @@ def test_fired_seq_tracks_loop_position():
     assert seen[0] < slot < seen[1] == sim.fired_seq
     sim.run()
     # Drained: every claimed number counts as passed.
-    assert sim.fired_seq >= sim.reserve_seq() - 1
+    assert sim.fired_seq >= _claim(sim) - 1
 
 
 def test_discard_pending_drops_every_callback():

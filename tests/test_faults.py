@@ -223,6 +223,38 @@ class TestInjector:
         # Injected drops stayed visible in network-wide accounting.
         assert topo.network.total_drops() >= inj.injected_loss_drops
 
+    @pytest.mark.parametrize("first_ends_first", [True, False])
+    def test_overlapping_loss_windows_on_one_link(self, first_ends_first):
+        """Two loss windows overlap on one link, whichever ends first:
+        each removes its own wrapper, drops in either count once in the
+        link's counters, and the flow completes."""
+        sim = Simulator()
+        topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)
+        flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
+                    dst=topo.hosts[1].node_id, size_bytes=400 * KB,
+                    start_time=0.0)
+        ReceiverAgent(sim, topo.hosts[1], flow)
+        DctcpSender(sim, topo.hosts[0], flow,
+                    TransportConfig(initial_rtt=100 * USEC)).start()
+        link = topo.host_uplink(topo.hosts[0])
+        second = 4 * MSEC if first_ends_first else 1 * MSEC
+        inj = FaultInjector(sim, topo.network, FaultSchedule(events=(
+            DataLoss(at=0.0, links=(link.name,), duration=3 * MSEC,
+                     params=(("p", 0.1),)),
+            DataLoss(at=1 * MSEC, links=(link.name,), duration=second,
+                     params=(("p", 0.1),)))))
+        sim.run(until=30.0)
+        assert flow.completed
+        assert inj.injected == {"data-loss-on": 2, "data-loss-off": 2}
+        assert type(link.queue) is REDQueue
+        wrappers = inj._loss_wrappers
+        assert all(w.injected_drops > 0 for w in wrappers)
+        # One flow on a clean star: every drop is an injected one.
+        assert inj.injected_loss_drops == sum(w.injected_drops
+                                              for w in wrappers)
+        assert link.queue.drops == topo.network.total_drops() \
+            == inj.injected_loss_drops
+
     def test_gilbert_elliott_window_is_armed_from_a_hand_built_event(self):
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)

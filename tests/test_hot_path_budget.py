@@ -10,8 +10,8 @@ with ``sys.setprofile``, is exact and repeatable.  Each ceiling sits about
 1% above what the current code makes, so a change that adds a frame to
 the per-packet path fails here.
 
-Measured counts (Python 3.11): DCTCP intra-rack 7.11 calls per event,
-PASE left-right 5.87, PDQ intra-rack 8.25, D3 intra-rack 9.10.
+Measured counts (Python 3.11): DCTCP intra-rack 6.70 calls per event,
+PASE left-right 5.18, PDQ intra-rack 7.78, D3 intra-rack 8.60.
 """
 
 import sys
@@ -29,14 +29,14 @@ def _intra_rack(protocol):
 
 
 POINTS = {
-    "dctcp-intra-rack": (_intra_rack("dctcp"), 7.18),
-    "pdq-intra-rack": (_intra_rack("pdq"), 8.33),
-    "d3-intra-rack": (_intra_rack("d3"), 9.19),
+    "dctcp-intra-rack": (_intra_rack("dctcp"), 6.78),
+    "pdq-intra-rack": (_intra_rack("pdq"), 7.86),
+    "d3-intra-rack": (_intra_rack("d3"), 8.69),
     "pase-left-right": (
         ExperimentSpec("pase", ScenarioSpec("left-right",
                                             {"hosts_per_rack": 10}),
                        0.5, num_flows=30, seed=1000),
-        5.93),
+        5.23),
 }
 
 

@@ -6,10 +6,10 @@ from repro.metrics.overhead import NetworkCounters
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.network import Network
-from repro.sim.node import Node
+from repro.sim.node import Host, Node, Switch
 from repro.sim.packet import (HEADER_SIZE, Packet, PacketKind,
                               make_ack_packet, make_data_packet)
-from repro.sim.queues import DropTailQueue
+from repro.sim.queues import DropTailQueue, PriorityQueueBank
 from repro.utils.units import GBPS, USEC
 
 
@@ -273,3 +273,91 @@ def test_arrival_at_frame_end_follows_the_reserved_slot(before_slot):
                                             pytest.approx(34 * USEC)]
     # Two deliveries and the arrival; a wake-up only before the slot.
     assert sim.events_processed == (4 if before_slot else 3)
+
+
+# ---------------------------------------------------------------------------
+# Handoff: an arrival at a switch port just as its frame ends starts at once
+# ---------------------------------------------------------------------------
+
+def make_port(sim, src, queue=None):
+    """A 1 Gbps, 10 us link from ``src`` to a sink, routed for host 1."""
+    dst = SinkNode(sim, 1, "dst")
+    link = Link(sim, f"{src.name}->dst", src, dst, 1 * GBPS, 10 * USEC,
+                queue if queue is not None else DropTailQueue(100))
+    src.routes[1] = link
+    return link, dst
+
+
+@pytest.mark.parametrize("src_type,events", [(Switch, 3), (Host, 4)])
+def test_arrival_at_frame_end_hands_off_only_at_a_switch(src_type, events):
+    """A packet forwarded by a switch at the instant the port's frame ends,
+    with nothing else due first, starts its frame in the same event: one
+    event fewer than queueing behind a wake-up, same delivery times.  A
+    host may run more code after ``send`` (its transport posts timers),
+    so a host-sourced link always takes the wake-up."""
+    sim = Simulator()
+    src = src_type(sim, 0, "src")
+    link, dst = make_port(sim, src)
+    late = make_data_packet(0, 1, 1, 1, size=1500)
+    # Posted before the first frame claims its wake-up slot, so at 12 us
+    # the frame is still on the wire when the packet arrives.
+    if src_type is Switch:
+        sim.schedule_at(12 * USEC, src.receive, late, None)
+    else:
+        sim.schedule_at(12 * USEC, src.send, late)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.run()
+    assert [t for t, _ in dst.received] == [pytest.approx(22 * USEC),
+                                            pytest.approx(34 * USEC)]
+    # Two deliveries and the arrival; a wake-up only behind a host.
+    assert sim.events_processed == events
+    assert (link.pkts_sent, link.bytes_sent) == (2, 3000)
+    assert link.queue.enqueued_total == 2
+    assert link.busy_time == pytest.approx(24 * USEC)
+
+
+def test_handoff_yields_to_an_entry_ahead_of_the_slot():
+    """Two packets reach a priority port at the instant its frame ends,
+    low priority first.  The second arrival orders before the frame's
+    wake-up slot, so the first must not hand off: the wake-up then picks
+    the high-priority packet, as the eager model does."""
+    sim = Simulator()
+    switch = Switch(sim, 0, "sw")
+    link, dst = make_port(sim, switch, PriorityQueueBank(num_queues=4))
+    low = make_data_packet(0, 1, 1, 1, size=1500)
+    low.queue_index = 3
+    high = make_data_packet(0, 1, 2, 2, size=1500)
+    high.queue_index = 0
+    sim.schedule_at(12 * USEC, switch.receive, low, None)
+    sim.schedule_at(12 * USEC, switch.receive, high, None)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.run()
+    assert [p.seq for _, p in dst.received] == [0, 2, 1]
+    assert [t for t, _ in dst.received] == [pytest.approx(22 * USEC),
+                                            pytest.approx(34 * USEC),
+                                            pytest.approx(46 * USEC)]
+    # Two arrivals, three deliveries, and a wake-up at the end of each of
+    # the first two frames.
+    assert sim.events_processed == 7
+
+
+def test_wakeup_push_goes_through_post_at():
+    """The wake-up pushed into its claimed slot is an ordinary post_at
+    call (so wrappers of the scheduling methods see it), and it leaves the
+    sequence counter where it was."""
+    calls = []
+
+    class Recording(Simulator):
+        def post_at(self, time, fn, *args):
+            calls.append(fn)
+            return super().post_at(time, fn, *args)
+
+    sim = Recording()
+    link, dst = make_link(sim)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    seq = sim.seq
+    link.send(make_data_packet(0, 1, 1, 1, size=1500))  # queued: wake up
+    assert calls[-1] == link._wakeup
+    assert sim.seq == seq
+    sim.run()
+    assert [p.seq for _, p in dst.received] == [0, 1]

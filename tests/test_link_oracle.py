@@ -12,6 +12,7 @@ import pytest
 import repro.sim.network as network_module
 from repro.harness import ExperimentSpec, run_experiment
 from repro.harness.scenarios import ScenarioSpec
+from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.utils.units import MSEC, transmission_delay
 from tests.test_regression_golden import _fingerprint
@@ -156,3 +157,28 @@ def test_fault_runs_match_eager_link(monkeypatch, fault, seed):
     if fault.startswith("link-"):
         # The outage hit traffic: the oracle covered the link-down path.
         assert sum(down_drops for *_, down_drops in links) > 0
+
+
+#: Left-right's fabric runs at ``hosts_per_rack / 4`` times the host rate,
+#: so at four hosts per rack every hop of host -> ToR -> agg -> core ->
+#: agg -> ToR -> host is equal-rate: the next packet of a train reaches
+#: each switch port just as the port's frame ends.
+EQUAL_RATE_CHAIN = ("left-right", {"hosts_per_rack": 4})
+
+
+@pytest.mark.parametrize("protocol", ["pase", "dctcp", "pfabric"])
+def test_equal_rate_switch_chain_hands_off(monkeypatch, protocol):
+    """The handoff fires on an equal-rate chain (fewer events than the
+    fused link with it switched off) and the run still matches the eager
+    link bit for bit."""
+    eager, eager_links = _run(monkeypatch, EagerLink, protocol,
+                              EQUAL_RATE_CHAIN, 0.6, 20, 1)
+    fused, fused_links = _run(monkeypatch, Link, protocol,
+                              EQUAL_RATE_CHAIN, 0.6, 20, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "is_next", lambda self, time, seq: False)
+        waking, waking_links = _run(monkeypatch, Link, protocol,
+                                    EQUAL_RATE_CHAIN, 0.6, 20, 1)
+    assert _fingerprint(fused) == _fingerprint(waking) == _fingerprint(eager)
+    assert fused_links == waking_links == eager_links
+    assert fused.events < waking.events < eager.events

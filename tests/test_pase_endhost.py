@@ -213,3 +213,37 @@ class TestPromotionGuard:
         sender._half_results.clear()
         sender._on_arbitration("src", ArbitrationResult(4, 1e6))
         assert sender.queue_index == 4
+
+
+class TestArbitrationBackoff:
+    def test_long_failure_run_backs_off_at_the_cap(self, monkeypatch):
+        """More than 1,100 refused requests in a row: the re-request
+        interval stays at the capped ``interval x 8`` instead of
+        overflowing ``2.0 ** failures`` (which raises past ~1,024)."""
+        from repro.core.endhost import ARBITRATION_BACKOFF_CAP
+
+        sim, topo, cp, _ = build(num_hosts=2)
+        interval = cp.config.arbitration_interval
+        src, dst = topo.hosts
+        # The control plane refuses every request, and the sender's access
+        # link is down, so the flow never completes and never stops asking.
+        cp.crash()
+        src.egress_for(dst.node_id).set_down()
+        ticks = []
+        arbitrate = PaseSender._arbitrate
+
+        def spy(sender):
+            ticks.append(sim.now)
+            arbitrate(sender)
+
+        monkeypatch.setattr(PaseSender, "_arbitrate", spy)
+        flow, box = launch(sim, topo, cp, 1, 0, 1, 100 * KB)
+        sim.run(until=1_110 * ARBITRATION_BACKOFF_CAP * interval)
+        assert not flow.completed
+        assert box[0]._arb_failures > 1_100
+        # Failures 1, 2 and 3 wait 2x, 4x and 8x; every later one the cap.
+        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+        assert gaps[:3] == pytest.approx([2 * interval, 4 * interval,
+                                          8 * interval])
+        assert gaps[3:] == pytest.approx(
+            [interval * ARBITRATION_BACKOFF_CAP] * (len(gaps) - 3))
