@@ -12,7 +12,7 @@ claim testable:
 * :mod:`~repro.faults.injector` — the :class:`FaultInjector` that executes
   a schedule on the event engine,
 * :mod:`~repro.faults.models` — Bernoulli and Gilbert–Elliott loss models,
-* :mod:`~repro.faults.queues` — the shared :class:`LossyQueue` wrapper.
+  which a loss window attaches to :attr:`repro.sim.link.Link.loss`.
 
 Quick sketch::
 
@@ -35,7 +35,6 @@ from repro.faults.models import (
     LossModel,
     make_loss_model,
 )
-from repro.faults.queues import LossyQueue
 from repro.faults.schedule import (
     ArbitratorCrash,
     ControlDegrade,
@@ -51,7 +50,6 @@ __all__ = [
     "GilbertElliottLoss",
     "LossModel",
     "make_loss_model",
-    "LossyQueue",
     "ArbitratorCrash",
     "ControlDegrade",
     "DataLoss",

@@ -18,8 +18,7 @@ import random
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.faults.models import make_loss_model
-from repro.faults.queues import LossyQueue
+from repro.faults.models import LossModel, make_loss_model
 from repro.faults.schedule import (
     ArbitratorCrash,
     ControlDegrade,
@@ -57,9 +56,9 @@ class FaultInjector:
         self.control_plane = control_plane
         #: Fault activations by event kind (a down+up flap counts once).
         self.injected: Dict[str, int] = {}
-        #: Every LossyQueue this injector installed (for drop accounting —
-        #: wrappers are removed from links when their window closes).
-        self._loss_wrappers: List[LossyQueue] = []
+        #: Open ``LinkDown`` windows per link name: the link goes down as
+        #: the first opens and comes back up as the last closes.
+        self._open_downs: Dict[str, int] = {}
         self._links_by_name = {link.name: link
                                for link in network.links.values()}
         self._next_model_seed = schedule.seed * _SEED_STRIDE + 1
@@ -95,9 +94,9 @@ class FaultInjector:
                                  self._control_degrade, 0.0, 0.0)
         elif isinstance(event, DataLoss):
             links = self._resolve_links(event.links)
-            # This window's (link, wrapper) pairs: the window removes its
-            # own wrappers, whichever others overlap it.
-            installed: List[Tuple[Link, LossyQueue]] = []
+            # This window's (link, model) pairs: the window removes its own
+            # models, whichever others overlap it.
+            installed: List[Tuple[Link, LossModel]] = []
             self.sim.post_at(event.at, self._loss_on, links,
                              event.model, event.params_dict(), installed)
             if event.duration is not None:
@@ -131,13 +130,17 @@ class FaultInjector:
                                    kind=kind, **details)
 
     def _link_down(self, links: List[Link], flush: bool) -> None:
+        # A link already down stays as it is: set_down() is idempotent.
         for link in links:
+            self._open_downs[link.name] = self._open_downs.get(link.name, 0) + 1
             link.set_down(flush=flush)
             self._record("link-down", link.name, flush=flush)
 
     def _link_up(self, links: List[Link]) -> None:
         for link in links:
-            link.set_up()
+            self._open_downs[link.name] -= 1
+            if not self._open_downs[link.name]:
+                link.set_up()
             self._record("link-up", link.name)
 
     def _arb_crash(self, names) -> None:
@@ -161,27 +164,17 @@ class FaultInjector:
                      loss_rate=loss_rate, extra_delay=extra_delay)
 
     def _loss_on(self, links: List[Link], model: str, params: Dict,
-                 installed: List[Tuple[Link, LossyQueue]]) -> None:
+                 installed: List[Tuple[Link, LossModel]]) -> None:
         for link in links:
-            wrapper = LossyQueue(
-                link.queue, make_loss_model(model, params,
-                                            seed=self._next_model_seed))
+            loss = make_loss_model(model, params, seed=self._next_model_seed)
             self._next_model_seed += 1
-            self._loss_wrappers.append(wrapper)
-            installed.append((link, wrapper))
-            link.queue = wrapper
+            link.loss.append(loss)
+            installed.append((link, loss))
             self._record("data-loss-on", link.name, model=model)
 
-    def _loss_off(self, installed: List[Tuple[Link, LossyQueue]]) -> None:
-        for link, wrapper in installed:
-            if link.queue is wrapper:
-                link.queue = wrapper.inner
-            else:
-                # A later window's wrapper sits on top: splice ours out.
-                above = link.queue
-                while above.inner is not wrapper:
-                    above = above.inner
-                above.inner = wrapper.inner
+    def _loss_off(self, installed: List[Tuple[Link, LossModel]]) -> None:
+        for link, loss in installed:
+            link.loss.remove(loss)
             self._record("data-loss-off", link.name)
 
     # ------------------------------------------------------------------
@@ -189,8 +182,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     @property
     def injected_loss_drops(self) -> int:
-        """Packets dropped by loss models this injector installed."""
-        return sum(w.injected_drops for w in self._loss_wrappers)
+        """Data packets dropped by loss windows across the whole network."""
+        return sum(link.loss_drops for link in self.network.links.values())
 
     @property
     def link_down_drops(self) -> int:

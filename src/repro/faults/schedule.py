@@ -14,18 +14,24 @@ Event kinds:
   ``flush=False`` queued packets survive the outage and resume when the
   link comes back (a paused port).  Either way the packet being serialized
   when the link dies is corrupted, and everything offered while down is
-  dropped — senders ride the outage out via RTO.
+  dropped — senders ride the outage out via RTO.  Windows may overlap: a
+  link is down while any window on it is open, and a window opening on a
+  link already down changes nothing (no second flush).
 * :class:`ArbitratorCrash` — crash arbitrators at ``at`` (``links=None``
   means the whole control plane), recovering after ``duration`` if given.
   A crash wipes the arbitrator's soft state; recovery starts empty and the
-  table is rebuilt by the endpoints' periodic arbitration requests.
+  table is rebuilt by the endpoints' periodic arbitration requests.  Of
+  overlapping windows, the first to end recovers the arbitrators.
 * :class:`ControlDegrade` — a lossy/slow control channel for a window:
   each explicit arbitration message is lost with ``loss_rate`` and delayed
-  by ``extra_delay``.
-* :class:`DataLoss` — wrap links' queues with a
-  :class:`~repro.faults.queues.LossyQueue` for a window, using a named
-  loss model (``bernoulli`` or ``gilbert-elliott``); a bad model name or
-  parameter fails when the event is built.
+  by ``extra_delay``.  Each window sets the channel and clears it as it
+  ends, so windows may neither overlap nor touch (construction raises).
+* :class:`DataLoss` — attach a named loss model (``bernoulli`` or
+  ``gilbert-elliott``) to links for a window: every DATA packet offered to
+  an up link draws from it (ACKs and probes pass, so control loops limp
+  along).  A bad model name or parameter fails when the event is built.
+  Windows may overlap: each draws with its own seeded model, the newest
+  first, and the first drop wins.
 
 Link selectors are names from :class:`~repro.sim.link.Link` (e.g.
 ``"h0->sw0"``) and support ``fnmatch`` wildcards (``"h0->*"``); ``None``
@@ -119,6 +125,16 @@ class FaultSchedule:
     def __post_init__(self) -> None:
         normalized = tuple(_normalize(e) for e in self.events)
         object.__setattr__(self, "events", normalized)
+        degrades = sorted((e for e in normalized
+                           if isinstance(e, ControlDegrade)),
+                          key=lambda e: e.at)
+        for earlier, later in zip(degrades, degrades[1:]):
+            if earlier.duration is None or \
+                    later.at <= earlier.at + earlier.duration:
+                raise ValueError(
+                    f"ControlDegrade windows {earlier!r} and {later!r} "
+                    "overlap or touch: the first to end would clear the "
+                    "channel under the other")
 
     def __bool__(self) -> bool:
         return bool(self.events)

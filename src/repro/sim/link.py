@@ -9,6 +9,9 @@ An optional per-link *allocator* sees every DATA and PROBE packet offered
 to the link (ACKs skip it) — this is how the explicit-rate switches of PDQ
 and D3 (:class:`~repro.transports.pdq.RateAllocator`) observe and stamp
 rate headers without the core simulator knowing anything about them.
+Data-plane loss is a seam too: :attr:`Link.loss` holds the loss models of
+the fault windows open on the link (see :mod:`repro.faults`), which only
+DATA packets offered to an up link consult.
 
 Hot-path notes
 --------------
@@ -53,8 +56,10 @@ eager model, with far fewer events.
 * An arrival on a free line skips ``enqueue``/``dequeue`` when the
   discipline is a built-in one with positive capacity and marking
   threshold: those always accept a packet into an empty queue, unmarked.
-  ``enqueued_total`` still counts it.  Other disciplines, such as the
-  fault layer's lossy wrapper, take the full queue path.
+  ``enqueued_total`` still counts it.  Other disciplines take the full
+  queue path.
+* A link with no open loss window pays one attribute test per DATA
+  packet for the loss seam, and no Python call.
 * Link-down is the cold path.  A frame is corrupted if and only if the
   link is down when its serialization ends.  :meth:`Link.set_down` during a
   frame cancels the posted delivery through its handle and pushes the
@@ -68,7 +73,7 @@ actually drops (and is evaluated once, inside the hook).
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sim.node import Switch
 from repro.sim.packet import Packet
@@ -78,6 +83,7 @@ from repro.sim.trace import CAT_DROP
 from repro.utils.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.models import LossModel
     from repro.sim.engine import Handle, Simulator
     from repro.sim.node import Node
     from repro.transports.pdq import RateAllocator
@@ -119,6 +125,11 @@ class Link:
         self.prop_delay = check_non_negative("prop_delay", prop_delay)
         self.queue = queue
         queue.drop_hook = self._on_queue_drop
+        self._cut_through = _accepts_into_empty(queue)
+        #: Conditions 1 and 3 of the handoff (module docstring).  The
+        #: source's exact type, as for the disciplines: a subclass may
+        #: override ``receive`` and run more after ``send``.
+        self._handoff = self._cut_through and type(src) is Switch
         #: False while the link is administratively/fault down.  Packets
         #: offered to a down link are lost (counted in ``down_drops``);
         #: the packet being serialized when the link dies is corrupted.
@@ -126,6 +137,11 @@ class Link:
         #: Explicit-rate allocator (PDQ, D3): its ``process(pkt, link)``
         #: runs for every DATA and PROBE packet offered to the link.
         self.allocator: Optional["RateAllocator"] = None
+        #: Loss models of the open fault windows, oldest first.  A DATA
+        #: packet offered to an up link draws from each, newest first, and
+        #: is lost at the first drop (booked as a queue drop, reason
+        #: ``"injected-loss"``, and counted in ``loss_drops``).
+        self.loss: List["LossModel"] = []
         #: When the last started frame's final bit leaves the line (it is
         #: on the wire until then; see :attr:`busy` for the exact instant).
         self.busy_until: float = float("-inf")
@@ -154,20 +170,7 @@ class Link:
         self.busy_time: float = 0.0
         self.down_drops: int = 0
         self.down_transitions: int = 0
-
-    @property
-    def queue(self) -> QueueDiscipline:
-        """The egress discipline.  Faults may swap it mid-run."""
-        return self._queue
-
-    @queue.setter
-    def queue(self, queue: QueueDiscipline) -> None:
-        self._queue = queue
-        self._cut_through = _accepts_into_empty(queue)
-        #: Conditions 1 and 3 of the handoff (module docstring).  The
-        #: source's exact type, as for the disciplines: a subclass may
-        #: override ``receive`` and run more after ``send``.
-        self._handoff = self._cut_through and type(self.src) is Switch
+        self.loss_drops: int = 0
 
     @property
     def busy(self) -> bool:
@@ -193,20 +196,26 @@ class Link:
     def send(self, pkt: Packet) -> bool:
         """Offer a packet to this link's egress queue.
 
-        Returns ``False`` if the queue discipline dropped it.  Transmission
-        starts immediately when the line is idle.
+        Returns ``False`` if the packet was lost: to a down link, to an
+        open loss window, or to the queue discipline.  Transmission starts
+        immediately when the line is idle.
         """
         if self.allocator is not None and pkt.kind != 1:  # not an ACK
             self.allocator.process(pkt, self)
         if pkt.kind == 0:  # PacketKind.DATA — avoid enum lookup in hot path
             self.data_pkts_offered += 1
+            if self.loss and self.up:
+                for model in reversed(self.loss):
+                    if model.drop():
+                        self.loss_drops += 1
+                        return self.queue._record_drop(pkt, "injected-loss")
         if not self.up:
             self._drop_down(pkt)
             return False
         sim = self.sim
         now = sim.now
         end = self.busy_until
-        queue = self._queue
+        queue = self.queue
         wake = self._wake
         if now < end or (now == end and sim.fired_seq < wake):
             if (now == end and self._handoff and wake != _POSTED
@@ -266,7 +275,7 @@ class Link:
                           pkt, self)
         if not self.up:
             return
-        queue = self._queue
+        queue = self.queue
         pkt = queue.dequeue()
         if pkt is None:
             return
@@ -323,7 +332,7 @@ class Link:
         self.down_transitions += 1
         if flush:
             while True:
-                pkt = self._queue.dequeue()
+                pkt = self.queue.dequeue()
                 if pkt is None:
                     break
                 self._drop_down(pkt)

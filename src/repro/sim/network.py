@@ -142,7 +142,8 @@ class Network:
     # Aggregate accounting
     # ------------------------------------------------------------------
     def total_drops(self) -> int:
-        """Queue-overflow drops plus link-outage losses, network-wide."""
+        """Every packet lost network-wide: queue drops (overflows, pFabric
+        evictions and injected loss) plus link-outage losses."""
         return sum(link.queue.drops + link.down_drops
                    for link in self.links.values())
 

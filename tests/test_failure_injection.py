@@ -16,8 +16,7 @@ from repro.core import (
     PaseSender,
     pase_queue_factory,
 )
-from repro.faults import (BernoulliLoss, DataLoss, FaultInjector,
-                          FaultSchedule, LossyQueue)
+from repro.faults import DataLoss, FaultInjector, FaultSchedule
 from repro.sim import Simulator, StarTopology
 from repro.sim.queues import REDQueue
 from repro.transports import (
@@ -40,26 +39,15 @@ def lossy_star(sim, num_hosts, p, queue_factory=lambda: REDQueue(225, 65)):
     return topo
 
 
-class TestLossyQueueCounters:
-    def test_injected_drops_count_in_delegated_counters(self):
-        from repro.sim.packet import Packet, PacketKind
-
-        q = LossyQueue(REDQueue(225, 65), BernoulliLoss(1.0, seed=1))  # drop all
-        pkt = Packet(PacketKind.DATA, 0, 1, flow_id=1, seq=0, size=1500)
-        assert q.enqueue(pkt) is False
-        assert q.injected_drops == 1
-        assert q.drops == 1  # visible through the merged counter view
-        ack = Packet(PacketKind.ACK, 1, 0, flow_id=1, seq=0, size=40)
-        assert q.enqueue(ack) is True  # control packets pass through
-
-    def test_injector_seeds_each_wrapped_links_model_distinctly(self):
+class TestInjectedLoss:
+    def test_injector_seeds_each_windows_model_distinctly(self):
         sim = Simulator()
         topo = lossy_star(sim, 3, 0.5)
         sim.run(until=0.0)  # the loss window opens at t = 0
-        a, b = (link.queue for link in list(topo.network.links.values())[:2])
-        assert isinstance(a, LossyQueue) and isinstance(b, LossyQueue)
-        seq_a = [a.model.drop() for _ in range(32)]
-        seq_b = [b.model.drop() for _ in range(32)]
+        (a,), (b,) = (link.loss
+                      for link in list(topo.network.links.values())[:2])
+        seq_a = [a.drop() for _ in range(32)]
+        seq_b = [b.drop() for _ in range(32)]
         assert seq_a != seq_b
 
 

@@ -23,6 +23,7 @@ from repro.core import endhost
 from repro.faults import (
     ArbitratorCrash,
     BernoulliLoss,
+    ControlDegrade,
     DataLoss,
     FaultInjector,
     FaultSchedule,
@@ -74,6 +75,22 @@ class TestFaultSchedule:
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule()
         assert FaultSchedule(events=(LinkDown(at=0.0),))
+
+    def test_overlapping_control_degrade_rejected_at_construction(self):
+        """Each window sets the channel and clears it as it ends, so the
+        first to end would clear the other: overlapping (or touching,
+        where the listing order would decide) windows fail when built."""
+        lossy = ControlDegrade(at=0.0, duration=10 * MSEC, loss_rate=0.3)
+        slow = ControlDegrade(at=5 * MSEC, duration=20 * MSEC, loss_rate=0.1,
+                              extra_delay=100 * USEC)
+        for events in ((lossy, slow), (slow, lossy),
+                       (ControlDegrade(at=0.0), slow),
+                       (lossy, ControlDegrade(at=10 * MSEC))):
+            with pytest.raises(ValueError, match="overlap"):
+                FaultSchedule(events=events)
+        # Disjoint windows, in either order, and other kinds alongside.
+        later = ControlDegrade(at=11 * MSEC, loss_rate=0.1)
+        FaultSchedule(events=(later, lossy, ArbitratorCrash(at=0.0)))
 
     def test_touches_control_plane(self):
         assert FaultSchedule(events=(ArbitratorCrash(at=0.0),)
@@ -162,6 +179,27 @@ class TestLinkOutage:
         sim.run(until=30.0)
         assert flow.completed
 
+    @pytest.mark.parametrize("first_ends_first", [True, False])
+    def test_overlapping_outages_keep_the_link_down(self, first_ends_first):
+        """Two outages overlap on one link, whichever ends first: the link
+        stays down until the last closes, and the second opening (on a
+        link already down) changes nothing."""
+        sim = Simulator()
+        topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)
+        link = topo.host_uplink(topo.hosts[0])
+        first, second = (4, 7) if first_ends_first else (9, 2)
+        inj = FaultInjector(sim, topo.network, FaultSchedule(events=(
+            LinkDown(at=1 * MSEC, links=(link.name,), duration=first * MSEC),
+            LinkDown(at=3 * MSEC, links=(link.name,),
+                     duration=second * MSEC))))
+        up = {}
+        for ms in (0.5, 2, 4, 6, 11):
+            sim.schedule_at(ms * MSEC, lambda ms=ms: up.update({ms: link.up}))
+        sim.run(until=20 * MSEC)
+        assert up == {0.5: True, 2: False, 4: False, 6: False, 11: True}
+        assert link.down_transitions == 1
+        assert inj.injected == {"link-down": 2, "link-up": 2}
+
     def test_permanent_outage_strands_flow_but_sim_keeps_going(self):
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)
@@ -218,15 +256,15 @@ class TestInjector:
         sim.run(until=30.0)
         assert flow.completed
         assert inj.injected_loss_drops > 0
-        # The wrapper came off at window close; the link is clean again.
-        assert type(link.queue) is REDQueue
+        # The model came off at window close; the link is clean again.
+        assert link.loss == []
         # Injected drops stayed visible in network-wide accounting.
         assert topo.network.total_drops() >= inj.injected_loss_drops
 
     @pytest.mark.parametrize("first_ends_first", [True, False])
     def test_overlapping_loss_windows_on_one_link(self, first_ends_first):
         """Two loss windows overlap on one link, whichever ends first:
-        each removes its own wrapper, drops in either count once in the
+        each removes its own model, drops in either count once in the
         link's counters, and the flow completes."""
         sim = Simulator()
         topo = StarTopology(sim, num_hosts=3, queue_factory=red_factory)
@@ -246,12 +284,10 @@ class TestInjector:
         sim.run(until=30.0)
         assert flow.completed
         assert inj.injected == {"data-loss-on": 2, "data-loss-off": 2}
-        assert type(link.queue) is REDQueue
-        wrappers = inj._loss_wrappers
-        assert all(w.injected_drops > 0 for w in wrappers)
+        assert link.loss == []
+        assert link.loss_drops > 0
         # One flow on a clean star: every drop is an injected one.
-        assert inj.injected_loss_drops == sum(w.injected_drops
-                                              for w in wrappers)
+        assert inj.injected_loss_drops == link.loss_drops
         assert link.queue.drops == topo.network.total_drops() \
             == inj.injected_loss_drops
 
@@ -263,7 +299,8 @@ class TestInjector:
             DataLoss(at=0.0, links=(link.name,), model="gilbert-elliott",
                      params=(("p_enter_bad", 0.01), ("p_exit_bad", 0.2))),)))
         sim.run(until=0.0)
-        assert isinstance(link.queue.model, GilbertElliottLoss)
+        (model,) = link.loss
+        assert isinstance(model, GilbertElliottLoss)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.sim.node import Host, Node, Switch
 from repro.sim.packet import (HEADER_SIZE, Packet, PacketKind,
                               make_ack_packet, make_data_packet)
 from repro.sim.queues import DropTailQueue, PriorityQueueBank
+from repro.sim.trace import Tracer
 from repro.utils.units import GBPS, USEC
 
 
@@ -242,17 +243,71 @@ def test_arrival_at_frame_end_queues_behind_pending_wakeup():
                                             pytest.approx(46 * USEC)]
 
 
-def test_lossy_queue_takes_the_full_queue_path():
-    from repro.faults import BernoulliLoss, LossyQueue
+class ScriptedLoss:
+    """A loss model that answers from a script and logs every draw."""
 
+    kind = "scripted"
+
+    def __init__(self, name, log, answers=()):
+        self.name = name
+        self.log = log
+        self.answers = list(answers)
+
+    def drop(self):
+        self.log.append(self.name)
+        return self.answers.pop(0) if self.answers else False
+
+
+def test_lossy_link_drops_data_only():
+    """An open loss window draws for DATA packets only: ACKs and probes
+    pass.  A lost packet is booked as a queue drop, traced with reason
+    ``injected-loss``."""
     sim = Simulator()
-    link, dst = make_link(sim, queue=LossyQueue(DropTailQueue(100),
-                                                BernoulliLoss(0.0)))
+    sim.tracer = Tracer()
+    link, dst = make_link(sim)
+    log = []
+    link.loss.append(ScriptedLoss("w", log, answers=[True] * 8))
+    data = make_data_packet(0, 1, 1, 0, size=1500)
+    assert link.send(data) is False
+    assert link.send(make_ack_packet(data, 1)) is True
+    assert link.send(Packet(PacketKind.PROBE, 0, 1, flow_id=1, seq=0,
+                            size=HEADER_SIZE)) is True
+    sim.run()
+    assert log == ["w"]
+    assert [p.kind for _, p in dst.received] == [PacketKind.ACK,
+                                                 PacketKind.PROBE]
+    assert link.loss_drops == link.data_drops == link.queue.drops == 1
+    assert link.data_pkts_offered == 1
+    assert [e.detail("reason") for e in sim.tracer.of("drop")] == [
+        "injected-loss"]
+
+
+def test_down_link_draws_no_loss_coin():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    log = []
+    link.loss.append(ScriptedLoss("w", log, answers=[True]))
+    link.set_down()
+    assert link.send(make_data_packet(0, 1, 1, 0, size=1500)) is False
+    assert log == []
+    assert link.down_drops == 1 and link.loss_drops == 0
+
+
+def test_loss_windows_draw_newest_first():
+    """Overlapping windows draw newest first, and the first drop wins."""
+    sim = Simulator()
+    link, dst = make_link(sim)
+    log = []
+    link.loss.append(ScriptedLoss("old", log, answers=[True, False]))
+    link.loss.append(ScriptedLoss("new", log, answers=[True, False, False]))
     for i in range(3):
         link.send(make_data_packet(0, 1, 1, i, size=1500))
     sim.run()
-    assert [p.seq for _, p in dst.received] == [0, 1, 2]
-    assert link.queue.enqueued_total == 3
+    # The newest drops the first packet, the oldest the second; the third
+    # passes both.
+    assert log == ["new", "new", "old", "new", "old"]
+    assert [p.seq for _, p in dst.received] == [2]
+    assert link.loss_drops == link.queue.drops == 2
 
 
 @pytest.mark.parametrize("before_slot", [True, False])
@@ -314,6 +369,25 @@ def test_arrival_at_frame_end_hands_off_only_at_a_switch(src_type, events):
     assert (link.pkts_sent, link.bytes_sent) == (2, 3000)
     assert link.queue.enqueued_total == 2
     assert link.busy_time == pytest.approx(24 * USEC)
+
+
+def test_lossy_switch_port_still_hands_off():
+    """A loss window that drops nothing leaves a switch port's handoff, and
+    its deliveries and counters, as on a clean port."""
+    sim = Simulator()
+    switch = Switch(sim, 0, "sw")
+    link, dst = make_port(sim, switch)
+    log = []
+    link.loss.append(ScriptedLoss("w", log))
+    sim.schedule_at(12 * USEC, switch.receive,
+                    make_data_packet(0, 1, 1, 1, size=1500), None)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.run()
+    assert log == ["w", "w"]
+    assert [t for t, _ in dst.received] == [pytest.approx(22 * USEC),
+                                            pytest.approx(34 * USEC)]
+    assert sim.events_processed == 3
+    assert link.queue.enqueued_total == 2 and link.loss_drops == 0
 
 
 def test_handoff_yields_to_an_entry_ahead_of_the_slot():

@@ -34,6 +34,11 @@ class EagerLink(Link):
         if not self.up:
             self._drop_down(pkt)
             return False
+        if self.loss and pkt.kind == 0:
+            for model in reversed(self.loss):
+                if model.drop():
+                    self.loss_drops += 1
+                    return self.queue._record_drop(pkt, "injected-loss")
         if self.queue.enqueue(pkt):
             if not self.busy:
                 self._transmit_next()
@@ -101,7 +106,7 @@ def _run(monkeypatch, link_cls, protocol, scenario, load, num_flows, seed):
             num_flows=num_flows, seed=seed))
     counters = [(link.name, link.pkts_sent, link.bytes_sent, link.busy_time,
                  link.queue.drops, link.queue.marks,
-                 link.queue.enqueued_total, link.down_drops)
+                 link.queue.enqueued_total, link.down_drops, link.loss_drops)
                 for link in links]
     return result, counters
 
@@ -156,7 +161,10 @@ def test_fault_runs_match_eager_link(monkeypatch, fault, seed):
                          20, seed)
     if fault.startswith("link-"):
         # The outage hit traffic: the oracle covered the link-down path.
-        assert sum(down_drops for *_, down_drops in links) > 0
+        assert sum(down_drops for *_, down_drops, _ in links) > 0
+    if fault == "data-loss":
+        # So did the loss seam.
+        assert sum(loss_drops for *_, loss_drops in links) > 0
 
 
 #: Left-right's fabric runs at ``hosts_per_rack / 4`` times the host rate,
