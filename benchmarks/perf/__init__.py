@@ -14,7 +14,7 @@ Five layers, each isolating one slice of the stack:
   switches),
 * :mod:`benchmarks.perf.bench_transport` — the end-host transport
   chassis (ACK-clocked packets/second for one DCTCP pair through one
-  switch).
+  switch) and a full-stack PASE incast (events/second).
 
 ``python -m benchmarks.perf`` runs all five and writes ``BENCH_sim.json``
 at the repository root; see EXPERIMENTS.md for the schema (bench_sim/v4).

@@ -132,6 +132,7 @@ def main(argv=None) -> int:
     print(f"link    switch chain:    {link['chain_packets_per_sec']:>12,.0f} packets/sec")
     transport = report["results"]["transport"]
     print(f"transport dctcp pair:    {transport['dctcp_pair_packets_per_sec']:>12,.0f} packets/sec")
+    print(f"transport pase incast:   {transport['pase_incast_events_per_sec']:>12,.0f} events/sec")
     print(f"report: {args.output}")
 
     if args.no_floor_check:

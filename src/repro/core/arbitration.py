@@ -29,9 +29,14 @@ only discards ``prefix[p+1:]`` (the watermark ``_valid``), so interleaved
 update/decide traffic — the control plane's actual access pattern — re-sums
 only the slice between the lowest dirty position and the queried index.
 The summation order is always left-to-right over the sorted order, so
-repeated partial extensions are bit-identical to one full rebuild.
-:meth:`aggregate_demand` reads the same prefix sums.  Nothing else is
-cached: every decision is computed from the table when it is asked for.
+repeated partial extensions are bit-identical to one full rebuild.  A
+decide whose index is within the watermark reads the prefix directly;
+only a short watermark costs the extending call.
+:meth:`aggregate_demand` reads the same prefix sums.  Besides the prefix,
+only the capacity is cached, in the ``_cap`` slot: the link's capacity,
+or for a virtual link the parent's capacity times its share, refreshed by
+:meth:`VirtualLinkArbitrator.set_share`.  Every decision is computed from
+the table when it is asked for.
 
 :class:`VirtualLinkArbitrator` is the same machine over a mutable capacity —
 the delegated slice of a parent (aggregation–core) link (§3.1.2).
@@ -95,6 +100,7 @@ class LinkArbitrator:
         "_demands",
         "_prefix",
         "_valid",
+        "_cap",
     )
 
     def __init__(
@@ -118,12 +124,16 @@ class LinkArbitrator:
         #: position ``i``); only ``_prefix[: _valid + 1]`` is trustworthy.
         self._prefix: List[float] = [0.0]
         self._valid = 0
+        #: Capacity Algorithm 1 divides (:attr:`capacity`), kept in a slot
+        #: so a decision reads it without a property call.
+        self._cap: float = self.capacity_bps
 
     # ------------------------------------------------------------------
     @property
     def capacity(self) -> float:
-        """Capacity used for queue/rate computation; virtual links override."""
-        return self.capacity_bps
+        """Capacity used for queue/rate computation: the link's, or a
+        virtual link's current share of its parent's."""
+        return self._cap
 
     # ------------------------------------------------------------------
     # Sorted-table maintenance
@@ -167,8 +177,9 @@ class LinkArbitrator:
         now: float,
     ) -> ArbitrationResult:
         """Register/update a flow and compute its (PrioQue, Rref)."""
-        check_non_negative("criterion_value", criterion_value)
-        check_non_negative("demand", demand)
+        if criterion_value < 0 or demand < 0:
+            check_non_negative("criterion_value", criterion_value)
+            check_non_negative("demand", demand)
         entry = self.flows.get(flow_id)
         if entry is None:
             self.flows[flow_id] = ArbitratedFlow(
@@ -189,8 +200,11 @@ class LinkArbitrator:
         bisect into the sorted table plus a prefix read."""
         me = self.flows[flow_id]
         idx = bisect_left(self._keys, (me.criterion_value, flow_id))
-        adh = self._adh_before(idx)
-        capacity = self.capacity
+        if idx <= self._valid:
+            adh = self._prefix[idx]
+        else:
+            adh = self._adh_before(idx)
+        capacity = self._cap
         if adh < capacity:
             rate = min(me.demand, capacity - adh)
             queue = 0
@@ -258,8 +272,9 @@ class VirtualLinkArbitrator(LinkArbitrator):
     """A delegated slice of a parent link (§3.1.2 "Delegation").
 
     The owning child arbitrator runs ordinary Algorithm 1 over the slice;
-    :meth:`set_share` is called by the delegation manager on each rebalance.
-    ``capacity_bps`` is the physical parent link's capacity.
+    :meth:`set_share` is called by the delegation manager on each rebalance;
+    it also refreshes the cached :attr:`capacity`, ``capacity_bps`` times
+    the share.  ``capacity_bps`` is the physical parent link's capacity.
     """
 
     __slots__ = ("_share",)
@@ -274,6 +289,7 @@ class VirtualLinkArbitrator(LinkArbitrator):
     ) -> None:
         super().__init__(name, capacity_bps, num_queues, base_rate_bps)
         self._share = initial_share
+        self._cap = self.capacity_bps * initial_share
 
     @property
     def share(self) -> float:
@@ -283,7 +299,4 @@ class VirtualLinkArbitrator(LinkArbitrator):
         if not 0 < share <= 1:
             raise ValueError(f"share must be in (0, 1], got {share!r}")
         self._share = share
-
-    @property
-    def capacity(self) -> float:
-        return self.capacity_bps * self._share
+        self._cap = self.capacity_bps * share

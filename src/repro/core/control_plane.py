@@ -305,8 +305,12 @@ class PaseControlPlane:
         which the sender detects by timeout.
         """
         self.requests_started += 1
-        chains = self.chains_for(flow)
-        if self.cp_down or self._is_crashed(chains.src_hops[0]):
+        # chains_for, with its cache hit inline.
+        chains = self._chains.get(flow.flow_id)
+        if chains is None:
+            chains = self.chains_for(flow)
+        if self.cp_down or (self._crashed
+                            and self._is_crashed(chains.src_hops[0])):
             self.requests_failed += 1
             return None
         state = _RequestState(criterion_value, demand, callback)
@@ -344,12 +348,13 @@ class PaseControlPlane:
         prev_latency = hops[index - 1].latency if index > 0 else 0.0
         while index < len(hops):
             hop = hops[index]
-            if self._is_crashed(hop):
+            if (self.cp_down or self._crashed) and self._is_crashed(hop):
                 # The request reached a dead arbitrator: the chain is
                 # severed and this half never answers (sender times out).
                 self.consults_aborted += 1
                 return
-            pruned = (cfg.pruning_enabled and acc is not None
+            # cfg.pruning_enabled, inline.
+            pruned = (cfg.pruning_queues > 0 and acc is not None
                       and acc.queue >= cfg.pruning_queues)
             if pruned:
                 self.prunes += 1
@@ -388,7 +393,11 @@ class PaseControlPlane:
         """Send the half's result back to the source and fire the callback."""
         if acc is None:
             return
-        used_messages = any(h.message_cost for h in hops[:consulted_until])
+        used_messages = False
+        for hop in hops[:consulted_until]:
+            if hop.message_cost:
+                used_messages = True
+                break
         if used_messages and self._lose_control_message():
             return  # response message eaten by the control channel
         deepest = hops[min(consulted_until, len(hops)) - 1].latency if consulted_until > 0 else 0.0
@@ -443,10 +452,13 @@ class PaseControlPlane:
 
     def recover(self, names: Optional[Sequence[str]] = None) -> None:
         """Bring arbitrators back.  They restart *empty* — the paper's soft
-        state is rebuilt organically by the senders' periodic requests."""
+        state is rebuilt organically by the senders' periodic requests.
+
+        ``names=None`` ends a whole-plane crash; arbitrators crashed by
+        name stay down until they are recovered by name, as
+        :meth:`crash` keeps the two apart."""
         if names is None:
             self.cp_down = False
-            self._crashed.clear()
             return
         for name in names:
             self._crashed.discard(name)

@@ -23,6 +23,24 @@ Two further mechanisms from the paper:
 * **Promotion reordering guard** — on moving to a *higher* priority queue,
   the sender drains in-flight packets before sending at the new priority,
   avoiding reordering-induced backoff (§3.2).
+
+Hot path
+--------
+Every ACK of every PASE flow runs this sender, so its per-ACK methods keep
+their Python frames few, bit-identically to the method-per-step form (see
+:mod:`repro.transports.base` for the chassis):
+
+* the lowest data queue is stored once (``_lowest_queue``) rather than
+  read from the config's property on every ACK and decision;
+* the RTO floor is the chassis's ``_rto_floor`` attribute, set wherever
+  the queue is set, so PASE does not override ``rto_value``;
+* a top-queue flow's per-ACK window, ``_reference_window()`` clamped to
+  ``[1, MAX_CWND]``, is cached and recomputed only when Rref or the
+  minimum RTT sample changes;
+* :meth:`PaseSender.send_window` finishes a drained promotion inline, and
+  :meth:`PaseSender._on_arbitration` merges the two path halves with
+  ``max``/``min`` in :meth:`~repro.core.arbitration.ArbitrationResult.merge`'s
+  operand order.
 """
 
 from __future__ import annotations
@@ -73,8 +91,20 @@ class PaseSender(DctcpSender):
         self.control_plane = control_plane
         self.nic_rate_bps = control_plane.topology.host_uplink(host).capacity_bps
 
-        self.queue_index: int = self.pase.num_data_queues - 1
+        #: The lowest data queue, read on every ACK and every decision.
+        self._lowest_queue: int = self.pase.num_data_queues - 1
+        #: The priority queue the flow's packets ride.  Set it through
+        #: ``_set_queue`` (or with ``_rto_floor`` beside it, as
+        #: ``_enter_fallback`` does): the RTO floor follows the queue.
+        self.queue_index: int = self._lowest_queue
+        self._rto_floor = self._queue_rto_floor(self.queue_index)
         self.reference_rate: float = 0.0
+        #: ``_reference_window()`` clamped to [1, MAX_CWND], cached for the
+        #: top queue's per-ACK update, and the ``(reference_rate,
+        #: _rtt_min_sample)`` it was computed from; either changing
+        #: recomputes it.
+        self._ref_cwnd: float = 1.0
+        self._ref_key: tuple = ()
         self._is_intermediate = False
         self._pending_queue: Optional[int] = None
         #: Seq of the outstanding loss-recovery probe, if any.
@@ -101,6 +131,7 @@ class PaseSender(DctcpSender):
             # Background traffic lives in the reserved bottom class and runs
             # plain DCTCP laws; it never contacts arbitrators (§3.3).
             self.queue_index = self.pase.background_queue
+            self._rto_floor = self._queue_rto_floor(self.queue_index)
             self._is_intermediate = True
             self.cwnd = 2.0
 
@@ -226,14 +257,19 @@ class PaseSender(DctcpSender):
         if self._in_fallback:
             self._exit_fallback()
         self._arbitrated = True
-        self._half_results[half] = new_result
-        result = new_result
-        for other_half, other in self._half_results.items():
+        halves = self._half_results
+        halves[half] = new_result
+        # ArbitrationResult.merge, inline: the lowest queue and the
+        # smallest reference rate, in the same operand order.
+        queue = new_result.queue
+        rate = new_result.reference_rate
+        for other_half, other in halves.items():
             if other_half != half:
-                result = result.merge(other)
-        self.reference_rate = result.reference_rate
-        new_queue = min(result.queue, self.pase.num_data_queues - 1)
-        if new_queue < self.queue_index and self.inflight > 0:
+                queue = max(queue, other.queue)
+                rate = min(rate, other.reference_rate)
+        self.reference_rate = rate
+        new_queue = min(queue, self._lowest_queue)
+        if new_queue < self.queue_index and self._inflight:
             # Promotion: drain old-priority packets first (reordering guard).
             self._pending_queue = new_queue
         else:
@@ -247,6 +283,8 @@ class PaseSender(DctcpSender):
                                    self.flow.flow_id,
                                    old=self.queue_index, new=queue)
         self.queue_index = queue
+        # _queue_rto_floor(queue), inline: this runs on every response.
+        self._rto_floor = MIN_RTO_TOP if queue == 0 else self.pase.min_rto_low
         if queue == 0:
             if not self.pase.reference_rate:
                 # PASE-DCTCP ablation: DCTCP laws even in the top queue.
@@ -256,7 +294,7 @@ class PaseSender(DctcpSender):
                 return
             self._is_intermediate = False
             self.cwnd = max(1.0, self._reference_window())
-        elif queue < self.pase.num_data_queues - 1:
+        elif queue < self._lowest_queue:
             if not self._is_intermediate:
                 self._is_intermediate = True
                 self.cwnd = 1.0
@@ -270,17 +308,16 @@ class PaseSender(DctcpSender):
             self._is_intermediate = False
             self.cwnd = 1.0
 
+    def _queue_rto_floor(self, queue: int) -> float:
+        """RTO floor of a flow in ``queue``: Table 3's top-queue value, or
+        ``min_rto_low`` below it."""
+        return MIN_RTO_TOP if queue == 0 else self.pase.min_rto_low
+
     def _reference_window(self) -> float:
         """Rref expressed as a window: Rref x RTT, in packets.  Uses the
         propagation RTT — a queueing-inflated estimate would compound (more
         window -> more queueing -> more window)."""
         return self.reference_rate * max(self.base_rtt, 1e-9) / bytes_to_bits(self.mtu)
-
-    def _maybe_complete_promotion(self) -> None:
-        if self._pending_queue is not None and self.inflight == 0:
-            pending = self._pending_queue
-            self._pending_queue = None
-            self._set_queue(pending)
 
     # ------------------------------------------------------------------
     # DCTCP fallback (§3.1's fault-tolerance argument, made concrete)
@@ -299,7 +336,8 @@ class PaseSender(DctcpSender):
         self.reference_rate = 0.0
         # The lowest data class: degraded flows cannot starve arbitrated
         # top-queue traffic.
-        self.queue_index = self.pase.num_data_queues - 1
+        self.queue_index = self._lowest_queue
+        self._rto_floor = self._queue_rto_floor(self.queue_index)
         self._is_intermediate = True  # DCTCP control laws
         self.cwnd = max(self.cwnd, 2.0)
         self.ssthresh = MAX_CWND
@@ -333,10 +371,13 @@ class PaseSender(DctcpSender):
     def send_window(self) -> None:
         if not self._arbitrated and not self.flow.background:
             return  # wait for the child arbitrator's first answer
-        if self._pending_queue is not None:
-            self._maybe_complete_promotion()
-            if self._pending_queue is not None:
+        pending = self._pending_queue
+        if pending is not None:
+            if self._inflight:
                 return  # hold fire until the old-priority packets drain
+            # The old-priority packets have drained: finish the promotion.
+            self._pending_queue = None
+            self._set_queue(pending)
         super().send_window()
 
     def decorate_packet(self, pkt: Packet) -> None:
@@ -350,18 +391,18 @@ class PaseSender(DctcpSender):
         if self.flow.background or self._is_intermediate:
             super()._increase_window()
         elif self.queue_index == 0 and self.pase.reference_rate:
-            self.cwnd = min(max(1.0, self._reference_window()), MAX_CWND)
+            key = (self.reference_rate, self._rtt_min_sample)
+            if key != self._ref_key:
+                self._ref_key = key
+                self._ref_cwnd = min(max(1.0, self._reference_window()),
+                                     MAX_CWND)
+            self.cwnd = self._ref_cwnd
         else:
             self.cwnd = 1.0
 
     # ------------------------------------------------------------------
-    # Loss recovery: queue-dependent RTO + probing
+    # Loss recovery: queue-dependent RTO (``_rto_floor``) + probing
     # ------------------------------------------------------------------
-    def rto_value(self) -> float:
-        floor = MIN_RTO_TOP if self.queue_index == 0 else self.pase.min_rto_low
-        base = max(floor, self.srtt + 4 * self.rttvar)
-        return min(self.config.max_rto, base * (2 ** self._rto_backoff))
-
     def handle_timeout(self) -> None:
         if self.queue_index == 0 or not self.pase.probing_enabled:
             super().handle_timeout()

@@ -59,6 +59,10 @@ class FaultInjector:
         #: Open ``LinkDown`` windows per link name: the link goes down as
         #: the first opens and comes back up as the last closes.
         self._open_downs: Dict[str, int] = {}
+        #: Open ``ArbitratorCrash`` windows per target, an arbitrator name
+        #: or ``None`` for the whole control plane: a target recovers only
+        #: as its last window closes.
+        self._open_crashes: Dict[Optional[str], int] = {}
         self._links_by_name = {link.name: link
                                for link in network.links.values()}
         self._next_model_seed = schedule.seed * _SEED_STRIDE + 1
@@ -144,12 +148,24 @@ class FaultInjector:
             self._record("link-up", link.name)
 
     def _arb_crash(self, names) -> None:
+        opened = self._open_crashes
+        for target in (None,) if names is None else names:
+            opened[target] = opened.get(target, 0) + 1
         self.control_plane.crash(names)
         self._record("arbitrator-crash",
                      "control-plane" if names is None else ",".join(names))
 
     def _arb_recover(self, names) -> None:
-        self.control_plane.recover(names)
+        opened = self._open_crashes
+        closed = []
+        for target in (None,) if names is None else names:
+            opened[target] -= 1
+            if not opened[target]:
+                closed.append(target)
+        if names is not None:
+            self.control_plane.recover(closed)
+        elif closed:
+            self.control_plane.recover(None)
         self._record("arbitrator-recover",
                      "control-plane" if names is None else ",".join(names))
 

@@ -20,8 +20,12 @@ Event kinds:
 * :class:`ArbitratorCrash` — crash arbitrators at ``at`` (``links=None``
   means the whole control plane), recovering after ``duration`` if given.
   A crash wipes the arbitrator's soft state; recovery starts empty and the
-  table is rebuilt by the endpoints' periodic arbitration requests.  Of
-  overlapping windows, the first to end recovers the arbitrators.
+  table is rebuilt by the endpoints' periodic arbitration requests.
+  Windows may overlap: an arbitrator (or the whole plane) is down while
+  any window on it is open and recovers as the last closes; a window
+  opening on one already down only counts another crash (its table is
+  already empty).  A whole-plane window that ends leaves the arbitrators
+  of still-open named windows down.
 * :class:`ControlDegrade` — a lossy/slow control channel for a window:
   each explicit arbitration message is lost with ``loss_rate`` and delayed
   by ``extra_delay``.  Each window sets the channel and clears it as it

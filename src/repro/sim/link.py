@@ -60,6 +60,9 @@ eager model, with far fewer events.
   queue path.
 * A link with no open loss window pays one attribute test per DATA
   packet for the loss seam, and no Python call.
+* :meth:`Link._wakeup` reads the queue's ``_len`` slot (see
+  :mod:`repro.sim.queues`) to see whether another packet waits, rather
+  than calling ``len(queue)``, which is a Python ``__len__``.
 * Link-down is the cold path.  A frame is corrupted if and only if the
   link is down when its serialization ends.  :meth:`Link.set_down` during a
   frame cancels the posted delivery through its handle and pushes the
@@ -288,7 +291,7 @@ class Link:
         self._bytes_started += size
         self.busy_until = end = sim.now + tx_delay
         self._in_flight = pkt
-        if len(queue):
+        if queue._len:
             # Another packet already waits behind this frame: post the
             # wake-up at once, in the slot a claim would take.
             self._post_at(end, self._wakeup)

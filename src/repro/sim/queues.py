@@ -14,7 +14,10 @@ Four disciplines cover every protocol in the paper:
   flow size).
 
 All disciplines share one small interface (:class:`QueueDiscipline`) so a
-switch port is agnostic to which is installed.
+switch port is agnostic to which is installed.  Each keeps its packet
+count in the ``_len`` slot, updated by every enqueue, dequeue and
+eviction: ``len(queue)`` returns it, and the owning link reads the slot
+directly on its per-frame path instead of calling ``__len__``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ class QueueDiscipline:
     """Interface for egress queueing disciplines.
 
     Subclasses implement :meth:`enqueue` (returning ``False`` when the packet
-    is dropped) and :meth:`dequeue`.  Drop and mark counters are maintained
-    here so metrics collection is uniform.
+    is dropped) and :meth:`dequeue`, and keep ``_len`` equal to the number
+    of packets queued.  Drop and mark counters are maintained here so
+    metrics collection is uniform.
 
     ``drop_hook`` is the cold-path instrumentation seam: the owning link
     installs a callback that emits the :data:`~repro.sim.trace.CAT_DROP`
@@ -47,9 +51,11 @@ class QueueDiscipline:
     """
 
     __slots__ = ("drops", "drop_bytes", "marks", "enqueued_total",
-                 "drop_hook")
+                 "drop_hook", "_len")
 
     def __init__(self) -> None:
+        #: Packets queued now; every discipline keeps it current.
+        self._len: int = 0
         self.drops: int = 0
         self.drop_bytes: int = 0
         self.marks: int = 0
@@ -63,7 +69,7 @@ class QueueDiscipline:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self._len
 
     @property
     def byte_depth(self) -> int:
@@ -90,9 +96,10 @@ class DropTailQueue(QueueDiscipline):
         self._bytes = 0
 
     def enqueue(self, pkt: Packet) -> bool:
-        if len(self._q) >= self.capacity_pkts:
+        if self._len >= self.capacity_pkts:
             return self._record_drop(pkt)
         self._q.append(pkt)
+        self._len += 1
         self._bytes += pkt.size
         self.enqueued_total += 1
         return True
@@ -101,11 +108,9 @@ class DropTailQueue(QueueDiscipline):
         if not self._q:
             return None
         pkt = self._q.popleft()
+        self._len -= 1
         self._bytes -= pkt.size
         return pkt
-
-    def __len__(self) -> int:
-        return len(self._q)
 
     @property
     def byte_depth(self) -> int:
@@ -128,12 +133,13 @@ class REDQueue(DropTailQueue):
         self.mark_threshold_pkts = int(check_positive("mark_threshold_pkts", mark_threshold_pkts))
 
     def enqueue(self, pkt: Packet) -> bool:
-        if len(self._q) >= self.capacity_pkts:
+        if self._len >= self.capacity_pkts:
             return self._record_drop(pkt)
-        if pkt.ecn_capable and len(self._q) >= self.mark_threshold_pkts:
+        if pkt.ecn_capable and self._len >= self.mark_threshold_pkts:
             pkt.ecn_marked = True
             self.marks += 1
         self._q.append(pkt)
+        self._len += 1
         self._bytes += pkt.size
         self.enqueued_total += 1
         return True
@@ -151,7 +157,7 @@ class PriorityQueueBank(QueueDiscipline):
     """
 
     __slots__ = ("num_queues", "capacity_pkts", "mark_threshold_pkts",
-                 "per_queue_capacity", "_queues", "_len", "_bytes")
+                 "per_queue_capacity", "_queues", "_bytes")
 
     def __init__(
         self,
@@ -169,7 +175,6 @@ class PriorityQueueBank(QueueDiscipline):
         #: packet buffer carved into queues.
         self.per_queue_capacity = per_queue_capacity
         self._queues: List[Deque[Packet]] = [deque() for _ in range(self.num_queues)]
-        self._len = 0
         self._bytes = 0
 
     def enqueue(self, pkt: Packet) -> bool:
@@ -207,9 +212,6 @@ class PriorityQueueBank(QueueDiscipline):
         """Occupancy (packets) of one priority class."""
         return len(self._queues[index])
 
-    def __len__(self) -> int:
-        return self._len
-
     @property
     def byte_depth(self) -> int:
         return self._bytes
@@ -237,16 +239,18 @@ class PFabricQueue(QueueDiscipline):
         self._bytes = 0
 
     def enqueue(self, pkt: Packet) -> bool:
-        if len(self._q) >= self.capacity_pkts:
+        if self._len >= self.capacity_pkts:
             victim_idx = self._worst_index()
             victim = self._q[victim_idx] if victim_idx >= 0 else None
             if victim is None or pkt.priority >= victim.priority:
                 # The arrival is the lowest-priority packet: drop it.
                 return self._record_drop(pkt)
             del self._q[victim_idx]
+            self._len -= 1
             self._bytes -= victim.size
             self._record_drop(victim, reason="evicted")
         self._q.append(pkt)
+        self._len += 1
         self._bytes += pkt.size
         self.enqueued_total += 1
         return True
@@ -272,12 +276,10 @@ class PFabricQueue(QueueDiscipline):
         for i, p in enumerate(self._q):
             if p.flow_id == flow:
                 del self._q[i]
+                self._len -= 1
                 self._bytes -= p.size
                 return p
         return None  # pragma: no cover - unreachable
-
-    def __len__(self) -> int:
-        return len(self._q)
 
     @property
     def byte_depth(self) -> int:

@@ -31,8 +31,14 @@ sample inline; :meth:`SenderAgent.send_window` computes the usable window
 inline and takes new data directly when no retransmission is queued;
 :meth:`SenderAgent._transmit` sizes the packet and stamps its remaining
 bytes inline and posts a timer only when none is armed.  The results are
-bit-identical to the method-per-step form.  Three seams stay, whatever
-they cost:
+bit-identical to the method-per-step form.  :meth:`SenderAgent._rearm_rto`,
+run on every ACK that advances the cumulative ack, computes
+:meth:`SenderAgent.rto_value` inline from the ``_rto_floor`` attribute (the
+configured ``min_rto``, or PASE's per-queue floor, set wherever PASE sets
+its queue), so no subclass overrides ``rto_value``.
+:meth:`~repro.transports.dctcp.DctcpSender.on_ack_window_update` runs the
+alpha estimator's per-ACK update inline, on the estimator's own state.
+Three seams stay, whatever they cost:
 
 * Every RTO re-arm goes through :meth:`SenderAgent._rearm_rto`.
   ``tests/test_rearm_oracle.py`` swaps it for a cancel-and-post oracle
@@ -198,6 +204,9 @@ class SenderAgent:
         #: Minimum RTT sample seen — approximates the propagation RTT
         #: (queueing-free), which rate-to-window conversions should use.
         self._rtt_min_sample: Optional[float] = None
+        #: Lower bound of the RTO before backoff.  PASE moves it with the
+        #: flow's priority queue; every other sender keeps ``min_rto``.
+        self._rto_floor: float = self.config.min_rto
         self._rto_backoff: int = 0
         self._rto_event: Optional[Handle] = None
 
@@ -405,7 +414,7 @@ class SenderAgent:
     # Timers
     # ------------------------------------------------------------------
     def rto_value(self) -> float:
-        base = max(self.config.min_rto, self.srtt + 4 * self.rttvar)
+        base = max(self._rto_floor, self.srtt + 4 * self.rttvar)
         return min(self.config.max_rto, base * (2 ** self._rto_backoff))
 
     def _arm_rto(self) -> None:
@@ -421,9 +430,16 @@ class SenderAgent:
         else:
             # In place: one heap entry per timer.  _on_rto clears
             # _rto_event before anything re-arms, so a kept handle is
-            # still pending, as repost requires.
-            self._rto_event = self.sim.repost(self._rto_event,
-                                              self.rto_value())
+            # still pending, as repost requires.  rto_value(), inline.
+            rto = self.srtt + 4 * self.rttvar
+            floor = self._rto_floor
+            if floor >= rto:
+                rto = floor
+            rto = rto * (2 ** self._rto_backoff)
+            max_rto = self.config.max_rto
+            if max_rto <= rto:
+                rto = max_rto
+            self._rto_event = self.sim.repost(self._rto_event, rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

@@ -27,6 +27,8 @@ class DctcpAlphaEstimator:
 
     ``observe(marked)`` is called per ACK; the estimate rolls over when a full
     window's worth of ACKs (``window_pkts`` at rollover time) has been seen.
+    :meth:`DctcpSender.on_ack_window_update` runs the same update inline;
+    ``tests/test_dctcp_family.py`` checks that the two agree step for step.
     """
 
     def __init__(self, g: float = DCTCP_G) -> None:
@@ -75,7 +77,18 @@ class DctcpSender(SenderAgent):
         if not newly_acked:
             return
         marked = ack.ecn_echo
-        self.estimator.observe(marked, self.cwnd)
+        # self.estimator.observe(marked, self.cwnd), inline: this runs on
+        # every newly acking ACK of the DCTCP family and PASE.
+        est = self.estimator
+        est._acked += 1
+        if marked:
+            est._marked += 1
+        if est._acked >= est._window_target:
+            fraction = est._marked / est._acked
+            est.alpha = (1 - est.g) * est.alpha + est.g * fraction
+            est._acked = 0
+            est._marked = 0
+            est._window_target = max(1, int(self.cwnd))
         # One multiplicative decrease per window of data.
         if marked and self.cum_ack > self._last_reduction_seq:
             self._last_reduction_seq = self.next_new

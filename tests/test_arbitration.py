@@ -201,6 +201,26 @@ class TestVirtualLink:
             rr = real.arbitrate(fid, fid * 10 * KB, demand=C, now=0.0)
             assert rv == rr
 
+    @pytest.mark.parametrize("share", [0.05, 0.3, 0.5, 1.0])
+    def test_decision_after_set_share_matches_fresh_arbitrator(self, share):
+        """The cached capacity follows ``set_share``: every decision on a
+        rebalanced slice equals one made by an arbitrator built at the
+        new share with the same table."""
+        table = [(1, 10 * KB, 0.3 * C), (2, 20 * KB, 0.2 * C),
+                 (3, 40 * KB, C), (4, 80 * KB, 0.05 * C)]
+        moved = VirtualLinkArbitrator("v", C, 7, BASE, initial_share=0.25)
+        fresh = VirtualLinkArbitrator("f", C, 7, BASE, initial_share=share)
+        for fid, criterion, demand in table:
+            moved.arbitrate(fid, criterion, demand, now=0.0)
+            fresh.arbitrate(fid, criterion, demand, now=0.0)
+        moved.set_share(share)
+        assert moved.capacity == fresh.capacity
+        for fid, criterion, demand in table:
+            assert (moved.arbitrate(fid, criterion, demand, now=1.0)
+                    == fresh.arbitrate(fid, criterion, demand, now=1.0))
+        assert (moved.aggregate_demand(top_queues=1)
+                == fresh.aggregate_demand(top_queues=1))
+
     def test_capacity_change_mid_epoch_invalidates_decisions(self):
         """A rebalance between two decisions on an unchanged table must be
         visible: re-registering with the same values is a pure re-decide

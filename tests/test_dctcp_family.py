@@ -1,6 +1,8 @@
 """Tests for DCTCP, D2TCP, and L2DCT control laws."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator, StarTopology
 from repro.sim.packet import Packet, PacketKind
@@ -48,6 +50,33 @@ class TestAlphaEstimator:
         for marked in (True, False, False, False):
             est.observe(marked, 4)
         assert est.alpha == pytest.approx(0.25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(),
+                          st.floats(min_value=0.5, max_value=40.0)),
+                max_size=80))
+def test_sender_inline_update_matches_estimator_observe(acks):
+    """``DctcpSender.on_ack_window_update`` runs the estimator's per-ACK
+    update inline; step for step it must leave the estimator exactly as
+    :meth:`DctcpAlphaEstimator.observe` leaves a reference one."""
+    sim = Simulator()
+    topo = StarTopology(sim, num_hosts=2)
+    flow = Flow(flow_id=1, src=topo.hosts[0].node_id,
+                dst=topo.hosts[1].node_id, size_bytes=100 * KB,
+                start_time=0.0)
+    sender = DctcpSender(sim, topo.hosts[0], flow)
+    ref = DctcpAlphaEstimator()
+    ref.begin_window(sender.cwnd)
+    for marked, cwnd in acks:
+        ack = Packet(PacketKind.ACK, 1, 0, 1)
+        ack.ecn_echo = marked
+        sender.cwnd = cwnd
+        ref.observe(marked, cwnd)
+        sender.on_ack_window_update(ack, True)
+        est = sender.estimator
+        assert ((est.alpha, est._acked, est._marked, est._window_target)
+                == (ref.alpha, ref._acked, ref._marked, ref._window_target))
 
 
 CONFIG = TransportConfig(initial_rtt=100 * USEC)

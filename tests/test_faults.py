@@ -303,6 +303,74 @@ class TestInjector:
         assert isinstance(model, GilbertElliottLoss)
 
 
+def _sample_crash_state(windows, at_ms=(0.5, 2, 4, 6, 11)):
+    """Run ``ArbitratorCrash`` windows, given as ``(links, at_ms,
+    duration_ms)``, on a 3-host star's control plane.  Returns the
+    plane, the injector, the crashed host-uplink arbitrator's name and,
+    per sample time, ``(cp_down, named arbitrator crashed)``."""
+    sim = Simulator()
+    cfg = PaseConfig()
+    topo = StarTopology(sim, num_hosts=3,
+                        queue_factory=pase_queue_factory(cfg))
+    cp = PaseControlPlane(sim, topo, cfg)
+    name = topo.host_uplink(topo.hosts[0]).name
+    events = tuple(
+        ArbitratorCrash(at=at * MSEC, duration=duration * MSEC,
+                        links=None if links is None else (name,))
+        for links, at, duration in windows)
+    inj = FaultInjector(sim, topo.network, FaultSchedule(events=events),
+                        control_plane=cp)
+    seen = {}
+    for ms in at_ms:
+        sim.schedule_at(ms * MSEC, lambda ms=ms: seen.update(
+            {ms: (cp.cp_down, name in cp._crashed)}))
+    sim.run(until=20 * MSEC)
+    return cp, inj, seen
+
+
+class TestOverlappingArbitratorCrashes:
+    """A target (one arbitrator, or the whole plane) stays down until the
+    last window on it closes, whichever window ends first."""
+
+    @pytest.mark.parametrize("first_ends_first", [True, False])
+    def test_whole_plane_windows_nest(self, first_ends_first):
+        first, second = (4, 7) if first_ends_first else (9, 2)
+        cp, inj, seen = _sample_crash_state(
+            [(None, 1, first), (None, 3, second)])
+        assert {ms: down for ms, (down, _) in seen.items()} == {
+            0.5: False, 2: True, 4: True, 6: True, 11: False}
+        assert cp.arbitrator_crashes == 2
+        assert inj.injected == {"arbitrator-crash": 2,
+                                "arbitrator-recover": 2}
+
+    @pytest.mark.parametrize("first_ends_first", [True, False])
+    def test_named_windows_nest(self, first_ends_first):
+        first, second = (4, 7) if first_ends_first else (9, 2)
+        _, _, seen = _sample_crash_state(
+            [("named", 1, first), ("named", 3, second)])
+        assert seen == {0.5: (False, False), 2: (False, True),
+                        4: (False, True), 6: (False, True),
+                        11: (False, False)}
+
+    def test_whole_plane_recovery_keeps_open_named_crash(self):
+        """The plane's window ends first: the named arbitrator stays down
+        until its own window closes."""
+        _, _, seen = _sample_crash_state(
+            [("named", 1, 9), (None, 3, 2)])
+        assert seen == {0.5: (False, False), 2: (False, True),
+                        4: (True, True), 6: (False, True),
+                        11: (False, False)}
+
+    def test_named_recovery_inside_whole_plane_window(self):
+        """The named window ends first: the plane stays down until its own
+        window closes."""
+        _, _, seen = _sample_crash_state(
+            [(None, 1, 9), ("named", 3, 2)])
+        assert seen == {0.5: (False, False), 2: (True, False),
+                        4: (True, True), 6: (True, False),
+                        11: (False, False)}
+
+
 # ----------------------------------------------------------------------
 # PASE degradation: the tentpole story
 # ----------------------------------------------------------------------

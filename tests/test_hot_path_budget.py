@@ -1,17 +1,20 @@
-"""Python calls per engine event on four pinned points.
+"""Python calls per engine event on five pinned points.
 
 A packet arriving at a host runs on the shared transport chassis
 (``repro.transports.base``) under every protocol, so the Python frames it
 passes through set the cost of most events.  PDQ and D3 add the link's
 explicit-rate allocator, which sees every DATA and PROBE packet on every
-hop and no ACK.  Wall time on a shared machine is too noisy to gate these
-paths; the number of Python calls the event loop makes per event, counted
-with ``sys.setprofile``, is exact and repeatable.  Each ceiling sits about
+hop and no ACK.  PASE adds its arbitrators, its end-host rate control
+and the switch priority queues.  Wall time on a shared machine is too
+noisy to gate these paths; the number of Python calls the event loop
+makes per event, counted with ``sys.setprofile``, is exact and
+repeatable.  Each ceiling sits about
 1% above what the current code makes, so a change that adds a frame to
 the per-packet path fails here.
 
-Measured counts (Python 3.11): DCTCP intra-rack 6.70 calls per event,
-PASE left-right 5.18, PDQ intra-rack 7.78, D3 intra-rack 8.60.
+Measured counts (Python 3.11): DCTCP intra-rack 6.04 calls per event,
+PASE intra-rack 6.50, PASE left-right 4.67, PDQ intra-rack 7.44, D3
+intra-rack 8.25.
 """
 
 import sys
@@ -29,14 +32,15 @@ def _intra_rack(protocol):
 
 
 POINTS = {
-    "dctcp-intra-rack": (_intra_rack("dctcp"), 6.78),
-    "pdq-intra-rack": (_intra_rack("pdq"), 7.86),
-    "d3-intra-rack": (_intra_rack("d3"), 8.69),
+    "dctcp-intra-rack": (_intra_rack("dctcp"), 6.10),
+    "pdq-intra-rack": (_intra_rack("pdq"), 7.51),
+    "d3-intra-rack": (_intra_rack("d3"), 8.33),
+    "pase-intra-rack": (_intra_rack("pase"), 6.56),
     "pase-left-right": (
         ExperimentSpec("pase", ScenarioSpec("left-right",
                                             {"hosts_per_rack": 10}),
                        0.5, num_flows=30, seed=1000),
-        5.23),
+        4.72),
 }
 
 

@@ -60,6 +60,30 @@ class TestRateControl:
         expected = sender.reference_rate * sender.base_rtt / bytes_to_bits(1500)
         assert sender.cwnd == pytest.approx(max(1.0, expected), rel=0.3)
 
+    def test_cached_reference_window_follows_rref_and_min_rtt(self):
+        """The top queue's per-ACK window is cached; a new Rref or a new
+        minimum RTT sample recomputes it from ``_reference_window``."""
+        sim, topo, cp, cfg = build()
+        flow, box = launch(sim, topo, cp, 1, 0, 1, 500 * KB)
+        sim.run(until=0.3e-3)
+        sender = box[0]
+        assert sender.queue_index == 0 and not sender._is_intermediate
+
+        def window_after_ack():
+            sender._increase_window()
+            return sender.cwnd
+
+        assert window_after_ack() == max(1.0, sender._reference_window())
+        sender.reference_rate /= 4
+        assert window_after_ack() == max(1.0, sender._reference_window())
+        sender._rtt_min_sample /= 2
+        assert window_after_ack() == max(1.0, sender._reference_window())
+        # A window changed elsewhere (a marked ACK's decrease) is pinned
+        # back to the cached value on the next unmarked ACK.
+        expected = sender.cwnd
+        sender.cwnd = 1.0
+        assert window_after_ack() == expected
+
     def test_second_flow_lands_in_lower_queue(self):
         sim, topo, cp, cfg = build()
         f1, b1 = launch(sim, topo, cp, 1, 0, 2, 50 * KB)
@@ -134,9 +158,22 @@ class TestLossRecovery:
         flow, box = launch(sim, topo, cp, 1, 0, 1, 100 * KB)
         sim.run(until=0.2e-3)
         sender = box[0]
-        sender.queue_index = 0
+        sender._set_queue(0)
         assert sender.rto_value() >= MIN_RTO_TOP
-        sender.queue_index = 2
+        sender._set_queue(2)
+        assert sender.rto_value() >= cfg.min_rto_low
+
+    def test_rto_floor_in_fallback_is_the_low_queue_floor(self):
+        cfg = PaseConfig()
+        sim, topo, cp, _ = build(config=cfg)
+        flow, box = launch(sim, topo, cp, 1, 0, 1, 100 * KB)
+        sim.run(until=0.2e-3)
+        sender = box[0]
+        sender._set_queue(0)
+        assert sender._rto_floor == MIN_RTO_TOP
+        sender._enter_fallback()
+        assert sender.queue_index == cfg.num_data_queues - 1
+        assert sender._rto_floor == cfg.min_rto_low
         assert sender.rto_value() >= cfg.min_rto_low
 
     def test_low_priority_timeout_sends_probe_not_data(self):

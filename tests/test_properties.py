@@ -20,7 +20,8 @@ from repro.core.arbitration import (
 from repro.metrics.stats import percentile
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketKind
-from repro.sim.queues import PFabricQueue, PriorityQueueBank, REDQueue
+from repro.sim.queues import (DropTailQueue, PFabricQueue, PriorityQueueBank,
+                              REDQueue)
 from repro.utils.units import GBPS
 
 
@@ -158,6 +159,58 @@ def test_pfabric_keeps_highest_priority_packets(priorities, capacity):
     assert sorted(kept) == sorted(priorities)[:len(kept)]
     # Dequeue yields non-decreasing priority values.
     assert kept == sorted(kept)
+
+
+_DISCIPLINES = {
+    "droptail": lambda cap: DropTailQueue(capacity_pkts=cap),
+    "red": lambda cap: REDQueue(capacity_pkts=cap, mark_threshold_pkts=2),
+    "prio-shared": lambda cap: PriorityQueueBank(num_queues=3,
+                                                 capacity_pkts=cap),
+    "prio-per-class": lambda cap: PriorityQueueBank(
+        num_queues=3, capacity_pkts=cap, per_queue_capacity=True),
+    "pfabric": lambda cap: PFabricQueue(capacity_pkts=cap),
+}
+
+
+def _stored(q):
+    """Packets the discipline actually holds, read from its structure."""
+    if isinstance(q, PriorityQueueBank):
+        return [p for cls in q._queues for p in cls]
+    return list(q._q)
+
+
+@given(st.sampled_from(sorted(_DISCIPLINES)),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.one_of(st.none(),
+                          st.tuples(st.integers(min_value=0, max_value=4),
+                                    st.integers(min_value=0, max_value=5))),
+                max_size=60))
+def test_len_slot_tracks_occupancy(kind, capacity, ops):
+    """``len(q)`` (the ``_len`` slot the link reads) equals the packets
+    held after any mix of enqueues, dequeues, tail drops and pFabric
+    evictions.  An op is ``None`` for a dequeue, else ``(queue_index,
+    priority)`` for an arrival."""
+    q = _DISCIPLINES[kind](capacity)
+    inside = []
+    evicted = []
+    q.drop_hook = lambda p, reason: (evicted.append(p)
+                                     if reason == "evicted" else None)
+    for i, op in enumerate(ops):
+        if op is None:
+            p = q.dequeue()
+            if p is not None:
+                inside.remove(p)
+        else:
+            queue_index, priority = op
+            p = pkt(flow=i, seq=i, priority=float(priority),
+                    queue_index=queue_index)
+            if q.enqueue(p):
+                inside.append(p)
+            for victim in evicted:
+                inside.remove(victim)
+            evicted.clear()
+        assert len(q) == q._len == len(inside) == len(_stored(q))
+        assert q.byte_depth == sum(p.size for p in inside)
 
 
 @given(st.integers(min_value=1, max_value=50),
